@@ -11,10 +11,19 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .geometry import Ball, HyperRectangle, Point, SizedObject, UsageError
+from .geometry import (
+    Ball,
+    HyperRectangle,
+    Point,
+    SizedObject,
+    UniformGrid,
+    UsageError,
+    require_type,
+)
 from .online import (
     ArrivalEvent,
     ArrivalSequence,
@@ -91,32 +100,86 @@ def level_graph_gen(zeta: int, seed: Optional[int] = None) -> ArrivalSequence:
     return ArrivalSequence(events=tuple(events))
 
 
-def _margin_ok(obj: SizedObject, others: list[SizedObject]) -> bool:
-    for other in others:
-        a, b = obj.shape, other.shape
-        if isinstance(a, Ball) and isinstance(b, Ball):
-            gap = abs(
-                math.dist(a.center.coords, b.center.coords) - (a.radius + b.radius)
-            )
+class _BallIndex:
+    """Accepted balls, grid-indexed for the tangency margin rule.
+
+    A pair can sit within DEGENERACY_MARGIN of tangency only if its
+    centers are closer than the radius sum plus the margin, so a grid
+    with that reach finds every pair the rule could reject.
+    """
+
+    def __init__(self, dim: int, max_radius: float, box_side: float) -> None:
+        self.grid = UniformGrid(dim, 2.0 * max_radius + DEGENERACY_MARGIN, box_side)
+        self.balls: list[Ball] = []
+
+    def clear(self, obj: SizedObject) -> bool:
+        a = obj.shape
+        for j in self.grid.near(self.grid.cell(a.center.coords)):
+            b = self.balls[j]
+            gap = abs(math.dist(a.center.coords, b.center.coords) - (a.radius + b.radius))
             if gap < DEGENERACY_MARGIN:
                 return False
+        return True
+
+    def add(self, obj: SizedObject) -> None:
+        self.grid.add(self.grid.cell(obj.shape.center.coords), len(self.balls))
+        self.balls.append(obj.shape)
+
+
+class _BoxEndpoints:
+    """Per-axis sorted endpoints of the accepted boxes.
+
+    The box margin rule compares a new box with every accepted box, near
+    or far, on every axis, so it looks endpoints up by value instead of
+    by neighbourhood.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.los: list[list[float]] = [[] for _ in range(dim)]
+        self.his: list[list[float]] = [[] for _ in range(dim)]
+
+    def clear(self, obj: SizedObject) -> bool:
+        box = obj.shape
+        for al, au, los, his in zip(box.lo.coords, box.hi.coords, self.los, self.his):
+            if _endpoint_near(his, al) or _endpoint_near(los, au):
+                return False
+        return True
+
+    def add(self, obj: SizedObject) -> None:
+        box = obj.shape
+        for l, u, los, his in zip(box.lo.coords, box.hi.coords, self.los, self.his):
+            insort(los, l)
+            insort(his, u)
+
+
+def _endpoint_near(values: list[float], x: float) -> bool:
+    """True iff some v in the sorted values has abs(x - v) < DEGENERACY_MARGIN.
+
+    Every v with that property lies in [x - 2*margin, x + 2*margin] even
+    after rounding, so only that window is tested.  abs(x - v) equals
+    abs(v - x) exactly, because rounding is symmetric in sign.
+    """
+    margin = DEGENERACY_MARGIN
+    start = bisect_left(values, x - 2.0 * margin)
+    stop = bisect_right(values, x + 2.0 * margin, start)
+    return any(abs(x - v) < margin for v in values[start:stop])
+
+
+def _place(n: int, draw, index) -> list[SizedObject]:
+    """Draw n objects in order, redrawing each until index finds it clear."""
+    objects: list[SizedObject] = []
+    for _ in range(n):
+        for _ in range(_REDRAW_LIMIT):
+            obj = draw()
+            if index.clear(obj):
+                break
         else:
-            for al, au, bl, bu in zip(
-                a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords
-            ):
-                if abs(al - bu) < DEGENERACY_MARGIN or abs(bl - au) < DEGENERACY_MARGIN:
-                    return False
-    return True
-
-
-def _draw_until_clear(draw, accepted: list[SizedObject]) -> SizedObject:
-    for _ in range(_REDRAW_LIMIT):
-        obj = draw()
-        if _margin_ok(obj, accepted):
-            return obj
-    raise UsageError(
-        "could not place an object clear of tangency; the box is too crowded"
-    )
+            raise UsageError(
+                "could not place an object clear of tangency; the box is too crowded"
+            )
+        index.add(obj)
+        objects.append(obj)
+    return objects
 
 
 def random_balls_gen(
@@ -129,7 +192,9 @@ def random_balls_gen(
     """n balls with centers uniform in [0, box_side]^dim.
 
     Radii are uniform in radius_range (the default keeps them unit).
-    Every pair is kept at least DEGENERACY_MARGIN away from tangency.
+    Margin rule: a draw is redrawn while its distance to any accepted
+    ball is within DEGENERACY_MARGIN (1e-6) of the radius sum, so no
+    pair is within 1e-6 of tangency.
     """
     if n < 0:
         raise UsageError(f"n must be >= 0, got {n}")
@@ -147,9 +212,7 @@ def random_balls_gen(
         radius = lo if lo == hi else rng.uniform(lo, hi)
         return SizedObject.of(Ball(center=center, radius=radius))
 
-    objects: list[SizedObject] = []
-    for _ in range(n):
-        objects.append(_draw_until_clear(draw, objects))
+    objects = _place(n, draw, _BallIndex(dim, hi, box_side))
     return ArrivalSequence.from_objects(objects)
 
 
@@ -161,7 +224,14 @@ def random_rects_gen(
     seed: Optional[int] = None,
 ) -> ArrivalSequence:
     """n axis-aligned boxes with lower corners uniform in [0, box_side]^dim
-    and side lengths uniform in [1, M]."""
+    and side lengths uniform in [1, M].
+
+    Margin rule: a draw is redrawn while, on any axis, its lower
+    endpoint is within DEGENERACY_MARGIN (1e-6) of the upper endpoint of
+    any accepted box, near or far, or its upper endpoint is within 1e-6
+    of such a box's lower endpoint.  So no two boxes have facing
+    endpoints within 1e-6 on any axis.
+    """
     if n < 0:
         raise UsageError(f"n must be >= 0, got {n}")
     if dim < 1:
@@ -178,9 +248,7 @@ def random_rects_gen(
         hi = tuple(l + s for l, s in zip(lo, sides))
         return SizedObject.of(HyperRectangle(lo=Point(lo), hi=Point(hi)))
 
-    objects: list[SizedObject] = []
-    for _ in range(n):
-        objects.append(_draw_until_clear(draw, objects))
+    objects = _place(n, draw, _BoxEndpoints(dim))
     return ArrivalSequence.from_objects(objects)
 
 
@@ -204,6 +272,17 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("star", "levels", "random_balls", "random_rects"):
             raise UsageError(f"unknown adversary kind {self.kind!r}")
+        for name, kind in (
+            ("zeta", int), ("n", int), ("dim", int), ("m", float),
+            ("box_side", float), ("seed", int),
+        ):
+            require_type(f"generator {name}", getattr(self, name), kind)
+        if not isinstance(self.radius_range, (list, tuple)) or len(self.radius_range) != 2:
+            raise UsageError(
+                f"generator radius_range must be a [lo, hi] pair, got {self.radius_range!r}"
+            )
+        for value in self.radius_range:
+            require_type("generator radius_range entry", value, float)
         object.__setattr__(self, "radius_range", tuple(self.radius_range))
 
 

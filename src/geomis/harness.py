@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 from .adversaries import AdversaryConfig, generate_instance, star_adversary
 from .algorithms import Classify, HRClassify, LatticeFilter, class_count
-from .geometry import UsageError
+from .geometry import UsageError, require_type
 from .instances import load_instance
 from .lattice import LatticeParams
 from .online import ArrivalSequence, FirstFit, RunResult, empirical_ratio, run_online
@@ -114,6 +114,20 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name, value, kind in (
+            ("trials", self.trials, int),
+            ("base_seed", self.base_seed, int),
+            ("delta", self.delta, float),
+            ("M", self.m, float),
+            ("oracle", self.oracle, bool),
+            ("node_limit", self.node_limit, int),
+            ("instance_per_trial", self.instance_per_trial, bool),
+            ("timing", self.timing, bool),
+        ):
+            require_type(name, value, kind)
+        for name, value in (("instance_path", self.instance_path), ("out", self.out)):
+            if value is not None:
+                require_type(name, value, str)
         if self.algorithm not in ALGORITHMS:
             raise UsageError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
@@ -147,11 +161,11 @@ class ExperimentConfig:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         gen = None
         if data.get("generator") is not None:
+            if not isinstance(data["generator"], dict):
+                raise UsageError("generator must be a JSON object")
             gen_cfg = dict(data["generator"])
             if "M" in gen_cfg:
                 gen_cfg["m"] = gen_cfg.pop("M")
-            if "radius_range" in gen_cfg:
-                gen_cfg["radius_range"] = tuple(gen_cfg["radius_range"])
             try:
                 gen = AdversaryConfig(**gen_cfg)
             except TypeError as exc:

@@ -13,7 +13,15 @@ import random
 import numpy as np
 import pytest
 
-from geomis import ArrivalSequence
+from geomis import (
+    ArrivalSequence,
+    Ball,
+    HyperRectangle,
+    Point,
+    SizedObject,
+    UsageError,
+    objects_intersect,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -73,6 +81,77 @@ def _brute_scan(n: int, masks: list[int]) -> tuple[int, tuple[int, ...]]:
             best_size = size
             best_witness = witness
     return best_size, best_witness
+
+
+def pairwise_intersection_graph(objects: list[SizedObject]) -> list[set[int]]:
+    """Intersection graph by the all-pairs scan over i < j."""
+    n = len(objects)
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if objects_intersect(objects[i], objects[j]):
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    return adjacency
+
+
+def _margin_ok(obj: SizedObject, others: list[SizedObject], margin: float) -> bool:
+    """The generators' margin rule, checked against every accepted object."""
+    for other in others:
+        a, b = obj.shape, other.shape
+        if isinstance(a, Ball):
+            gap = abs(math.dist(a.center.coords, b.center.coords) - (a.radius + b.radius))
+            if gap < margin:
+                return False
+        else:
+            for al, au, bl, bu in zip(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords):
+                if abs(al - bu) < margin or abs(bl - au) < margin:
+                    return False
+    return True
+
+
+def _draw_until_clear(draw, n: int, margin: float) -> list[SizedObject]:
+    accepted: list[SizedObject] = []
+    for _ in range(n):
+        for _ in range(1000):
+            obj = draw()
+            if _margin_ok(obj, accepted, margin):
+                accepted.append(obj)
+                break
+        else:
+            raise UsageError("too crowded")
+    return accepted
+
+
+def reference_random_balls(
+    n: int, dim: int, box_side: float, seed: int,
+    radius_range: tuple[float, float] = (1.0, 1.0), margin: float = 1e-6,
+) -> list[SizedObject]:
+    """random_balls_gen's objects, drawn from the same RNG calls."""
+    rng = random.Random(seed)
+    lo, hi = radius_range
+
+    def draw() -> SizedObject:
+        center = Point(tuple(rng.uniform(0.0, box_side) for _ in range(dim)))
+        radius = lo if lo == hi else rng.uniform(lo, hi)
+        return SizedObject.of(Ball(center, radius))
+
+    return _draw_until_clear(draw, n, margin)
+
+
+def reference_random_rects(
+    n: int, dim: int, m: float, box_side: float, seed: int, margin: float = 1e-6
+) -> list[SizedObject]:
+    """random_rects_gen's objects, drawn from the same RNG calls."""
+    rng = random.Random(seed)
+
+    def draw() -> SizedObject:
+        lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
+        sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
+        hi = tuple(l + s for l, s in zip(lo, sides))
+        return SizedObject.of(HyperRectangle(Point(lo), Point(hi)))
+
+    return _draw_until_clear(draw, n, margin)
 
 
 def reference_basis(dim: int, delta: float) -> np.ndarray:

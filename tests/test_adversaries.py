@@ -19,6 +19,12 @@ from geomis import (
     star_adversary,
 )
 
+from conftest import (
+    pairwise_intersection_graph,
+    reference_random_balls,
+    reference_random_rects,
+)
+
 
 def test_star_against_greedy():
     for zeta in range(1, 7):
@@ -148,3 +154,55 @@ def test_generate_instance_dispatch():
         AdversaryConfig(kind="mystery")
     with pytest.raises(UsageError):
         generate_instance(AdversaryConfig(kind="star", zeta=3))
+
+
+def _objects(stream):
+    return [ev.payload for ev in stream.events]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_generators_match_reference(seed):
+    for dim, box_side, radii in ((1, 40.0, (1.0, 1.0)), (2, 12.0, (0.5, 3.0)), (3, 6.0, (1.0, 1.0))):
+        stream = random_balls_gen(40, dim, box_side, seed=seed, radius_range=radii)
+        assert _objects(stream) == reference_random_balls(40, dim, box_side, seed, radii)
+    for dim, m, box_side in ((1, 4.0, 30.0), (2, 8.0, 20.0), (3, 3.0, 8.0)):
+        stream = random_rects_gen(40, dim, m, box_side, seed=seed)
+        assert _objects(stream) == reference_random_rects(40, dim, m, box_side, seed)
+
+
+def test_generators_match_reference_when_redraws_happen(monkeypatch):
+    monkeypatch.setattr("geomis.adversaries.DEGENERACY_MARGIN", 0.05)
+    for seed in (3, 4):
+        balls = reference_random_balls(60, 2, 10.0, seed, (0.5, 2.0), margin=0.05)
+        # The wider margin must have forced redraws, or this case shows nothing.
+        assert balls != reference_random_balls(60, 2, 10.0, seed, (0.5, 2.0))
+        stream = random_balls_gen(60, 2, 10.0, seed=seed, radius_range=(0.5, 2.0))
+        assert _objects(stream) == balls
+        rects = reference_random_rects(60, 2, 5.0, 20.0, seed, margin=0.05)
+        assert rects != reference_random_rects(60, 2, 5.0, 20.0, seed)
+        assert _objects(random_rects_gen(60, 2, 5.0, 20.0, seed=seed)) == rects
+
+
+def test_generators_refuse_a_crowded_box(monkeypatch):
+    # With a margin wider than the box, every second draw is rejected.
+    monkeypatch.setattr("geomis.adversaries.DEGENERACY_MARGIN", 50.0)
+    with pytest.raises(UsageError, match="too crowded"):
+        random_balls_gen(2, 2, 10.0, seed=0)
+    with pytest.raises(UsageError, match="too crowded"):
+        random_rects_gen(2, 2, 5.0, 10.0, seed=0)
+    with pytest.raises(UsageError):
+        reference_random_balls(2, 2, 10.0, 0, margin=50.0)
+    with pytest.raises(UsageError):
+        reference_random_rects(2, 2, 5.0, 10.0, 0, margin=50.0)
+
+
+def test_random_balls_in_high_dimension_match_reference():
+    dim, n = 24, 25
+    stream = random_balls_gen(n, dim, 1.0, seed=3)
+    objects = _objects(stream)
+    assert objects == reference_random_balls(n, dim, 1.0, 3)
+    adj = pairwise_intersection_graph(objects)
+    assert [set(ev.neighbors) for ev in stream.events] == [
+        {j for j in adj[i] if j < i} for i in range(n)
+    ]
+    assert 0 < sum(map(len, adj)) // 2 < n * (n - 1) // 2

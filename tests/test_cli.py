@@ -224,6 +224,33 @@ def test_bad_config_key(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("trials", 2.5),
+        ("base_seed", "x"),
+        ("generator.radius_range", [1]),
+        ("generator.n", "10"),
+        ("node_limit", "a"),
+    ],
+)
+def test_malformed_config_exits_one_without_traceback(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    monkeypatch.setenv("GEOMIS_THREADS", "2")
+    config = json.loads(experiment_config(tmp_path).read_text())
+    if key.startswith("generator."):
+        config["generator"][key.split(".", 1)[1]] = value
+    else:
+        config[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(config))
+    assert cli_dispatch(["experiment", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert cli_dispatch(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()

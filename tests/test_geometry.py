@@ -18,6 +18,8 @@ from geomis import (
     rects_intersect,
 )
 
+from conftest import pairwise_intersection_graph
+
 finite_coord = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
@@ -156,24 +158,110 @@ def test_ball_intersection_translation_invariant(ax, ay, bx, by, ra, rb, shift):
         assert balls_intersect(a, b) == balls_intersect(a2, b2)
 
 
+def _random_shapes(rng, balls, n, dim, offset):
+    objs = []
+    for _ in range(n):
+        lo = tuple(offset + rng.uniform(-10, 10) for _ in range(dim))
+        if balls:
+            objs.append(SizedObject.of(Ball(Point(lo), rng.uniform(0.2, 3.0))))
+        else:
+            hi = tuple(l + rng.uniform(0.1, 6.0) for l in lo)
+            objs.append(SizedObject.of(HyperRectangle(Point(lo), Point(hi))))
+    return objs
+
+
 def test_intersection_graph_matches_pairwise_predicate():
     rng = random.Random(7)
-    for _ in range(20):
-        objs = []
-        for _ in range(rng.randrange(0, 25)):
-            center = Point((rng.uniform(-10, 10), rng.uniform(-10, 10)))
-            objs.append(SizedObject.of(Ball(center, rng.uniform(0.2, 3.0))))
-        adj = intersection_graph(objs)
-        assert len(adj) == len(objs)
-        for i in range(len(objs)):
-            assert i not in adj[i]
-            for j in range(len(objs)):
-                if i == j:
-                    continue
-                ci, cj = objs[i].shape.center, objs[j].shape.center
-                touching = (
-                    math.dist(tuple(ci), tuple(cj))
-                    <= objs[i].shape.radius + objs[j].shape.radius
-                )
-                assert (j in adj[i]) == touching
-                assert (j in adj[i]) == (i in adj[j])
+    for dim in (1, 2, 3):
+        for offset in (0.0, -1e6, 1e6):
+            for balls in (True, False):
+                for _ in range(4):
+                    objs = _random_shapes(rng, balls, rng.randrange(0, 40), dim, offset)
+                    assert intersection_graph(objs) == pairwise_intersection_graph(objs)
+
+
+def test_intersection_graph_rejects_mixed_kinds_far_apart():
+    ball = SizedObject.of(Ball(Point((0.0, 0.0)), 1.0))
+    rect = SizedObject.of(HyperRectangle(Point((500.0, 500.0)), Point((501.0, 501.0))))
+    with pytest.raises(UsageError):
+        intersection_graph([ball, rect])
+    with pytest.raises(UsageError):
+        intersection_graph([rect, ball])
+
+
+def test_intersection_graph_tangent_chains_across_cells():
+    # Exactly representable positions 2 apart, so every consecutive pair
+    # touches; over 1500 steps the pairs meet every phase of the grid
+    # cells, and a cell side even 0.1% short of 2 would split one.
+    n = 1500
+    path = [{k - 1, k + 1} & set(range(n)) for k in range(n)]
+    balls = [SizedObject.of(Ball(Point((-1e6 + 2.0 * k, 3.0)), 1.0)) for k in range(n)]
+    assert intersection_graph(balls) == path
+    boxes = [
+        SizedObject.of(HyperRectangle(
+            Point((2.0 * k - 7.0, 2.0 * k)), Point((2.0 * k - 5.0, 2.0 * k + 2.0))
+        ))
+        for k in range(n)
+    ]
+    assert intersection_graph(boxes) == path
+    assert intersection_graph(balls[:40]) == pairwise_intersection_graph(balls[:40])
+
+
+def _dyadic(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda k: k / 8.0)
+
+
+@st.composite
+def shape_lists(draw):
+    """Balls or boxes in d = 1..3 on a 1/8 grid, so that tangent pairs
+    are exact, shifted by an offset of 0 or about +-1e6."""
+    dim = draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e6 + 0.375]))
+    balls = draw(st.booleans())
+    n = draw(st.integers(0, 30))
+    objs = []
+    for _ in range(n):
+        corner = [offset + draw(_dyadic(-160, 160)) for _ in range(dim)]
+        if balls:
+            radius = draw(_dyadic(1, 40))
+            objs.append(SizedObject.of(Ball(Point(tuple(corner)), radius)))
+            if draw(st.booleans()):
+                # An exactly tangent partner along one axis.
+                axis = draw(st.integers(0, dim - 1))
+                other = draw(_dyadic(1, 40))
+                corner[axis] += radius + other
+                objs.append(SizedObject.of(Ball(Point(tuple(corner)), other)))
+        else:
+            sides = [draw(_dyadic(1, 64)) for _ in range(dim)]
+            hi = [c + s for c, s in zip(corner, sides)]
+            objs.append(SizedObject.of(HyperRectangle(Point(tuple(corner)), Point(tuple(hi)))))
+            if draw(st.booleans()):
+                # A partner whose lower corner sits on this box's upper corner.
+                far = [u + draw(_dyadic(1, 64)) for u in hi]
+                partner = HyperRectangle(Point(tuple(hi)), Point(tuple(far)))
+                objs.append(SizedObject.of(partner))
+    return draw(st.permutations(objs))
+
+
+@given(objs=shape_lists())
+@settings(max_examples=150, deadline=None)
+def test_intersection_graph_equals_pairwise_reference(objs):
+    assert intersection_graph(objs) == pairwise_intersection_graph(objs)
+
+
+def test_intersection_graph_in_high_dimension():
+    # 3^24 neighbour cells could never be listed; the grid scans its
+    # occupied cells instead.  A long axis per ball, one of three,
+    # spreads the balls over cells 3 wide, with touching pairs in the
+    # same cell and across cell borders.
+    rng = random.Random(5)
+    dim, n = 24, 25
+    balls = []
+    for _ in range(n):
+        center = [rng.uniform(0.0, 0.3) for _ in range(dim)]
+        center[rng.randrange(3)] = rng.uniform(0.0, 9.0)
+        balls.append(SizedObject.of(Ball(Point(tuple(center)), rng.uniform(0.5, 1.5))))
+    adj = intersection_graph(balls)
+    assert adj == pairwise_intersection_graph(balls)
+    edges = sum(map(len, adj)) // 2
+    assert 0 < edges < n * (n - 1) // 2
