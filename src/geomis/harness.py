@@ -4,8 +4,10 @@ An experiment is a JSON-describable config: an algorithm, an instance
 source (file or generator), a trial count, and a base seed.  Per-trial
 seeds come from a fixed 64-bit mix of (base_seed, trial_index), so runs
 are reproducible to the byte across platforms and across any degree of
-parallelism.  Trials are independent; the GEOMIS_THREADS environment
-variable caps how many worker processes run them.
+parallelism.  Trials are independent; GEOMIS_THREADS caps the worker
+processes that run them (default: one per CPU).  The oracle scores the
+instance, so a fixed instance is solved once, before any trial; only the
+star adversary and instance_per_trial build and solve a graph per trial.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .algorithms import Classify, HRClassify, LatticeFilter, class_count
 from .geometry import UsageError, require_type
 from .instances import load_instance
 from .lattice import LatticeParams
-from .online import ArrivalSequence, FirstFit, RunResult, empirical_ratio, run_online
+from .online import ArrivalSequence, FirstFit, empirical_ratio, run_online
 from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, exact_mis
 
 _MASK64 = (1 << 64) - 1
@@ -280,34 +282,33 @@ def _build_algorithm(
     return HRClassify(config.m, stream.dim, seed=seed)
 
 
-def _oracle_fields(
-    config: ExperimentConfig, stream: ArrivalSequence, run: RunResult
-) -> tuple[Optional[int], Optional[float]]:
+def _solve_opt(config: ExperimentConfig, stream: ArrivalSequence) -> Optional[int]:
+    """Maximum independent set size; None when the oracle is off or refuses."""
     if not config.oracle:
-        return None, None
+        return None
     try:
-        opt = exact_mis(stream.adjacency(), config.node_limit).size
+        return exact_mis(stream.adjacency(), config.node_limit).size
     except OracleRefusal:
-        return None, None
-    return opt, empirical_ratio(opt, run)
+        return None
 
 
 def _run_trial(args: tuple) -> TrialRecord:
-    config, stream, trial_index, forced = args
+    config, stream, opt, trial_index, forced = args
     seed = derive_seed(config.base_seed, trial_index)
+    fixed = stream is not None  # opt came with the job; else score this trial's graph
     start = time.perf_counter()
     if config.generator is not None and config.generator.kind == "star":
         algorithm = _build_algorithm(config, ArrivalSequence(events=()), seed, forced)
         outcome = star_adversary(config.generator.zeta, algorithm)
         stream, run = outcome.stream, outcome.result
     else:
-        if stream is None:
-            gen = replace(config.generator, seed=seed)
-            stream = generate_instance(gen)
+        if not fixed:
+            stream = generate_instance(replace(config.generator, seed=seed))
         algorithm = _build_algorithm(config, stream, seed, forced)
         run = run_online(algorithm, stream)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    opt, ratio = _oracle_fields(config, stream, run)
+    if not fixed:
+        opt = _solve_opt(config, stream)
     return TrialRecord(
         trial=trial_index,
         seed=seed,
@@ -315,7 +316,7 @@ def _run_trial(args: tuple) -> TrialRecord:
         n=len(stream),
         alg_size=run.size,
         opt_size=opt,
-        ratio=ratio,
+        ratio=None if opt is None else empirical_ratio(opt, run),
         wall_time_ms=elapsed_ms,
     )
 
@@ -347,12 +348,11 @@ def run_experiment(
     if config.mode == "enumerate":
         if stream is None:
             raise UsageError("enumerate mode needs a fixed instance")
-        jobs = [
-            (config, stream, i, forced)
-            for i, forced in enumerate(_enumerated_classes(config, stream))
-        ]
+        classes = _enumerated_classes(config, stream)
     else:
-        jobs = [(config, stream, i, None) for i in range(config.trials)]
+        classes = [None] * config.trials
+    opt = None if stream is None else _solve_opt(config, stream)
+    jobs = [(config, stream, opt, i, forced) for i, forced in enumerate(classes)]
 
     workers = _worker_count(len(jobs))
     if workers > 1 and len(jobs) > 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,26 @@ import pytest
 from geomis import (
     ArrivalSequence,
     Ball,
+    Classify,
+    FirstFit,
+    HRClassify,
     HyperRectangle,
+    LatticeFilter,
+    LatticeParams,
+    OracleRefusal,
     Point,
     SizedObject,
+    TrialRecord,
     UsageError,
+    class_count,
+    derive_seed,
+    empirical_ratio,
+    exact_mis,
+    generate_instance,
+    load_instance,
     objects_intersect,
+    run_online,
+    star_adversary,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -152,6 +168,64 @@ def reference_random_rects(
         return SizedObject.of(HyperRectangle(Point(lo), Point(hi)))
 
     return _draw_until_clear(draw, n, margin)
+
+
+def _reference_algorithm(config, stream, seed, forced):
+    if config.algorithm == "firstfit":
+        return FirstFit()
+    if config.algorithm == "filter":
+        return LatticeFilter(LatticeParams(dim=stream.dim, delta=config.delta), seed=seed)
+    if config.algorithm == "classify":
+        if forced is not None:
+            return Classify(config.m, forced_class=forced[0])
+        return Classify(config.m, seed=seed)
+    if forced is not None:
+        return HRClassify(config.m, stream.dim, forced_classes=forced)
+    return HRClassify(config.m, stream.dim, seed=seed)
+
+
+def reference_experiment_records(config) -> list[TrialRecord]:
+    """run_experiment's records by the serial solve-every-trial loop.
+
+    Every trial loads or builds its own instance, runs the algorithm on
+    it and then calls exact_mis on that trial's graph.  Wall times are 0.
+    """
+    star = config.generator is not None and config.generator.kind == "star"
+
+    def instance(seed):
+        if config.instance_path is not None:
+            return load_instance(config.instance_path)
+        if config.instance_per_trial:
+            return generate_instance(replace(config.generator, seed=seed))
+        return generate_instance(config.generator)
+
+    if config.mode == "enumerate":
+        k = class_count(config.m)
+        repeat = 1 if config.algorithm == "classify" else instance(None).dim
+        classes = list(itertools.product(range(k), repeat=repeat))
+    else:
+        classes = [None] * config.trials
+    records = []
+    for i, forced in enumerate(classes):
+        seed = derive_seed(config.base_seed, i)
+        if star:
+            algorithm = _reference_algorithm(config, None, seed, forced)
+            outcome = star_adversary(config.generator.zeta, algorithm)
+            stream, run = outcome.stream, outcome.result
+        else:
+            stream = instance(seed)
+            run = run_online(_reference_algorithm(config, stream, seed, forced), stream)
+        opt = ratio = None
+        if config.oracle:
+            try:
+                opt = exact_mis(stream.adjacency(), config.node_limit).size
+                ratio = empirical_ratio(opt, run)
+            except OracleRefusal:
+                pass
+        records.append(
+            TrialRecord(i, seed, config.algorithm, len(stream), run.size, opt, ratio, 0.0)
+        )
+    return records
 
 
 def reference_basis(dim: int, delta: float) -> np.ndarray:

@@ -216,6 +216,26 @@ def test_missing_input_file(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--alg", "firstfit", "--in", "{dir}"],
+        ["run", "--alg", "firstfit", "--in", "{non_utf8}"],
+        ["experiment", "--config", "{dir}"],
+        ["gen", "--kind", "levels", "--out", "{dir}/"],
+    ],
+    ids=["run-dir", "run-non-utf8", "experiment-dir", "gen-out-dir"],
+)
+def test_unreadable_path_exits_one_without_traceback(tmp_path, capsys, argv):
+    non_utf8 = tmp_path / "non_utf8.txt"
+    non_utf8.write_bytes(b"\xffgeomis-instance v1\ndim -\n")
+    paths = {"dir": str(tmp_path), "non_utf8": str(non_utf8)}
+    assert cli_dispatch([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_bad_config_key(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"algorithm": "firstfit", "trials": 1, "base_seed": 0, "wat": 1}')

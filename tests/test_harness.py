@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import geomis.harness as harness
+from conftest import reference_experiment_records
 from geomis import (
     AdversaryConfig,
     ExperimentConfig,
@@ -11,6 +13,7 @@ from geomis import (
     class_count,
     derive_seed,
     level_graph_gen,
+    random_balls_gen,
     render_csv,
     run_experiment,
     run_online,
@@ -232,6 +235,102 @@ def test_enumerate_mode_covers_every_class(monkeypatch, tmp_path):
     ]
     assert [r.alg_size for r in records] == expected_sizes
     assert summary.mean_alg_size == sum(expected_sizes) / 4
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Sizes of the graphs passed to the harness's exact_mis, in call order."""
+    calls = []
+    real = harness.exact_mis
+
+    def counting(graph, node_limit):
+        calls.append(len(graph))
+        return real(graph, node_limit)
+
+    monkeypatch.setattr(harness, "exact_mis", counting)
+    return calls
+
+
+def balls_file(tmp_path):
+    stream = random_balls_gen(18, dim=2, box_side=25.0, seed=21, radius_range=(1.0, 8.0))
+    path = tmp_path / "balls.txt"
+    save_instance(stream, path)
+    return str(path)
+
+
+BALLS = AdversaryConfig(kind="random_balls", n=15, dim=2, box_side=6.0, seed=0)
+RECTS = AdversaryConfig(kind="random_rects", n=12, dim=2, m=4.0, box_side=20.0, seed=3)
+
+# name -> (config builder, exact_mis calls expected from run_experiment)
+ORACLE_CASES = {
+    "file-sample": (lambda tmp: fixed_instance_config(tmp), 1),
+    "generator-sample": (
+        lambda tmp: ExperimentConfig(
+            algorithm="filter", trials=4, base_seed=8, generator=BALLS
+        ),
+        1,
+    ),
+    "file-enumerate": (
+        lambda tmp: ExperimentConfig(
+            algorithm="classify", trials=1, base_seed=5, m=8.0, mode="enumerate",
+            instance_path=balls_file(tmp),
+        ),
+        1,
+    ),
+    "generator-enumerate": (
+        lambda tmp: ExperimentConfig(
+            algorithm="hr_classify", trials=1, base_seed=5, m=4.0, mode="enumerate",
+            generator=RECTS,
+        ),
+        1,
+    ),
+    "oracle-off": (lambda tmp: fixed_instance_config(tmp, oracle=False), 0),
+    "instance-per-trial": (
+        lambda tmp: ExperimentConfig(
+            algorithm="firstfit", trials=4, base_seed=11, generator=BALLS,
+            instance_per_trial=True,
+        ),
+        4,
+    ),
+    "star": (
+        lambda tmp: ExperimentConfig(
+            algorithm="firstfit", trials=3, base_seed=7,
+            generator=AdversaryConfig(kind="star", zeta=5),
+        ),
+        3,
+    ),
+    "refusal-fixed": (lambda tmp: fixed_instance_config(tmp, node_limit=9), 1),
+    "refusal-per-trial": (
+        lambda tmp: ExperimentConfig(
+            algorithm="firstfit", trials=3, base_seed=2, generator=BALLS,
+            instance_per_trial=True, node_limit=14,
+        ),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_oracle_solved_once_per_instance(name, tmp_path, monkeypatch, oracle_calls):
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    build, expected_calls = ORACLE_CASES[name]
+    config = build(tmp_path)
+    records, summary = run_experiment(config)
+    assert len(oracle_calls) == expected_calls
+    assert render_csv(records) == render_csv(reference_experiment_records(config))
+    if name.startswith("refusal"):
+        assert all(r.opt_size is None and r.ratio is None for r in records)
+        assert summary.oracle_refusals == len(records)
+    elif expected_calls:
+        assert summary.oracle_refusals == 0
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_pooled_records_match_per_trial_reference(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("GEOMIS_THREADS", "2")
+    config = ORACLE_CASES[name][0](tmp_path)
+    records, _ = run_experiment(config)
+    assert render_csv(records) == render_csv(reference_experiment_records(config))
 
 
 def test_oracle_refusal_recorded_not_raised(monkeypatch, tmp_path):
