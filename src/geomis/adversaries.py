@@ -38,6 +38,8 @@ DEGENERACY_MARGIN = 1e-6
 
 _REDRAW_LIMIT = 1000
 
+GENERATOR_KINDS = ("star", "levels", "random_balls", "random_rects")
+
 
 class StarOutcome(NamedTuple):
     stream: ArrivalSequence
@@ -210,7 +212,7 @@ def random_balls_gen(
     def draw() -> SizedObject:
         center = Point(tuple(rng.uniform(0.0, box_side) for _ in range(dim)))
         radius = lo if lo == hi else rng.uniform(lo, hi)
-        return SizedObject.of(Ball(center=center, radius=radius))
+        return SizedObject(Ball(center=center, radius=radius))
 
     objects = _place(n, draw, _BallIndex(dim, hi, box_side))
     return ArrivalSequence.from_objects(objects)
@@ -246,7 +248,7 @@ def random_rects_gen(
         lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
         sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
         hi = tuple(l + s for l, s in zip(lo, sides))
-        return SizedObject.of(HyperRectangle(lo=Point(lo), hi=Point(hi)))
+        return SizedObject(HyperRectangle(lo=Point(lo), hi=Point(hi)))
 
     objects = _place(n, draw, _BoxEndpoints(dim))
     return ArrivalSequence.from_objects(objects)
@@ -256,8 +258,8 @@ def random_rects_gen(
 class AdversaryConfig:
     """Declarative instance source, usable from config files.
 
-    kind is one of "star", "levels", "random_balls", "random_rects".
-    Unused fields may stay at their defaults.
+    kind is one of GENERATOR_KINDS.  Unused fields may stay at their
+    defaults.
     """
 
     kind: str
@@ -270,7 +272,7 @@ class AdversaryConfig:
     radius_range: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("star", "levels", "random_balls", "random_rects"):
+        if self.kind not in GENERATOR_KINDS:
             raise UsageError(f"unknown adversary kind {self.kind!r}")
         for name, kind in (
             ("zeta", int), ("n", int), ("dim", int), ("m", float),

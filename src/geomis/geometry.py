@@ -138,38 +138,27 @@ class SizedObject:
     """
 
     shape: Shape
-    width: float
-    alpha: float
 
     def __post_init__(self) -> None:
-        expected_w, expected_a = _size_metadata(self.shape)
-        if not math.isclose(self.width, expected_w, rel_tol=1e-12, abs_tol=0.0):
-            raise UsageError(
-                f"width {self.width} inconsistent with shape (expected {expected_w})"
-            )
-        if not math.isclose(self.alpha, expected_a, rel_tol=1e-12, abs_tol=0.0):
-            raise UsageError(
-                f"alpha {self.alpha} inconsistent with shape (expected {expected_a})"
-            )
-
-    @classmethod
-    def of(cls, shape: Shape) -> "SizedObject":
-        width, alpha = _size_metadata(shape)
-        return cls(shape=shape, width=width, alpha=alpha)
+        if not isinstance(self.shape, (Ball, HyperRectangle)):
+            raise UsageError(f"unsupported shape type {type(self.shape).__name__}")
 
     @property
     def dim(self) -> int:
         return self.shape.dim
 
+    @property
+    def width(self) -> float:
+        if isinstance(self.shape, Ball):
+            return self.shape.radius
+        return min(self.shape.sides) / 2.0
 
-def _size_metadata(shape: Shape) -> tuple[float, float]:
-    if isinstance(shape, Ball):
-        return shape.radius, 1.0
-    if isinstance(shape, HyperRectangle):
-        sides = shape.sides
-        diameter = math.hypot(*sides)
-        return min(sides) / 2.0, min(sides) / diameter
-    raise UsageError(f"unsupported shape type {type(shape).__name__}")
+    @property
+    def alpha(self) -> float:
+        if isinstance(self.shape, Ball):
+            return 1.0
+        sides = self.shape.sides
+        return min(sides) / math.hypot(*sides)
 
 
 def objects_intersect(a: SizedObject, b: SizedObject) -> bool:

@@ -5,9 +5,11 @@ source (file or generator), a trial count, and a base seed.  Per-trial
 seeds come from a fixed 64-bit mix of (base_seed, trial_index), so runs
 are reproducible to the byte across platforms and across any degree of
 parallelism.  Trials are independent; GEOMIS_THREADS caps the worker
-processes that run them (default: one per CPU).  The oracle scores the
-instance, so a fixed instance is solved once, before any trial; only the
-star adversary and instance_per_trial build and solve a graph per trial.
+processes that run them (default: one per CPU).  Each trial builds its
+algorithm with algorithms.make_algorithm.  The oracle scores the
+instance, so a fixed instance is solved once, before any trial, after a
+config that no trial could run has been rejected; only the star
+adversary and instance_per_trial build and solve a graph per trial.
 """
 
 from __future__ import annotations
@@ -20,23 +22,19 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .adversaries import AdversaryConfig, generate_instance, star_adversary
-from .algorithms import Classify, HRClassify, LatticeFilter, class_count
+from .algorithms import ALGORITHMS, class_choices, make_algorithm
 from .geometry import UsageError, require_type
 from .instances import load_instance
-from .lattice import LatticeParams
-from .online import ArrivalSequence, FirstFit, empirical_ratio, run_online
+from .online import ArrivalSequence, empirical_ratio, run_online
 from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, exact_mis
 
 _MASK64 = (1 << 64) - 1
 
 CSV_COLUMNS = ("trial", "seed", "alg", "n", "alg_size", "opt_size", "ratio", "time_ms")
-
-ALGORITHMS = ("firstfit", "filter", "classify", "hr_classify")
 
 
 def derive_seed(base_seed: int, trial_index: int) -> int:
@@ -259,29 +257,6 @@ def _worker_count(trials: int) -> int:
     return max(1, min(cap, trials))
 
 
-def _build_algorithm(
-    config: ExperimentConfig,
-    stream: ArrivalSequence,
-    seed: int,
-    forced: Optional[tuple[int, ...]],
-):
-    if config.algorithm == "firstfit":
-        return FirstFit()
-    if config.algorithm == "filter":
-        if stream.dim is None:
-            raise UsageError("filter needs a geometric instance")
-        return LatticeFilter(LatticeParams(dim=stream.dim, delta=config.delta), seed=seed)
-    if config.algorithm == "classify":
-        if forced is not None:
-            return Classify(config.m, forced_class=forced[0])
-        return Classify(config.m, seed=seed)
-    if stream.dim is None:
-        raise UsageError("hr_classify needs a geometric instance")
-    if forced is not None:
-        return HRClassify(config.m, stream.dim, forced_classes=forced)
-    return HRClassify(config.m, stream.dim, seed=seed)
-
-
 def _solve_opt(config: ExperimentConfig, stream: ArrivalSequence) -> Optional[int]:
     """Maximum independent set size; None when the oracle is off or refuses."""
     if not config.oracle:
@@ -296,15 +271,18 @@ def _run_trial(args: tuple) -> TrialRecord:
     config, stream, opt, trial_index, forced = args
     seed = derive_seed(config.base_seed, trial_index)
     fixed = stream is not None  # opt came with the job; else score this trial's graph
+    star = config.generator is not None and config.generator.kind == "star"
     start = time.perf_counter()
-    if config.generator is not None and config.generator.kind == "star":
-        algorithm = _build_algorithm(config, ArrivalSequence(events=()), seed, forced)
+    if not (fixed or star):
+        stream = generate_instance(replace(config.generator, seed=seed))
+    algorithm = make_algorithm(
+        config.algorithm, None if star else stream.dim,
+        seed=seed, delta=config.delta, m=config.m, forced=forced,
+    )
+    if star:
         outcome = star_adversary(config.generator.zeta, algorithm)
         stream, run = outcome.stream, outcome.result
     else:
-        if not fixed:
-            stream = generate_instance(replace(config.generator, seed=seed))
-        algorithm = _build_algorithm(config, stream, seed, forced)
         run = run_online(algorithm, stream)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if not fixed:
@@ -319,15 +297,6 @@ def _run_trial(args: tuple) -> TrialRecord:
         ratio=None if opt is None else empirical_ratio(opt, run),
         wall_time_ms=elapsed_ms,
     )
-
-
-def _enumerated_classes(config: ExperimentConfig, stream: ArrivalSequence) -> list[tuple[int, ...]]:
-    k = class_count(config.m)
-    if config.algorithm == "classify":
-        return [(j,) for j in range(k)]
-    if stream.dim is None:
-        raise UsageError("hr_classify needs a geometric instance")
-    return [tuple(c) for c in product(range(k), repeat=stream.dim)]
 
 
 def run_experiment(
@@ -348,10 +317,17 @@ def run_experiment(
     if config.mode == "enumerate":
         if stream is None:
             raise UsageError("enumerate mode needs a fixed instance")
-        classes = _enumerated_classes(config, stream)
+        classes = class_choices(config.algorithm, stream.dim, config.m)
     else:
         classes = [None] * config.trials
-    opt = None if stream is None else _solve_opt(config, stream)
+    opt = None
+    if stream is not None:
+        # Reject a config no trial can run before paying for the oracle.
+        make_algorithm(
+            config.algorithm, stream.dim,
+            seed=None, delta=config.delta, m=config.m, forced=classes[0],
+        )
+        opt = _solve_opt(config, stream)
     jobs = [(config, stream, opt, i, forced) for i, forced in enumerate(classes)]
 
     workers = _worker_count(len(jobs))

@@ -53,9 +53,18 @@ def _parse_float(token: str, line_no: int) -> float:
         raise InstanceFormatError(line_no, f"expected a number, got {token!r}") from None
 
 
+def read_utf8(path: Union[str, Path]) -> str:
+    """A file's text, decoded as UTF-8 whatever the locale; a decode
+    error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def load_instance(path: Union[str, Path]) -> ArrivalSequence:
     """Parse an instance file into an ArrivalSequence."""
-    text = Path(path).read_text()
+    text = read_utf8(path)
     lines = _effective_lines(text)
     if not lines or lines[0][1] != MAGIC:
         line_no = lines[0][0] if lines else 1
@@ -136,7 +145,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
                 )
             try:
                 objects.append(
-                    SizedObject.of(Ball(center=Point(tuple(values[:dim])), radius=values[dim]))
+                    SizedObject(Ball(center=Point(tuple(values[:dim])), radius=values[dim]))
                 )
             except UsageError as exc:
                 raise InstanceFormatError(line_no, str(exc)) from None
@@ -149,7 +158,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
             hi = tuple(values[2 * i + 1] for i in range(dim))
             try:
                 objects.append(
-                    SizedObject.of(HyperRectangle(lo=Point(lo), hi=Point(hi)))
+                    SizedObject(HyperRectangle(lo=Point(lo), hi=Point(hi)))
                 )
             except UsageError as exc:
                 raise InstanceFormatError(line_no, str(exc)) from None

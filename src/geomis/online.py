@@ -8,7 +8,7 @@ independent in the revealed graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .geometry import SizedObject, UsageError, intersection_graph
@@ -110,7 +110,6 @@ class RunResult:
     accepted: tuple[int, ...]
     decisions: tuple[bool, ...]
     valid_independent: bool
-    valid_irrevocable: bool
 
     @property
     def size(self) -> int:
@@ -171,7 +170,6 @@ def finalize_run(
         accepted=tuple(accepted),
         decisions=tuple(bool(d) for d in decisions),
         valid_independent=independent,
-        valid_irrevocable=True,
     )
 
 
@@ -179,10 +177,6 @@ def run_online(algorithm: OnlineAlgorithm, stream: ArrivalSequence) -> RunResult
     """Feed the stream to the algorithm once, in order, one decision each."""
     decisions = [bool(algorithm.decide(ev)) for ev in stream.events]
     return finalize_run(stream.events, decisions)
-
-
-def first_fit(stream: ArrivalSequence) -> RunResult:
-    return run_online(FirstFit(), stream)
 
 
 def empirical_ratio(opt_size: int, result: RunResult) -> float:

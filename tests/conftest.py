@@ -150,7 +150,7 @@ def reference_random_balls(
     def draw() -> SizedObject:
         center = Point(tuple(rng.uniform(0.0, box_side) for _ in range(dim)))
         radius = lo if lo == hi else rng.uniform(lo, hi)
-        return SizedObject.of(Ball(center, radius))
+        return SizedObject(Ball(center, radius))
 
     return _draw_until_clear(draw, n, margin)
 
@@ -165,7 +165,7 @@ def reference_random_rects(
         lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
         sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
         hi = tuple(l + s for l, s in zip(lo, sides))
-        return SizedObject.of(HyperRectangle(Point(lo), Point(hi)))
+        return SizedObject(HyperRectangle(Point(lo), Point(hi)))
 
     return _draw_until_clear(draw, n, margin)
 

@@ -31,7 +31,6 @@ from geomis import (
     exact_mis,
     filter_accept_counts,
     filter_acceptance_probability,
-    first_fit,
     independent_kissing_number,
     intersection_graph,
     is_covered,
@@ -100,7 +99,7 @@ def test_criterion_02_first_fit_upper_bound():
         n = rng.randrange(1, 21)
         stream = gnp_stream(n, probs[trial % 3], rng)
         adj = stream.adjacency()
-        result = first_fit(stream)
+        result = run_online(FirstFit(), stream)
         report = verify_ratio(stream, result)
         assert report.bound_satisfied
         assert report.opt_size <= max(report.zeta, 1) * report.alg_size
@@ -118,7 +117,7 @@ def test_criterion_03_level_graph_family():
             opt = exact_mis(adj).size
             assert opt >= zeta + 1
             assert independent_kissing_number(adj).zeta <= zeta
-            result = first_fit(stream)
+            result = run_online(FirstFit(), stream)
             assert result.accepted == (0, 1)
             assert empirical_ratio(opt, result) >= (zeta + 1) / 2.0
 
@@ -181,7 +180,7 @@ def test_criterion_07_filter_acceptance_frequency():
     for i in range(0, 300):
         alg = LatticeFilter(P3, shift=tuple(shifts[i]))
         stream = ArrivalSequence.from_objects(
-            [SizedObject.of(Ball(Point(tuple(centers[i])), 1.0))]
+            [SizedObject(Ball(Point(tuple(centers[i])), 1.0))]
         )
         assert run_online(alg, stream).size == int(covered[i])
 
@@ -209,7 +208,7 @@ def test_criterion_08_filter_clique_law():
                 if a < b and tuple(cells[a]) != tuple(cells[b]):
                     assert not balls_intersect(balls[a], balls[b])
         # the online filter keeps exactly the first ball of each cluster
-        stream = ArrivalSequence.from_objects([SizedObject.of(b) for b in balls])
+        stream = ArrivalSequence.from_objects([SizedObject(b) for b in balls])
         result = run_online(LatticeFilter(P3, shift=tuple(shift)), stream)
         assert sorted(result.accepted) == sorted(min(m) for m in clusters.values())
 
@@ -288,7 +287,7 @@ def test_criterion_11_hyper_rectangle_classes():
             Point((50.0, 50.0)),
             Point((50.0 + center_sides[0], 50.0 + center_sides[1])),
         )
-        objs = [SizedObject.of(center)]
+        objs = [SizedObject(center)]
         for _ in range(19):
             sides = tuple(rng.uniform(lo_w[k], hi_w[k]) for k in range(2))
             lo = tuple(
@@ -298,7 +297,7 @@ def test_criterion_11_hyper_rectangle_classes():
             rect = HyperRectangle(
                 Point(lo), Point((lo[0] + sides[0], lo[1] + sides[1]))
             )
-            objs.append(SizedObject.of(rect))
+            objs.append(SizedObject(rect))
         adj = intersection_graph(objs)
         for v, nbrs in enumerate(adj):
             if len(nbrs) >= 17:

@@ -10,12 +10,12 @@ from geomis import (
     UsageError,
     empirical_ratio,
     exact_mis,
-    first_fit,
     generate_instance,
     independent_kissing_number,
     level_graph_gen,
     random_balls_gen,
     random_rects_gen,
+    run_online,
     star_adversary,
 )
 
@@ -74,7 +74,7 @@ def test_level_graph_structure():
                 assert levels_hit == list(range(level - 1))
             assert exact_mis(adj).size >= zeta + 1
             assert independent_kissing_number(adj).zeta <= zeta
-            assert first_fit(stream).accepted == (0, 1)
+            assert run_online(FirstFit(), stream).accepted == (0, 1)
 
 
 def test_level_graph_seeded_determinism():

@@ -8,6 +8,7 @@ from geomis import (
     ArrivalSequence,
     Ball,
     Classify,
+    FirstFit,
     HRClassify,
     HyperRectangle,
     LatticeFilter,
@@ -16,23 +17,20 @@ from geomis import (
     SizedObject,
     UsageError,
     class_count,
-    classify_alg,
     filter_accept_counts,
     filter_acceptance_probability,
-    filter_alg,
-    first_fit,
-    hr_classify_alg,
     is_covered,
     lattice_point,
     run_online,
     width_class_index,
 )
+from geomis.algorithms import make_algorithm
 
 P3 = LatticeParams(dim=3, delta=0.01)
 
 
 def unit_ball_stream(centers):
-    objs = [SizedObject.of(Ball(Point(tuple(c)), 1.0)) for c in centers]
+    objs = [SizedObject(Ball(Point(tuple(c)), 1.0)) for c in centers]
     return ArrivalSequence.from_objects(objs)
 
 
@@ -43,7 +41,7 @@ def random_unit_ball_stream(rng, n, box_side, dim=3):
 
 def rect_stream(rect_bounds):
     objs = [
-        SizedObject.of(HyperRectangle(Point(tuple(lo)), Point(tuple(hi))))
+        SizedObject(HyperRectangle(Point(tuple(lo)), Point(tuple(hi))))
         for lo, hi in rect_bounds
     ]
     return ArrivalSequence.from_objects(objs)
@@ -88,9 +86,9 @@ def test_every_width_in_exactly_one_class():
 def test_classify_forced_class_hand_run():
     # widths 1.5, 3.0, 2.5; the two class-1 objects are disjoint.
     objs = [
-        SizedObject.of(Ball(Point((0.0, 0.0)), 1.5)),
-        SizedObject.of(Ball(Point((20.0, 0.0)), 3.0)),
-        SizedObject.of(Ball(Point((40.0, 0.0)), 2.5)),
+        SizedObject(Ball(Point((0.0, 0.0)), 1.5)),
+        SizedObject(Ball(Point((20.0, 0.0)), 3.0)),
+        SizedObject(Ball(Point((40.0, 0.0)), 2.5)),
     ]
     stream = ArrivalSequence.from_objects(objs)
     result = run_online(Classify(8.0, forced_class=1), stream)
@@ -102,7 +100,7 @@ def test_classify_equals_first_fit_on_chosen_class():
     for _ in range(15):
         n = rng.randrange(1, 30)
         objs = [
-            SizedObject.of(
+            SizedObject(
                 Ball(
                     Point((rng.uniform(0, 25), rng.uniform(0, 25))),
                     rng.uniform(1.0, 8.0),
@@ -129,10 +127,10 @@ def test_classify_equals_first_fit_on_chosen_class():
 def test_classify_width_out_of_range():
     stream = unit_ball_stream([(0.0, 0.0, 0.0)])  # width 1 ok
     run_online(Classify(8.0, forced_class=0), stream)
-    low = ArrivalSequence.from_objects([SizedObject.of(Ball(Point((0.0,)), 0.5))])
+    low = ArrivalSequence.from_objects([SizedObject(Ball(Point((0.0,)), 0.5))])
     with pytest.raises(UsageError):
         run_online(Classify(8.0, forced_class=0), low)
-    high = ArrivalSequence.from_objects([SizedObject.of(Ball(Point((0.0,)), 9.0))])
+    high = ArrivalSequence.from_objects([SizedObject(Ball(Point((0.0,)), 9.0))])
     with pytest.raises(UsageError):
         run_online(Classify(8.0, forced_class=0), high)
 
@@ -152,7 +150,7 @@ def test_classify_forced_class_bounds():
 def test_classify_seeded_class_draw_uniform():
     counts = [0, 0, 0, 0]
     dummy = ArrivalSequence.from_objects(
-        [SizedObject.of(Ball(Point((0.0,)), 1.0))]
+        [SizedObject(Ball(Point((0.0,)), 1.0))]
     )
     for seed in range(2000):
         alg = Classify(8.0, seed=seed)
@@ -168,8 +166,8 @@ def test_classify_seeded_class_draw_uniform():
 def test_classify_same_seed_same_run():
     rng = random.Random(77)
     stream = random_unit_ball_stream(rng, 20, 10.0)
-    a = classify_alg(stream, m=8.0, seed=5)
-    b = classify_alg(stream, m=8.0, seed=5)
+    a = run_online(Classify(8.0, seed=5), stream)
+    b = run_online(Classify(8.0, seed=5), stream)
     assert a == b
 
 
@@ -231,7 +229,7 @@ def test_hr_classify_validation():
 
 def test_hr_classify_helper_needs_geometry(k3_stream):
     with pytest.raises(UsageError):
-        hr_classify_alg(k3_stream, m=5.0, seed=0)
+        make_algorithm("hr_classify", k3_stream.dim, seed=0, delta=0.01, m=5.0)
 
 
 # --- LatticeFilter ----------------------------------------------------------
@@ -291,8 +289,8 @@ def test_filter_equals_literal_first_fit_over_covered():
 def test_filter_seeded_shift_reproducible():
     rng = random.Random(99)
     stream = random_unit_ball_stream(rng, 25, 12.0)
-    a = filter_alg(stream, P3, seed=123)
-    b = filter_alg(stream, P3, seed=123)
+    a = run_online(LatticeFilter(P3, seed=123), stream)
+    b = run_online(LatticeFilter(P3, seed=123), stream)
     assert a == b
     alg = LatticeFilter(P3, seed=123)
     run_online(alg, stream)
@@ -308,7 +306,7 @@ def test_filter_validation():
     with pytest.raises(UsageError):
         LatticeFilter(P3, shift=(0.0, 2.0 * math.sqrt(3.0), 0.0))
     non_unit = ArrivalSequence.from_objects(
-        [SizedObject.of(Ball(Point((0.0, 0.0, 0.0)), 2.0))]
+        [SizedObject(Ball(Point((0.0, 0.0, 0.0)), 2.0))]
     )
     with pytest.raises(UsageError):
         run_online(LatticeFilter(P3, shift=(0.0, 0.0, 0.0)), non_unit)
@@ -371,7 +369,7 @@ def test_filter_acceptance_frequency_quick():
 def test_first_fit_baseline_on_ball_stream():
     rng = random.Random(3)
     stream = random_unit_ball_stream(rng, 30, 10.0)
-    result = first_fit(stream)
+    result = run_online(FirstFit(), stream)
     adj = stream.adjacency()
     acc = set(result.accepted)
     for v in acc:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from geomis import first_fit, load_instance
+from geomis import FirstFit, load_instance, run_online
 from geomis.cli import cli_dispatch
 
 
@@ -32,7 +32,7 @@ def test_gen_star_writes_replayable_transcript(tmp_path, capsys):
     text = out.read_text()
     assert "# accepted 1 of 6" in text
     stream = load_instance(out)
-    assert first_fit(stream).size == 1
+    assert run_online(FirstFit(), stream).size == 1
     assert len(stream) == 6
 
 
@@ -234,6 +234,21 @@ def test_unreadable_path_exits_one_without_traceback(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "experiment"])
+def test_non_utf8_file_error_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xffgeomis-instance v1\ndim -\n")
+    if command == "run":
+        argv = ["run", "--alg", "firstfit", "--in", str(path)]
+    else:
+        argv = ["experiment", "--config", str(path)]
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
 
 
 def test_bad_config_key(tmp_path, capsys):

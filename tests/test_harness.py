@@ -325,6 +325,32 @@ def test_oracle_solved_once_per_instance(name, tmp_path, monkeypatch, oracle_cal
         assert summary.oracle_refusals == 0
 
 
+# Configs that no trial can run: no dimension for the algorithm, or no M.
+UNRUNNABLE = {
+    "filter-abstract-file": lambda tmp: fixed_instance_config(tmp, algorithm="filter"),
+    "hr_classify-abstract-file": (
+        lambda tmp: fixed_instance_config(tmp, algorithm="hr_classify", m=4.0)
+    ),
+    "classify-without-M": lambda tmp: ExperimentConfig(
+        algorithm="classify", trials=3, base_seed=1, instance_path=balls_file(tmp)
+    ),
+    "hr_classify-without-M": lambda tmp: ExperimentConfig(
+        algorithm="hr_classify", trials=3, base_seed=1, generator=RECTS
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNRUNNABLE))
+def test_unrunnable_config_rejected_before_the_oracle(
+    name, tmp_path, monkeypatch, oracle_calls
+):
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    config = UNRUNNABLE[name](tmp_path)
+    with pytest.raises(UsageError):
+        run_experiment(config)
+    assert oracle_calls == []
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_pooled_records_match_per_trial_reference(name, tmp_path, monkeypatch):
     monkeypatch.setenv("GEOMIS_THREADS", "2")

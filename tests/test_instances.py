@@ -3,15 +3,16 @@ import pytest
 from geomis import (
     ArrivalSequence,
     Ball,
+    FirstFit,
     HyperRectangle,
     InstanceFormatError,
     Point,
     SizedObject,
-    first_fit,
     level_graph_gen,
     load_instance,
     random_balls_gen,
     random_rects_gen,
+    run_online,
     save_instance,
     save_transcript,
 )
@@ -112,7 +113,7 @@ def test_vertex_line_id_mismatch(tmp_path):
 
 def test_transcript_is_loadable_and_replayable(tmp_path):
     stream = random_balls_gen(15, dim=2, box_side=6.0, seed=6)
-    result = first_fit(stream)
+    result = run_online(FirstFit(), stream)
     path = tmp_path / "run.txt"
     save_transcript(stream, result, path)
     text = path.read_text()
@@ -120,14 +121,14 @@ def test_transcript_is_loadable_and_replayable(tmp_path):
     assert "# accepted" in text and "# rejected" in text
     reloaded = load_instance(path)
     assert reloaded == stream
-    assert first_fit(reloaded) == result
+    assert run_online(FirstFit(), reloaded) == result
 
 
 def test_mixed_precision_floats_roundtrip(tmp_path):
     vals = (0.1 + 0.2, 1e-17, 123456789.123456789, 2.0**-45)
     objs = [
-        SizedObject.of(Ball(Point((vals[0], vals[1])), 1.0)),
-        SizedObject.of(Ball(Point((vals[2], vals[3])), 1.0)),
+        SizedObject(Ball(Point((vals[0], vals[1])), 1.0)),
+        SizedObject(Ball(Point((vals[2], vals[3])), 1.0)),
     ]
     stream = ArrivalSequence.from_objects(objs)
     got = roundtrip(stream, tmp_path)
@@ -137,7 +138,7 @@ def test_mixed_precision_floats_roundtrip(tmp_path):
 
 def test_rect_roundtrip_interleaved_bounds(tmp_path):
     rect = HyperRectangle(Point((0.25, -1.5)), Point((3.75, 2.5)))
-    stream = ArrivalSequence.from_objects([SizedObject.of(rect)])
+    stream = ArrivalSequence.from_objects([SizedObject(rect)])
     path = tmp_path / "r.txt"
     save_instance(stream, path)
     body = [

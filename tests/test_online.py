@@ -15,7 +15,6 @@ from geomis import (
     UsageError,
     empirical_ratio,
     finalize_run,
-    first_fit,
     run_online,
 )
 
@@ -36,7 +35,7 @@ def test_neighbors_must_point_backward():
 
 
 def test_payloads_all_or_none():
-    ball = SizedObject.of(Ball(Point((0.0, 0.0)), 1.0))
+    ball = SizedObject(Ball(Point((0.0, 0.0)), 1.0))
     events = (
         ArrivalEvent(id=0, neighbors=frozenset(), payload=ball),
         ArrivalEvent(id=1, neighbors=frozenset()),
@@ -47,9 +46,9 @@ def test_payloads_all_or_none():
 
 def test_from_objects_derives_adjacency():
     objs = [
-        SizedObject.of(Ball(Point((0.0, 0.0)), 1.0)),
-        SizedObject.of(Ball(Point((1.5, 0.0)), 1.0)),
-        SizedObject.of(Ball(Point((9.0, 0.0)), 1.0)),
+        SizedObject(Ball(Point((0.0, 0.0)), 1.0)),
+        SizedObject(Ball(Point((1.5, 0.0)), 1.0)),
+        SizedObject(Ball(Point((9.0, 0.0)), 1.0)),
     ]
     stream = ArrivalSequence.from_objects(objs)
     assert stream.dim == 2
@@ -59,10 +58,10 @@ def test_from_objects_derives_adjacency():
 
 
 def test_first_fit_on_triangle(k3_stream):
-    result = first_fit(k3_stream)
+    result = run_online(FirstFit(), k3_stream)
     assert result.accepted == (0,)
     assert result.decisions == (True, False, False)
-    assert result.valid_independent and result.valid_irrevocable
+    assert result.valid_independent
     assert result.size == 1
 
 
@@ -71,7 +70,7 @@ def test_first_fit_maximal_independent_dominating():
     for _ in range(40):
         stream = gnp_stream(rng.randrange(1, 26), rng.choice([0.1, 0.3, 0.6]), rng)
         adj = stream.adjacency()
-        result = first_fit(stream)
+        result = run_online(FirstFit(), stream)
         acc = set(result.accepted)
         for v in acc:
             assert not (adj[v] & acc)
@@ -83,11 +82,11 @@ def test_first_fit_maximal_independent_dominating():
 def test_first_fit_deterministic_and_prefix_consistent():
     rng = random.Random(9)
     stream = gnp_stream(20, 0.3, rng)
-    full = first_fit(stream)
-    again = first_fit(stream)
+    full = run_online(FirstFit(), stream)
+    again = run_online(FirstFit(), stream)
     assert full == again
     for k in range(len(stream) + 1):
-        part = first_fit(stream.prefix(k))
+        part = run_online(FirstFit(), stream.prefix(k))
         assert part.decisions == full.decisions[:k]
 
 
@@ -95,20 +94,19 @@ def test_accept_all_flags_dependence(k3_stream):
     result = run_online(AcceptAll(), k3_stream)
     assert result.accepted == (0, 1, 2)
     assert not result.valid_independent
-    assert result.valid_irrevocable
 
 
 def test_reject_all(k3_stream):
     result = run_online(RejectAll(), k3_stream)
     assert result.accepted == ()
-    assert result.valid_independent and result.valid_irrevocable
+    assert result.valid_independent
 
 
 def test_empty_stream():
     stream = ArrivalSequence(events=(), dim=None)
-    result = first_fit(stream)
+    result = run_online(FirstFit(), stream)
     assert result.accepted == ()
-    assert result.valid_independent and result.valid_irrevocable
+    assert result.valid_independent
     assert empirical_ratio(0, result) == 1.0
 
 
@@ -120,7 +118,7 @@ def test_finalize_run_audits_independence(k3_stream):
 
 
 def test_empirical_ratio_conventions(k3_stream):
-    one = first_fit(k3_stream)
+    one = run_online(FirstFit(), k3_stream)
     assert empirical_ratio(5, one) == 5.0
     assert empirical_ratio(1, one) == 1.0
     empty = run_online(RejectAll(), k3_stream)

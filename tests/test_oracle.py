@@ -8,8 +8,8 @@ from geomis import (
     OracleRefusal,
     UsageError,
     exact_mis,
-    first_fit,
     independent_kissing_number,
+    run_online,
     star_adversary,
     verify_ratio,
 )
@@ -132,7 +132,7 @@ def test_verify_ratio_star_outcome():
 
 def test_verify_ratio_empty_stream():
     stream = ArrivalSequence(events=(), dim=None)
-    report = verify_ratio(stream, first_fit(stream))
+    report = verify_ratio(stream, run_online(FirstFit(), stream))
     assert (report.opt_size, report.alg_size) == (0, 0)
     assert report.ratio == 1.0
     assert report.zeta == 0
@@ -141,7 +141,7 @@ def test_verify_ratio_empty_stream():
 
 def test_verify_ratio_edgeless_stream():
     stream = ArrivalSequence.from_neighbor_lists([[], [], []])
-    report = verify_ratio(stream, first_fit(stream))
+    report = verify_ratio(stream, run_online(FirstFit(), stream))
     assert report.opt_size == 3 and report.alg_size == 3
     assert report.zeta == 0
     assert report.bound_satisfied
@@ -150,13 +150,13 @@ def test_verify_ratio_edgeless_stream():
 def test_verify_ratio_refusal_propagates():
     stream = ArrivalSequence.from_neighbor_lists([[] for _ in range(45)])
     with pytest.raises(OracleRefusal):
-        verify_ratio(stream, first_fit(stream))
+        verify_ratio(stream, run_online(FirstFit(), stream))
 
 
 def test_verify_ratio_randomized_streams_hold_bound():
     rng = random.Random(1001)
     for _ in range(25):
         stream = gnp_stream(rng.randrange(1, 18), rng.choice([0.2, 0.5]), rng)
-        report = verify_ratio(stream, first_fit(stream))
+        report = verify_ratio(stream, run_online(FirstFit(), stream))
         assert report.bound_satisfied
         assert report.opt_size <= max(report.zeta, 1) * report.alg_size
