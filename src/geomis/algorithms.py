@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Ball, HyperRectangle, Point, UsageError
+from .geometry import Ball, HyperRectangle, UsageError
 from .lattice import (
     CoeffVector,
     LatticeParams,
@@ -105,9 +105,10 @@ class LatticeFilter:
         if event.payload is None or not isinstance(event.payload.shape, Ball):
             raise UsageError("LatticeFilter requires unit-ball payloads")
         ball = event.payload.shape
-        if ball.dim != self.params.dim:
+        center = ball.center.coords
+        if len(center) != self.params.dim:
             raise UsageError(
-                f"ball dim {ball.dim} does not match lattice dim {self.params.dim}"
+                f"ball dim {len(center)} does not match lattice dim {self.params.dim}"
             )
         if ball.radius != 1.0:
             raise UsageError(f"LatticeFilter requires unit balls, got radius {ball.radius}")
@@ -116,13 +117,11 @@ class LatticeFilter:
             self._shift = tuple(
                 rng.uniform(0.0, e) for e in self.params.shift_extents()
             )
-        shifted = Point(
-            tuple(x + b for x, b in zip(ball.center.coords, self._shift))
-        )
+        shifted = [x + b for x, b in zip(center, self._shift)]
         # The one-shot rounding finds the covering lattice point whenever
         # one exists within distance 1, so this equals the coverage test.
-        p, coeffs = parity_rounded_point(self.params, shifted)
-        if sum((a - b) ** 2 for a, b in zip(p.coords, shifted.coords)) > 1.0:
+        coords, coeffs = parity_rounded_point(self.params, shifted)
+        if sum([(p - q) ** 2 for p, q in zip(coords, shifted)]) > 1.0:
             return False
         if coeffs in self.occupied:
             return False

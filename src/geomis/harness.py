@@ -6,10 +6,11 @@ seeds come from a fixed 64-bit mix of (base_seed, trial_index), so runs
 are reproducible to the byte across platforms and across any degree of
 parallelism.  Trials are independent; GEOMIS_THREADS caps the worker
 processes that run them (default: one per CPU).  Each trial builds its
-algorithm with algorithms.make_algorithm.  The oracle scores the
-instance, so a fixed instance is solved once, before any trial, after a
-config that no trial could run has been rejected; only the star
-adversary and instance_per_trial build and solve a graph per trial.
+algorithm with algorithms.make_algorithm.  A fixed instance is shipped
+to each pool worker once, and the oracle solves it once, after the
+trials, so a config that no trial can run fails before the oracle
+starts; only the star adversary and instance_per_trial build and solve
+a graph per trial.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .adversaries import AdversaryConfig, generate_instance, star_adversary
 from .algorithms import ALGORITHMS, class_choices, make_algorithm
 from .geometry import UsageError, require_type
 from .instances import load_instance
-from .online import ArrivalSequence, empirical_ratio, run_online
+from .online import ArrivalSequence, run_online
 from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, exact_mis
 
 _MASK64 = (1 << 64) - 1
@@ -56,6 +57,13 @@ def derive_seed(base_seed: int, trial_index: int) -> int:
     return x
 
 
+def _ratio(opt_size: int, alg_size: int) -> float:
+    """opt/alg, with empty vs empty 1 and an empty alg vs a nonempty opt +inf."""
+    if alg_size == 0:
+        return 1.0 if opt_size == 0 else math.inf
+    return opt_size / alg_size
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial's outcome; opt_size and ratio are absent when the
@@ -74,10 +82,7 @@ class TrialRecord:
         if (self.opt_size is None) != (self.ratio is None):
             raise UsageError("opt_size and ratio must be absent together")
         if self.ratio is not None:
-            if self.alg_size == 0:
-                expected = 1.0 if self.opt_size == 0 else float("inf")
-            else:
-                expected = self.opt_size / self.alg_size
+            expected = _ratio(self.opt_size, self.alg_size)
             if expected != self.ratio and not math.isclose(
                 expected, self.ratio, rel_tol=1e-12
             ):
@@ -216,9 +221,10 @@ class ExperimentSummary:
     oracle_refusals: int
 
 
-def summarize(records: Sequence[TrialRecord]) -> ExperimentSummary:
+def summarize(records: Sequence[TrialRecord], *, oracle: bool = True) -> ExperimentSummary:
     """Mean accepted size with a 3-sigma interval, plus the mean ratio
-    over trials where the oracle answered."""
+    over trials where the oracle answered.  With oracle=False no trial
+    was scored, so none counts as a refusal."""
     if not records:
         raise UsageError("cannot summarize zero trials")
     sizes = [r.alg_size for r in records]
@@ -231,7 +237,7 @@ def summarize(records: Sequence[TrialRecord]) -> ExperimentSummary:
         stderr = 0.0
     ratios = [r.ratio for r in records if r.ratio is not None]
     mean_ratio = sum(ratios) / len(ratios) if ratios else None
-    refusals = sum(1 for r in records if r.opt_size is None)
+    refusals = sum(1 for r in records if r.opt_size is None) if oracle else 0
     return ExperimentSummary(
         trials=n,
         mean_alg_size=mean,
@@ -267,10 +273,22 @@ def _solve_opt(config: ExperimentConfig, stream: ArrivalSequence) -> Optional[in
         return None
 
 
-def _run_trial(args: tuple) -> TrialRecord:
-    config, stream, opt, trial_index, forced = args
+def _scored(record: TrialRecord, opt: Optional[int]) -> TrialRecord:
+    if opt is None:
+        return record
+    return replace(record, opt_size=opt, ratio=_ratio(opt, record.alg_size))
+
+
+def _run_trial(
+    config: ExperimentConfig,
+    stream: Optional[ArrivalSequence],
+    trial_index: int,
+    forced: Optional[tuple[int, ...]],
+) -> TrialRecord:
+    """One trial on the fixed instance stream, left unscored; with no
+    stream, on this trial's own instance, scored after the timed region."""
     seed = derive_seed(config.base_seed, trial_index)
-    fixed = stream is not None  # opt came with the job; else score this trial's graph
+    fixed = stream is not None
     star = config.generator is not None and config.generator.kind == "star"
     start = time.perf_counter()
     if not (fixed or star):
@@ -285,18 +303,30 @@ def _run_trial(args: tuple) -> TrialRecord:
     else:
         run = run_online(algorithm, stream)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if not fixed:
-        opt = _solve_opt(config, stream)
-    return TrialRecord(
+    record = TrialRecord(
         trial=trial_index,
         seed=seed,
         algorithm=config.algorithm,
         n=len(stream),
         alg_size=run.size,
-        opt_size=opt,
-        ratio=None if opt is None else empirical_ratio(opt, run),
+        opt_size=None,
+        ratio=None,
         wall_time_ms=elapsed_ms,
     )
+    return record if fixed else _scored(record, _solve_opt(config, stream))
+
+
+# A pool worker's (config, stream), set once per worker by _init_worker.
+_worker_state: tuple = ()
+
+
+def _init_worker(config: ExperimentConfig, stream: Optional[ArrivalSequence]) -> None:
+    global _worker_state
+    _worker_state = (config, stream)
+
+
+def _pooled_trial(job: tuple[int, Optional[tuple[int, ...]]]) -> TrialRecord:
+    return _run_trial(*_worker_state, *job)
 
 
 def run_experiment(
@@ -320,24 +350,23 @@ def run_experiment(
         classes = class_choices(config.algorithm, stream.dim, config.m)
     else:
         classes = [None] * config.trials
-    opt = None
-    if stream is not None:
-        # Reject a config no trial can run before paying for the oracle.
-        make_algorithm(
-            config.algorithm, stream.dim,
-            seed=None, delta=config.delta, m=config.m, forced=classes[0],
-        )
-        opt = _solve_opt(config, stream)
-    jobs = [(config, stream, opt, i, forced) for i, forced in enumerate(classes)]
+    jobs = list(enumerate(classes))
 
     workers = _worker_count(len(jobs))
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         chunk = max(1, len(jobs) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, jobs, chunksize=chunk))
+        # Each worker gets config and stream once (inherited under fork),
+        # so a job is only its trial index and forced class.
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(config, stream)
+        ) as pool:
+            records = list(pool.map(_pooled_trial, jobs, chunksize=chunk))
     else:
-        records = [_run_trial(job) for job in jobs]
-    summary = summarize(records)
+        records = [_run_trial(config, stream, *job) for job in jobs]
+    if stream is not None:
+        opt = _solve_opt(config, stream)
+        records = [_scored(r, opt) for r in records]
+    summary = summarize(records, oracle=config.oracle)
     if config.out is not None:
         write_csv(records, config.out, timing=config.timing)
     return records, summary

@@ -24,6 +24,11 @@ constant-time operation; it lands on the covering lattice point
 whenever one exists within distance 1, but it is not always the
 globally nearest point, so closest-point queries additionally scan the
 constant-size candidate window that the rounded distance bounds.
+
+The rounding has one scalar core, parity_rounded_point, which works on
+plain coordinates and builds no Point, so LatticeFilter can call it
+once per arrival; coverage_cells is the same rounding over a numpy
+batch.  The tests check each against the other.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,12 +62,12 @@ class LatticeParams:
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise UsageError(f"delta must be > 0, got {self.delta}")
 
-    @property
+    @cached_property
     def axis1_unit(self) -> float:
         """Base step s on axis 1; admissible coordinates are s * m."""
         return 2.0 + self.delta / 2.0
 
-    @property
+    @cached_property
     def axis1_period(self) -> float:
         """Translation period along axis 1 (= v1 length = 2s)."""
         return 4.0 + self.delta
@@ -97,12 +103,19 @@ def lattice_point(params: LatticeParams, coeffs: Sequence[int]) -> Point:
         if a != int(a):
             raise UsageError(f"coefficients must be integers, got {a!r}")
         ints.append(int(a))
-    rest = ints[1:]
-    x1 = params.axis1_period * ints[0] - params.axis1_unit * sum(rest)
-    return Point((x1,) + tuple(2.0 * SQRT3 * a for a in rest))
+    return Point(_coords(params, ints[0], ints[1:]))
 
 
-def parity_rounded_point(params: LatticeParams, c: Point) -> tuple[Point, CoeffVector]:
+def _coords(params: LatticeParams, a1: int, rest: Sequence[int]) -> tuple[float, ...]:
+    """Coordinates of the lattice point (a1, *rest); lattice_point and
+    parity_rounded_point share it so their floats agree to the bit."""
+    x1 = params.axis1_period * a1 - params.axis1_unit * sum(rest)
+    return (x1, *[2.0 * SQRT3 * a for a in rest])
+
+
+def parity_rounded_point(
+    params: LatticeParams, c: Iterable[float]
+) -> tuple[tuple[float, ...], CoeffVector]:
     """One-shot per-axis rounding to an admissible lattice point.
 
     Axes 2..d snap to the nearest even multiple of sqrt(3) (exact
@@ -113,20 +126,24 @@ def parity_rounded_point(params: LatticeParams, c: Point) -> tuple[Point, CoeffV
     the query is within distance 1 of any lattice point; for faraway
     queries a different parity choice can be nearer, so use
     closest_lattice_point for true nearest-point queries.
+
+    c is any sequence of coordinates, a Point included.  Returns the
+    rounded point's coordinates as a plain tuple, computed exactly as
+    lattice_point computes them, and its coefficients.
     """
-    if c.dim != params.dim:
-        raise UsageError(f"query dim {c.dim} does not match lattice dim {params.dim}")
-    rest: list[int] = []
-    for x in c.coords[1:]:
-        z = math.floor(x / SQRT3)
-        rest.append(z // 2 if z % 2 == 0 else (z + 1) // 2)
-    k = sum(rest) % 2
-    s = params.axis1_unit
-    z1 = math.floor(c.coords[0] / s)
-    m = z1 if z1 % 2 == k else z1 + 1
-    a1 = (m + sum(rest)) // 2
-    coeffs = (a1,) + tuple(rest)
-    return lattice_point(params, coeffs), coeffs
+    x0, *rest = c
+    if len(rest) + 1 != params.dim:
+        raise UsageError(
+            f"query dim {len(rest) + 1} does not match lattice dim {params.dim}"
+        )
+    # ceil(z / 2) for z = floor(x / sqrt(3)): the nearest even multiple
+    # of sqrt(3), rounding up from the odd midpoint.
+    coeffs = [(math.floor(x / SQRT3) + 1) // 2 for x in rest]
+    total = sum(coeffs)
+    z1 = math.floor(x0 / params.axis1_unit)
+    m = z1 if z1 % 2 == total % 2 else z1 + 1
+    a1 = (m + total) // 2
+    return _coords(params, a1, coeffs), (a1, *coeffs)
 
 
 def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, CoeffVector]:
@@ -138,7 +155,7 @@ def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, Coeff
     up to float rounding; ties keep the first candidate in scan order.
     """
     p0, coeffs0 = parity_rounded_point(params, c)
-    bound = distance(p0, c) + 1e-9
+    bound = math.dist(p0, c.coords) + 1e-9
     s = params.axis1_unit
     axis_ranges = []
     for x in c.coords[1:]:
@@ -147,7 +164,7 @@ def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, Coeff
         hi = math.floor((x + bound) / step)
         axis_ranges.append(range(lo, hi + 1))
     best_d2 = float("inf")
-    best: tuple[Point, CoeffVector] = (p0, coeffs0)
+    best: tuple[Point, CoeffVector] = (Point(p0), coeffs0)
     q = c.coords[0] / s
     for combo in itertools.product(*axis_ranges):
         k = sum(combo) % 2

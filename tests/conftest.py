@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from geomis import (
     ArrivalSequence,
@@ -226,6 +227,81 @@ def reference_experiment_records(config) -> list[TrialRecord]:
             TrialRecord(i, seed, config.algorithm, len(stream), run.size, opt, ratio, 0.0)
         )
     return records
+
+
+def reference_lattice_point(params: LatticeParams, coeffs) -> Point:
+    """The lattice point with integer coefficients coeffs, as a Point."""
+    ints = [int(a) for a in coeffs]
+    rest = ints[1:]
+    x1 = (4.0 + params.delta) * ints[0] - (2.0 + params.delta / 2.0) * sum(rest)
+    return Point((x1,) + tuple(2.0 * SQRT3 * a for a in rest))
+
+
+def reference_parity_rounded_point(params: LatticeParams, c: Point) -> tuple[Point, tuple]:
+    """Per-axis parity rounding on Points, one branch per parity case."""
+    rest: list[int] = []
+    for x in c.coords[1:]:
+        z = math.floor(x / SQRT3)
+        rest.append(z // 2 if z % 2 == 0 else (z + 1) // 2)
+    k = sum(rest) % 2
+    z1 = math.floor(c.coords[0] / (2.0 + params.delta / 2.0))
+    m = z1 if z1 % 2 == k else z1 + 1
+    coeffs = ((m + sum(rest)) // 2,) + tuple(rest)
+    return reference_lattice_point(params, coeffs), coeffs
+
+
+@st.composite
+def lattice_queries(draw, params: LatticeParams):
+    """Query points for the rounding: uniform ones, lattice points plus
+    or minus a unit axis vector, and points whose axes 2..d sit on odd
+    multiples of sqrt(3); each near 0 or near +-1e6."""
+    dim = params.dim
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    kind = draw(st.sampled_from(["uniform", "unit_offset", "odd_sqrt3"]))
+    if kind == "uniform":
+        return [offset + draw(st.floats(-50.0, 50.0)) for _ in range(dim)]
+    if kind == "unit_offset":
+        # A lattice point near offset on every axis, or with axes 2..d at
+        # exactly 0 so that the squared distance 1 is exact more often.
+        zero_rest = draw(st.booleans())
+        rest = [
+            0 if zero_rest else round(offset / (2.0 * SQRT3)) + draw(st.integers(-20, 20))
+            for _ in range(dim - 1)
+        ]
+        a1 = round((offset + (2.0 + params.delta / 2.0) * sum(rest)) / (4.0 + params.delta))
+        q = list(reference_lattice_point(params, [a1 + draw(st.integers(-20, 20))] + rest).coords)
+        q[draw(st.integers(0, dim - 1))] += draw(st.sampled_from([1.0, -1.0]))
+        return q
+    centre = round(offset / SQRT3) // 2
+    return [offset + draw(st.floats(-50.0, 50.0))] + [
+        (2 * (centre + draw(st.integers(-20, 20))) + 1) * SQRT3 for _ in range(dim - 1)
+    ]
+
+
+lattice_params = st.builds(
+    LatticeParams, dim=st.integers(2, 4), delta=st.sampled_from([0.01, 0.3, 0.5])
+)
+
+
+class ReferenceLatticeFilter(LatticeFilter):
+    """LatticeFilter deciding through a shifted Point and the reference
+    rounding; the shift is drawn exactly as LatticeFilter draws it."""
+
+    def decide(self, event) -> bool:
+        ball = event.payload.shape
+        if not isinstance(ball, Ball) or ball.radius != 1.0 or ball.dim != self.params.dim:
+            raise UsageError("reference filter needs unit balls of the lattice dimension")
+        if self._shift is None:
+            rng = random.Random(self._seed)
+            self._shift = tuple(rng.uniform(0.0, e) for e in self.params.shift_extents())
+        shifted = Point(tuple(x + b for x, b in zip(ball.center.coords, self._shift)))
+        p, coeffs = reference_parity_rounded_point(self.params, shifted)
+        if sum((a - b) ** 2 for a, b in zip(p.coords, shifted.coords)) > 1.0:
+            return False
+        if coeffs in self.occupied:
+            return False
+        self.occupied[coeffs] = event.id
+        return True
 
 
 def reference_basis(dim: int, delta: float) -> np.ndarray:

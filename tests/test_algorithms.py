@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomis import (
     ArrivalSequence,
@@ -25,6 +27,9 @@ from geomis import (
     width_class_index,
 )
 from geomis.algorithms import make_algorithm
+from geomis.online import ArrivalEvent
+
+from conftest import ReferenceLatticeFilter, lattice_params, lattice_queries
 
 P3 = LatticeParams(dim=3, delta=0.01)
 
@@ -318,6 +323,65 @@ def test_filter_validation():
 def test_filter_requires_payload(k3_stream):
     with pytest.raises(UsageError):
         run_online(LatticeFilter(P3), k3_stream)
+
+
+@given(data=st.data(), params=lattice_params)
+@settings(max_examples=200, deadline=None)
+def test_filter_decisions_match_point_reference(data, params):
+    centres = data.draw(st.lists(lattice_queries(params), min_size=1, max_size=10))
+    how = data.draw(st.sampled_from(["zero", "drawn", "seeded"]))
+    if how == "seeded":
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        fast, ref = LatticeFilter(params, seed=seed), ReferenceLatticeFilter(params, seed=seed)
+    else:
+        shift = [
+            0.0 if how == "zero" else data.draw(st.floats(0.0, e, exclude_max=True))
+            for e in params.shift_extents()
+        ]
+        fast, ref = LatticeFilter(params, shift=shift), ReferenceLatticeFilter(params, shift=shift)
+    # Every centre arrives twice, so occupied cells are hit again.
+    events = [
+        ArrivalEvent(i, frozenset(), SizedObject(Ball(Point(tuple(c)), 1.0)))
+        for i, c in enumerate(centres + centres)
+    ]
+    assert [fast.decide(ev) for ev in events] == [ref.decide(ev) for ev in events]
+    assert fast.occupied == ref.occupied
+    assert fast.shift == ref.shift
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_filter_accepts_at_distance_exactly_one(dim):
+    # Lattice points whose coordinates, plus or minus 1 on any axis, are
+    # exact in binary, so the squared distance is exactly 1.0.
+    cases = [(0.01, 0), (0.5, 0), (0.5, 3), (0.5, -7)]
+    for delta, a1 in cases:
+        params = LatticeParams(dim=dim, delta=delta)
+        base = lattice_point(params, (a1,) + (0,) * (dim - 1)).coords
+        for axis in range(dim):
+            for sign in (1.0, -1.0):
+                centre = list(base)
+                centre[axis] += sign
+                assert sum((a - b) ** 2 for a, b in zip(centre, base)) == 1.0
+                ball = SizedObject(Ball(Point(tuple(centre)), 1.0))
+                for alg in (LatticeFilter, ReferenceLatticeFilter):
+                    filt = alg(params, shift=(0.0,) * dim)
+                    assert filt.decide(ArrivalEvent(0, frozenset(), ball))
+                    assert filt.occupied == {(a1,) + (0,) * (dim - 1): 0}
+
+
+def test_filter_builds_no_point_per_arrival(monkeypatch):
+    stream = random_unit_ball_stream(random.Random(2), 200, 12.0)
+    built = []
+    real = Point.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Point, "__post_init__", counting)
+    result = run_online(LatticeFilter(P3, seed=4), stream)
+    assert result.size > 0
+    assert built == []
 
 
 def test_filter_accept_counts_matches_individual_runs():

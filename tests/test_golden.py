@@ -74,9 +74,13 @@ EXPERIMENT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_experiment_csv_digest(name, monkeypatch):
-    monkeypatch.setenv("GEOMIS_THREADS", "1")
+# Serial runs keep the plain name; pooled runs on two workers add "-pooled".
+@pytest.mark.parametrize("name,threads", [
+    pytest.param(name, threads, id=name if threads == 1 else f"{name}-pooled")
+    for name in sorted(EXPERIMENTS) for threads in (1, 2)
+])
+def test_experiment_csv_digest(name, threads, monkeypatch):
+    monkeypatch.setenv("GEOMIS_THREADS", str(threads))
     records, _ = run_experiment(ExperimentConfig.from_json(json.dumps(EXPERIMENTS[name])))
     assert sha256(render_csv(records)) == EXPERIMENT_DIGESTS[name]
 

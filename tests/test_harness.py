@@ -7,6 +7,7 @@ import geomis.harness as harness
 from conftest import reference_experiment_records
 from geomis import (
     AdversaryConfig,
+    ArrivalSequence,
     ExperimentConfig,
     TrialRecord,
     UsageError,
@@ -321,11 +322,12 @@ def test_oracle_solved_once_per_instance(name, tmp_path, monkeypatch, oracle_cal
     if name.startswith("refusal"):
         assert all(r.opt_size is None and r.ratio is None for r in records)
         assert summary.oracle_refusals == len(records)
-    elif expected_calls:
+    else:  # with the oracle off, too, no trial counts as refused
         assert summary.oracle_refusals == 0
 
 
-# Configs that no trial can run: no dimension for the algorithm, or no M.
+# Configs that no trial can run: no dimension for the algorithm, no M,
+# or a payload that the algorithm refuses when it arrives.
 UNRUNNABLE = {
     "filter-abstract-file": lambda tmp: fixed_instance_config(tmp, algorithm="filter"),
     "hr_classify-abstract-file": (
@@ -336,6 +338,15 @@ UNRUNNABLE = {
     ),
     "hr_classify-without-M": lambda tmp: ExperimentConfig(
         algorithm="hr_classify", trials=3, base_seed=1, generator=RECTS
+    ),
+    "filter-non-unit-balls": lambda tmp: ExperimentConfig(
+        algorithm="filter", trials=3, base_seed=1,
+        generator=AdversaryConfig(
+            kind="random_balls", n=30, dim=3, box_side=20.0, seed=0, radius_range=(1.0, 3.0)
+        ),
+    ),
+    "classify-width-outside-M": lambda tmp: ExperimentConfig(
+        algorithm="classify", trials=3, base_seed=1, m=4.0, instance_path=balls_file(tmp)
     ),
 }
 
@@ -357,6 +368,26 @@ def test_pooled_records_match_per_trial_reference(name, tmp_path, monkeypatch):
     config = ORACLE_CASES[name][0](tmp_path)
     records, _ = run_experiment(config)
     assert render_csv(records) == render_csv(reference_experiment_records(config))
+
+
+def test_pool_ships_the_instance_once_per_worker(tmp_path, monkeypatch):
+    path = tmp_path / "balls.gis"
+    save_instance(random_balls_gen(200, 3, 12.0, seed=5), path)
+    config = ExperimentConfig(
+        algorithm="filter", trials=16, base_seed=3, instance_path=str(path), oracle=False
+    )
+    pickled = []
+    real = ArrivalSequence.__reduce_ex__
+
+    def counting(self, protocol):
+        pickled.append(len(self))
+        return real(self, protocol)
+
+    monkeypatch.setattr(ArrivalSequence, "__reduce_ex__", counting)
+    monkeypatch.setenv("GEOMIS_THREADS", "2")
+    records, _ = run_experiment(config)
+    assert len(records) == 16
+    assert len(pickled) <= 2
 
 
 def test_oracle_refusal_recorded_not_raised(monkeypatch, tmp_path):

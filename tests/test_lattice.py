@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomis import (
     LatticeParams,
@@ -23,7 +25,10 @@ from geomis import (
 from conftest import (
     SQRT3,
     brute_min_distances,
+    lattice_params,
+    lattice_queries,
     reference_basis,
+    reference_parity_rounded_point,
     window_lattice_points,
 )
 
@@ -79,6 +84,23 @@ def test_parity_rounding_returns_lattice_member():
         q = Point(tuple(rng.uniform(-12, 12) for _ in range(3)))
         point, coeffs = parity_rounded_point(P3, q)
         assert tuple(point) == pytest.approx(tuple(lattice_point(P3, coeffs)), abs=1e-12)
+
+
+@given(data=st.data(), params=lattice_params)
+@settings(max_examples=400, deadline=None)
+def test_parity_rounding_matches_point_reference(data, params):
+    q = data.draw(lattice_queries(params))
+    ref_point, ref_coeffs = reference_parity_rounded_point(params, Point(tuple(q)))
+    expected = (ref_point.coords, ref_coeffs)
+    for query in (q, tuple(q), Point(tuple(q))):
+        assert parity_rounded_point(params, query) == expected
+    assert tuple(lattice_point(params, ref_coeffs)) == ref_point.coords
+
+
+def test_parity_rounding_rejects_a_dimension_mismatch():
+    for query in ([1.0, 2.0], Point((1.0, 2.0)), [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(UsageError):
+            parity_rounded_point(P3, query)
 
 
 def test_closest_beats_parity_rounding_here():
