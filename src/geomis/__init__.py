@@ -1,6 +1,6 @@
 """geomis: online maximum-independent-set algorithms on geometric
 intersection graphs, with exact offline oracles and a seeded
-experiment harness."""
+experiment harness.  The names imported below are the public API."""
 
 from .geometry import (
     Ball,
@@ -28,11 +28,9 @@ from .lattice import (
     unit_ball_volume,
 )
 from .online import (
-    AcceptAll,
     ArrivalEvent,
     ArrivalSequence,
     FirstFit,
-    RejectAll,
     RunResult,
     empirical_ratio,
     finalize_run,
@@ -43,7 +41,6 @@ from .algorithms import (
     HRClassify,
     LatticeFilter,
     class_count,
-    filter_accept_counts,
     filter_acceptance_probability,
     width_class_index,
 )
@@ -81,70 +78,3 @@ from .cli import cli_dispatch
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceptAll",
-    "AdversaryConfig",
-    "ArrivalEvent",
-    "ArrivalSequence",
-    "Ball",
-    "Classify",
-    "CoeffVector",
-    "DEFAULT_NODE_LIMIT",
-    "ExperimentConfig",
-    "ExperimentSummary",
-    "FirstFit",
-    "HRClassify",
-    "HyperRectangle",
-    "IknResult",
-    "InstanceFormatError",
-    "LatticeFilter",
-    "LatticeParams",
-    "MisResult",
-    "OracleRefusal",
-    "Point",
-    "RatioReport",
-    "RejectAll",
-    "RunResult",
-    "SampleBox",
-    "SizedObject",
-    "StarOutcome",
-    "TrialRecord",
-    "UsageError",
-    "balls_intersect",
-    "class_count",
-    "cli_dispatch",
-    "closest_lattice_point",
-    "coverage_cells",
-    "derive_seed",
-    "distance",
-    "empirical_ratio",
-    "exact_mis",
-    "filter_accept_counts",
-    "filter_acceptance_probability",
-    "finalize_run",
-    "generate_instance",
-    "independent_kissing_number",
-    "intersection_graph",
-    "is_covered",
-    "lattice_point",
-    "level_graph_gen",
-    "load_instance",
-    "mc_volume_fraction",
-    "min_pairwise_distance",
-    "objects_intersect",
-    "parity_rounded_point",
-    "random_balls_gen",
-    "random_rects_gen",
-    "rects_intersect",
-    "render_csv",
-    "run_experiment",
-    "run_online",
-    "save_instance",
-    "save_transcript",
-    "star_adversary",
-    "summarize",
-    "unit_ball_volume",
-    "verify_ratio",
-    "width_class_index",
-    "write_csv",
-]

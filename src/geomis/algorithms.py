@@ -6,7 +6,9 @@ lattice point), so keeping the first ball per lattice cell is greedy
 acceptance on the filtered subsequence.  Each ball survives with
 probability vol(unit ball) / ((4+delta) * (2*sqrt(3))^(d-1)), giving an
 expected acceptance of at least that fraction of the offline optimum;
-at d=3 the reciprocal is (36 + 9*delta)/pi.
+at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision rounds one
+arrival with lattice.parity_rounded_point; the filter has no batch
+path, so its accepted set under any shift comes from run_online.
 
 Classify handles fat objects of bounded width spread: it draws one
 dyadic width class [2^j, 2^(j+1)) uniformly and plays greedy first-fit
@@ -26,16 +28,8 @@ import random
 from itertools import product
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .geometry import Ball, HyperRectangle, UsageError
-from .lattice import (
-    CoeffVector,
-    LatticeParams,
-    coverage_cells,
-    parity_rounded_point,
-    unit_ball_volume,
-)
+from .lattice import CoeffVector, LatticeParams, parity_rounded_point, unit_ball_volume
 from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
 
 
@@ -148,37 +142,6 @@ def filter_acceptance_probability(
         raise UsageError(f"delta must be >= 0, got {delta}")
     cell = (4.0 + delta) * (2.0 * math.sqrt(3.0)) ** (dim - 1)
     return unit_ball_volume(dim) / cell
-
-
-def filter_accept_counts(
-    params: LatticeParams, centers: np.ndarray, shifts: np.ndarray
-) -> np.ndarray:
-    """Accepted-set sizes of LatticeFilter on one instance under many
-    shifts, computed in a vectorized batch.
-
-    centers is (n, dim); shifts is (t, dim).  The accepted-set size per
-    shift is the number of distinct lattice cells covering at least one
-    shifted center, which does not depend on arrival order.
-    """
-    cts = np.asarray(centers, dtype=np.float64)
-    shs = np.asarray(shifts, dtype=np.float64)
-    if cts.ndim != 2 or cts.shape[1] != params.dim:
-        raise UsageError(f"centers must be (n, {params.dim})")
-    if shs.ndim != 2 or shs.shape[1] != params.dim:
-        raise UsageError(f"shifts must be (t, {params.dim})")
-    t, n = shs.shape[0], cts.shape[0]
-    if n == 0:
-        return np.zeros(t, dtype=np.int64)
-    pts = (cts[None, :, :] + shs[:, None, :]).reshape(t * n, params.dim)
-    covered, coeffs = coverage_cells(params, pts)
-    covered = covered.reshape(t, n)
-    coeffs = coeffs.reshape(t, n, params.dim)
-    counts = np.zeros(t, dtype=np.int64)
-    for i in range(t):
-        cells = coeffs[i][covered[i]]
-        if cells.shape[0]:
-            counts[i] = np.unique(cells, axis=0).shape[0]
-    return counts
 
 
 class Classify:

@@ -185,6 +185,10 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print(f"required > 4: {'pass' if value > 4.0 else 'FAIL'}")
         return 0 if value > 4.0 else 2
     if args.check == "closest":
+        if args.samples < 1:
+            raise UsageError(f"samples must be >= 1, got {args.samples}")
+        if args.window < 1:
+            raise UsageError(f"window must be >= 1, got {args.window}")
         rng = random.Random(args.seed)
         extents = (params.axis1_period,) + (params.cross_period,) * (params.dim - 1)
         worst = 0.0

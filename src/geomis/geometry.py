@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 
 class UsageError(ValueError):
@@ -49,12 +49,6 @@ class Point:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def translated(self, offset: Iterable[float]) -> "Point":
-        off = tuple(offset)
-        if len(off) != self.dim:
-            raise UsageError("offset dimension mismatch")
-        return Point(tuple(x + o for x, o in zip(self.coords, off)))
 
     def __iter__(self):
         return iter(self.coords)

@@ -10,7 +10,8 @@ algorithm with algorithms.make_algorithm.  A fixed instance is shipped
 to each pool worker once, and the oracle solves it once, after the
 trials, so a config that no trial can run fails before the oracle
 starts; only the star adversary and instance_per_trial build and solve
-a graph per trial.
+a graph per trial.  Every ratio, in a record's check and in scoring,
+is online.empirical_ratio.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -30,7 +31,7 @@ from .adversaries import AdversaryConfig, generate_instance, star_adversary
 from .algorithms import ALGORITHMS, class_choices, make_algorithm
 from .geometry import UsageError, require_type
 from .instances import load_instance
-from .online import ArrivalSequence, run_online
+from .online import ArrivalSequence, empirical_ratio, run_online
 from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, exact_mis
 
 _MASK64 = (1 << 64) - 1
@@ -57,13 +58,6 @@ def derive_seed(base_seed: int, trial_index: int) -> int:
     return x
 
 
-def _ratio(opt_size: int, alg_size: int) -> float:
-    """opt/alg, with empty vs empty 1 and an empty alg vs a nonempty opt +inf."""
-    if alg_size == 0:
-        return 1.0 if opt_size == 0 else math.inf
-    return opt_size / alg_size
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial's outcome; opt_size and ratio are absent when the
@@ -82,7 +76,7 @@ class TrialRecord:
         if (self.opt_size is None) != (self.ratio is None):
             raise UsageError("opt_size and ratio must be absent together")
         if self.ratio is not None:
-            expected = _ratio(self.opt_size, self.alg_size)
+            expected = empirical_ratio(self.opt_size, self.alg_size)
             if expected != self.ratio and not math.isclose(
                 expected, self.ratio, rel_tol=1e-12
             ):
@@ -93,7 +87,8 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce an experiment, JSON-serializable.
+    """Everything needed to reproduce an experiment, read from a JSON
+    config by from_json.
 
     Exactly one of instance_path / generator supplies the instance.  A
     generator builds the instance once from its own seed; set
@@ -156,11 +151,8 @@ class ExperimentConfig:
             raise UsageError(f"bad config JSON: {exc}") from None
         if not isinstance(data, dict):
             raise UsageError("config JSON must be an object")
-        known = {
-            "algorithm", "trials", "base_seed", "instance_path", "generator",
-            "delta", "M", "mode", "oracle", "node_limit", "instance_per_trial",
-            "timing", "out",
-        }
+        # The JSON key for the field m is "M".
+        known = {f.name for f in fields(cls) if f.name != "m"} | {"M"}
         unknown = set(data) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -182,32 +174,6 @@ class ExperimentConfig:
             return cls(generator=gen, **kwargs)
         except TypeError as exc:
             raise UsageError(f"bad config: {exc}") from None
-
-    def to_json(self) -> str:
-        data: dict = {
-            "algorithm": self.algorithm,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "delta": self.delta,
-            "M": self.m,
-            "mode": self.mode,
-            "oracle": self.oracle,
-            "node_limit": self.node_limit,
-            "instance_per_trial": self.instance_per_trial,
-            "timing": self.timing,
-        }
-        if self.instance_path is not None:
-            data["instance_path"] = self.instance_path
-        if self.generator is not None:
-            g = self.generator
-            data["generator"] = {
-                "kind": g.kind, "zeta": g.zeta, "n": g.n, "dim": g.dim,
-                "M": g.m, "box_side": g.box_side, "seed": g.seed,
-                "radius_range": list(g.radius_range),
-            }
-        if self.out is not None:
-            data["out"] = self.out
-        return json.dumps(data, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -276,7 +242,7 @@ def _solve_opt(config: ExperimentConfig, stream: ArrivalSequence) -> Optional[in
 def _scored(record: TrialRecord, opt: Optional[int]) -> TrialRecord:
     if opt is None:
         return record
-    return replace(record, opt_size=opt, ratio=_ratio(opt, record.alg_size))
+    return replace(record, opt_size=opt, ratio=empirical_ratio(opt, record.alg_size))
 
 
 def _run_trial(

@@ -184,12 +184,15 @@ def _format_event_line(ev) -> str:
     return f"rect {pairs}"
 
 
+def _write(path: Union[str, Path], stream: ArrivalSequence, lines: list[str]) -> None:
+    """Write the magic and dim header lines, then lines."""
+    header = [MAGIC, f"dim {stream.dim}" if stream.dim is not None else "dim -"]
+    Path(path).write_text("\n".join(header + lines) + "\n")
+
+
 def save_instance(stream: ArrivalSequence, path: Union[str, Path]) -> None:
     """Write a sequence in the instance format (round-trip exact)."""
-    lines = [MAGIC, f"dim {stream.dim}" if stream.dim is not None else "dim -"]
-    for ev in stream.events:
-        lines.append(_format_event_line(ev))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, stream, [_format_event_line(ev) for ev in stream.events])
 
 
 def save_transcript(
@@ -202,12 +205,8 @@ def save_transcript(
     """
     if len(result.decisions) != len(stream.events):
         raise UsageError("result does not match the stream length")
-    lines = [
-        MAGIC,
-        f"dim {stream.dim}" if stream.dim is not None else "dim -",
-        f"# accepted {result.size} of {len(stream.events)}",
-    ]
+    lines = [f"# accepted {result.size} of {len(stream.events)}"]
     for ev, dec in zip(stream.events, result.decisions):
         verdict = "accepted" if dec else "rejected"
         lines.append(f"{_format_event_line(ev)}  # {verdict}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, stream, lines)

@@ -27,8 +27,12 @@ constant-size candidate window that the rounded distance bounds.
 
 The rounding has one scalar core, parity_rounded_point, which works on
 plain coordinates and builds no Point, so LatticeFilter can call it
-once per arrival; coverage_cells is the same rounding over a numpy
-batch.  The tests check each against the other.
+once per arrival; its axis-1 step is also the one closest-point
+queries use for every candidate.  coverage_cells is the same rounding
+over a numpy batch, and the tests check each against the other.  Only
+coverage_cells and the self-checks min_pairwise_distance and
+mc_volume_fraction use numpy, and they import it when called, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .geometry import Point, UsageError, distance
 
@@ -139,11 +141,18 @@ def parity_rounded_point(
     # ceil(z / 2) for z = floor(x / sqrt(3)): the nearest even multiple
     # of sqrt(3), rounding up from the odd midpoint.
     coeffs = [(math.floor(x / SQRT3) + 1) // 2 for x in rest]
-    total = sum(coeffs)
-    z1 = math.floor(x0 / params.axis1_unit)
-    m = z1 if z1 % 2 == total % 2 else z1 + 1
-    a1 = (m + total) // 2
+    a1 = _axis1_coeff(params, x0, sum(coeffs))
     return _coords(params, a1, coeffs), (a1, *coeffs)
+
+
+def _axis1_coeff(params: LatticeParams, x0: float, rest_sum: int) -> int:
+    """Axis-1 coefficient of the lattice point nearest x0 on axis 1
+    among those whose other coefficients sum to rest_sum.  Their x1 is
+    s * m for the integers m of rest_sum's parity; this takes the m
+    nearest x0 / s, rounding up at the midpoint."""
+    z1 = math.floor(x0 / params.axis1_unit)
+    m = z1 if z1 % 2 == rest_sum % 2 else z1 + 1
+    return (m + rest_sum) // 2
 
 
 def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, CoeffVector]:
@@ -156,7 +165,6 @@ def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, Coeff
     """
     p0, coeffs0 = parity_rounded_point(params, c)
     bound = math.dist(p0, c.coords) + 1e-9
-    s = params.axis1_unit
     axis_ranges = []
     for x in c.coords[1:]:
         step = 2.0 * SQRT3
@@ -165,13 +173,8 @@ def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, Coeff
         axis_ranges.append(range(lo, hi + 1))
     best_d2 = float("inf")
     best: tuple[Point, CoeffVector] = (Point(p0), coeffs0)
-    q = c.coords[0] / s
     for combo in itertools.product(*axis_ranges):
-        k = sum(combo) % 2
-        m_lo = 2 * math.floor((q - k) / 2) + k
-        m = m_lo if abs(q - m_lo) < abs(q - (m_lo + 2)) else m_lo + 2
-        a1 = (m + sum(combo)) // 2
-        coeffs = (a1,) + combo
+        coeffs = (_axis1_coeff(params, c.coords[0], sum(combo)),) + combo
         p = lattice_point(params, coeffs)
         d2 = sum((a - b) ** 2 for a, b in zip(p.coords, c.coords))
         if d2 < best_d2:
@@ -196,6 +199,8 @@ def coverage_cells(
     coefficients identify the unique covering lattice point; for
     uncovered points they are merely the rounded cell.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != params.dim:
         raise UsageError(f"expected shape (n, {params.dim}), got {pts.shape}")
@@ -222,6 +227,8 @@ def min_pairwise_distance(params: LatticeParams, window: int = 3) -> float:
     with coefficients in [-2*window, 2*window]^dim, so the minimum over
     pairs equals the minimum norm over that difference window.
     """
+    import numpy as np
+
     if window < 1:
         raise UsageError(f"window must be >= 1, got {window}")
     w2 = 2 * window
@@ -261,7 +268,7 @@ class SampleBox:
         """Box at origin with side 4+delta on axis 1 and 2*sqrt(3) elsewhere."""
         if origin.dim != params.dim:
             raise UsageError("origin dimension mismatch")
-        return cls(origin=origin, extents=(params.axis1_period,) + (2.0 * SQRT3,) * (params.dim - 1))
+        return cls(origin=origin, extents=params.shift_extents())
 
     @property
     def volume(self) -> float:
@@ -278,10 +285,13 @@ def mc_volume_fraction(
     fundamental cell), which makes fraction * box.volume an estimate of
     the unit-ball volume regardless of where the box sits.
     """
+    import numpy as np
+
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
-    expected = SampleBox.aligned(params, box.origin).extents
-    for axis, (got, want) in enumerate(zip(box.extents, expected)):
+    if box.origin.dim != params.dim:
+        raise UsageError("origin dimension mismatch")
+    for axis, (got, want) in enumerate(zip(box.extents, params.shift_extents())):
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
             raise UsageError(
                 f"box extent {got} on axis {axis} does not match the period {want}"

@@ -93,12 +93,6 @@ class ArrivalSequence:
                 adj[nb].add(ev.id)
         return adj
 
-    def prefix(self, n: int) -> "ArrivalSequence":
-        return ArrivalSequence(events=self.events[:n], dim=self.dim)
-
-    def has_payloads(self) -> bool:
-        return bool(self.events) and self.events[0].payload is not None
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -137,20 +131,6 @@ class FirstFit:
         return True
 
 
-class AcceptAll:
-    """Degenerate strategy used as a negative control in validity checks."""
-
-    def decide(self, event: ArrivalEvent) -> bool:
-        return True
-
-
-class RejectAll:
-    """Degenerate strategy that rejects every arrival."""
-
-    def decide(self, event: ArrivalEvent) -> bool:
-        return False
-
-
 def finalize_run(
     events: Sequence[ArrivalEvent], decisions: Sequence[bool]
 ) -> RunResult:
@@ -179,11 +159,11 @@ def run_online(algorithm: OnlineAlgorithm, stream: ArrivalSequence) -> RunResult
     return finalize_run(stream.events, decisions)
 
 
-def empirical_ratio(opt_size: int, result: RunResult) -> float:
+def empirical_ratio(opt_size: int, alg_size: int) -> float:
     """opt/alg with the conventions: empty vs empty is 1, empty alg vs
     nonempty opt is +inf."""
     if opt_size < 0:
         raise UsageError(f"opt_size must be >= 0, got {opt_size}")
-    if result.size == 0:
+    if alg_size == 0:
         return 1.0 if opt_size == 0 else float("inf")
-    return opt_size / result.size
+    return opt_size / alg_size

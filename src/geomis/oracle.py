@@ -237,7 +237,7 @@ def verify_ratio(
     graph = stream.adjacency()
     mis = exact_mis(graph, node_limit)
     ikn = independent_kissing_number(graph, node_limit)
-    ratio = empirical_ratio(mis.size, run)
+    ratio = empirical_ratio(mis.size, run.size)
     bound = mis.size <= max(ikn.zeta, 1) * run.size
     return RatioReport(
         opt_size=mis.size,

@@ -57,6 +57,20 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+class AcceptAll:
+    """Negative control: accepts every arrival, so any edge breaks validity."""
+
+    def decide(self, event) -> bool:
+        return True
+
+
+class RejectAll:
+    """Negative control: rejects every arrival."""
+
+    def decide(self, event) -> bool:
+        return False
+
+
 def gnp_stream(n: int, p: float, rng: random.Random) -> ArrivalSequence:
     """Erdos-Renyi arrival sequence: each backward edge tossed independently."""
     lists = []
@@ -220,7 +234,7 @@ def reference_experiment_records(config) -> list[TrialRecord]:
         if config.oracle:
             try:
                 opt = exact_mis(stream.adjacency(), config.node_limit).size
-                ratio = empirical_ratio(opt, run)
+                ratio = empirical_ratio(opt, run.size)
             except OracleRefusal:
                 pass
         records.append(

@@ -6,7 +6,6 @@ import pytest
 from geomis import (
     AdversaryConfig,
     FirstFit,
-    RejectAll,
     UsageError,
     empirical_ratio,
     exact_mis,
@@ -20,6 +19,7 @@ from geomis import (
 )
 
 from conftest import (
+    RejectAll,
     pairwise_intersection_graph,
     reference_random_balls,
     reference_random_rects,
@@ -32,7 +32,7 @@ def test_star_against_greedy():
         assert len(outcome.stream) == zeta + 1
         assert outcome.result.accepted == (0,)
         assert outcome.opt_size == zeta
-        assert empirical_ratio(outcome.opt_size, outcome.result) == float(zeta)
+        assert empirical_ratio(outcome.opt_size, outcome.result.size) == float(zeta)
         rep = independent_kissing_number(outcome.stream.adjacency())
         assert rep.zeta <= zeta
 
@@ -42,7 +42,7 @@ def test_star_against_rejector():
     assert len(outcome.stream) == 1
     assert outcome.result.accepted == ()
     assert outcome.opt_size == 1
-    assert empirical_ratio(outcome.opt_size, outcome.result) == math.inf
+    assert empirical_ratio(outcome.opt_size, outcome.result.size) == math.inf
 
 
 def test_star_rejects_bad_zeta():

@@ -133,6 +133,15 @@ def test_lattice_closest_check(capsys):
     assert out.rstrip().endswith("pass")
 
 
+@pytest.mark.parametrize("flag, value", [("samples", 0), ("samples", -5), ("window", 0)])
+def test_lattice_closest_rejects_counts_below_one(flag, value, capsys):
+    rc = cli_dispatch(["lattice", "--check", "closest", f"--{flag}", str(value)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
+
 def test_lattice_volume_check(capsys):
     rc = cli_dispatch(["lattice", "--check", "volume", "--samples", "40000", "--seed", "4"])
     assert rc == 0

@@ -164,3 +164,28 @@ def test_run_and_oracle_output_digest(command, case, instances, capsys):
     head = ["run"] if command == "run" else ["oracle", "--what", "ratio"]
     printed = run_cli([*head, "--in", str(instances[instance]), *flags], capsys)
     assert sha256(printed) == RUN_DIGESTS[f"{command}/{case}"]
+
+
+# The README's lattice self-checks, argv after "lattice" -> exact stdout
+LATTICE = {
+    "mindist": (
+        ["--check", "mindist"],
+        "min_pairwise_distance 4.002502342285386\n"
+        "required > 4: pass\n",
+    ),
+    "volume": (
+        ["--check", "volume", "--dim", "3", "--samples", "200000", "--seed", "1"],
+        "box_origin (-7.312715117751976, 6.9486747387446535, 5.275492379532281)\n"
+        "covered_fraction 0.087305 (stderr 6.312e-04)\n"
+        "expected_fraction 0.08704884049847031\n"
+        "volume_estimate 4.201116599999999\n"
+        "expected_volume 4.1887902047863905\n"
+        "pass\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE))
+def test_lattice_readme_output(name, capsys):
+    argv, stdout = LATTICE[name]
+    assert run_cli(["lattice", *argv], capsys) == f"0\0{stdout}\0"

@@ -66,8 +66,17 @@ def test_config_json_roundtrip():
         ),
         delta=0.01,
     )
-    again = ExperimentConfig.from_json(config.to_json())
-    assert again == config
+    text = json.dumps(
+        {
+            "algorithm": "filter", "trials": 7, "base_seed": 99, "instance_path": None,
+            "generator": {
+                "kind": "random_balls", "n": 12, "dim": 3, "box_side": 6.0, "seed": 5
+            },
+            "delta": 0.01, "M": 0.0, "mode": "sample", "oracle": True, "node_limit": 40,
+            "instance_per_trial": False, "timing": False, "out": None,
+        }
+    )
+    assert ExperimentConfig.from_json(text) == config
 
 
 def test_config_from_json_uses_capital_m():
@@ -90,6 +99,8 @@ def test_config_from_json_uses_capital_m():
     config = ExperimentConfig.from_json(text)
     assert config.m == 8.0
     assert config.generator.radius_range == (1.0, 8.0)
+    with pytest.raises(UsageError, match="unknown config keys"):
+        ExperimentConfig.from_json(text.replace('"M"', '"m"'))
 
 
 def test_config_rejects_unknown_keys_and_bad_shapes():

@@ -1,21 +1,36 @@
-import ast
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import geomis
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-def imported_public_names():
-    tree = ast.parse(Path(geomis.__file__).read_text(encoding="utf-8"))
-    return sorted(
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not (alias.asname or alias.name).startswith("_")
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected == ["(0, 2)", "2 1.0", "0.08704884049847031", "(1, 2)"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = str(Path(geomis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, geomis.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-
-
-def test_all_lists_exactly_the_imported_names():
-    assert sorted(geomis.__all__) == imported_public_names()
-    for name in geomis.__all__:
-        assert getattr(geomis, name) is not None, name
+    assert done.stdout.strip() == "[]"
