@@ -17,7 +17,6 @@ from .geometry import (
 from .lattice import (
     CoeffVector,
     LatticeParams,
-    SampleBox,
     closest_lattice_point,
     coverage_cells,
     is_covered,

@@ -25,7 +25,6 @@ from .harness import ExperimentConfig, render_csv, run_experiment
 from .instances import load_instance, read_utf8, save_instance, save_transcript
 from .lattice import (
     LatticeParams,
-    SampleBox,
     closest_lattice_point,
     is_covered,
     lattice_point,
@@ -34,7 +33,13 @@ from .lattice import (
     unit_ball_volume,
 )
 from .online import FirstFit, run_online
-from .oracle import OracleRefusal, exact_mis, independent_kissing_number, verify_ratio
+from .oracle import (
+    DEFAULT_NODE_LIMIT,
+    OracleRefusal,
+    exact_mis,
+    independent_kissing_number,
+    verify_ratio,
+)
 
 
 class _CliUsage(Exception):
@@ -82,7 +87,7 @@ def _build_parser() -> _Parser:
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--delta", type=float, default=0.01)
     oracle.add_argument("--M", dest="m", type=float, default=8.0)
-    oracle.add_argument("--node-limit", type=int, default=40)
+    oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     oracle.set_defaults(func=_cmd_oracle)
 
     lattice = sub.add_parser("lattice", help="self-checks of the lattice layer")
@@ -208,14 +213,14 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         return 0 if ok else 2
     rng = random.Random(args.seed)
     origin = Point(tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim)))
-    box = SampleBox.aligned(params, origin)
-    fraction, stderr = mc_volume_fraction(params, box, args.samples, seed=args.seed)
-    expected = unit_ball_volume(params.dim) / box.volume
+    period_volume = math.prod(params.shift_extents())
+    fraction, stderr = mc_volume_fraction(params, origin, args.samples, seed=args.seed)
+    expected = unit_ball_volume(params.dim) / period_volume
     ok = abs(fraction - expected) <= 3.0 * stderr
     print(f"box_origin {tuple(origin.coords)}")
     print(f"covered_fraction {fraction!r} (stderr {stderr:.3e})")
     print(f"expected_fraction {expected!r}")
-    print(f"volume_estimate {fraction * box.volume!r}")
+    print(f"volume_estimate {fraction * period_volume!r}")
     print(f"expected_volume {unit_ball_volume(params.dim)!r}")
     print("pass" if ok else "FAIL")
     return 0 if ok else 2

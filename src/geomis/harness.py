@@ -32,7 +32,7 @@ from .algorithms import ALGORITHMS, class_choices, make_algorithm
 from .geometry import UsageError, require_type
 from .instances import load_instance
 from .online import ArrivalSequence, empirical_ratio, run_online
-from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, exact_mis
+from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, check_node_limit, exact_mis
 
 _MASK64 = (1 << 64) - 1
 
@@ -125,6 +125,7 @@ class ExperimentConfig:
             ("timing", self.timing, bool),
         ):
             require_type(name, value, kind)
+        check_node_limit(self.node_limit)
         for name, value in (("instance_path", self.instance_path), ("out", self.out)):
             if value is not None:
                 require_type(name, value, str)

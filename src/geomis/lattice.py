@@ -249,56 +249,27 @@ def min_pairwise_distance(params: LatticeParams, window: int = 3) -> float:
     return math.sqrt(best)
 
 
-@dataclass(frozen=True)
-class SampleBox:
-    """Axis-aligned box used for volume sampling, one period per axis."""
-
-    origin: Point
-    extents: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.extents) != self.origin.dim:
-            raise UsageError("extents dimension mismatch")
-        object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
-        if not all(e > 0 for e in self.extents):
-            raise UsageError("extents must be positive")
-
-    @classmethod
-    def aligned(cls, params: LatticeParams, origin: Point) -> "SampleBox":
-        """Box at origin with side 4+delta on axis 1 and 2*sqrt(3) elsewhere."""
-        if origin.dim != params.dim:
-            raise UsageError("origin dimension mismatch")
-        return cls(origin=origin, extents=params.shift_extents())
-
-    @property
-    def volume(self) -> float:
-        return math.prod(self.extents)
-
-
 def mc_volume_fraction(
-    params: LatticeParams, box: SampleBox, samples: int, seed: int
+    params: LatticeParams, origin: Point, samples: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the covered fraction of an aligned box.
+    """Monte Carlo estimate of the covered fraction of the period box at
+    origin, whose sides are params.shift_extents().
 
     Draws uniform samples, tests coverage, and returns (fraction,
-    binomial standard error).  The box must be period-aligned (one
-    fundamental cell), which makes fraction * box.volume an estimate of
-    the unit-ball volume regardless of where the box sits.
+    binomial standard error).  The box is one fundamental cell, which
+    makes fraction times its volume an estimate of the unit-ball volume
+    regardless of where the box sits.
     """
     import numpy as np
 
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
-    if box.origin.dim != params.dim:
+    if origin.dim != params.dim:
         raise UsageError("origin dimension mismatch")
-    for axis, (got, want) in enumerate(zip(box.extents, params.shift_extents())):
-        if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
-            raise UsageError(
-                f"box extent {got} on axis {axis} does not match the period {want}"
-            )
     rng = np.random.default_rng(seed)
-    lo = np.asarray(box.origin.coords, dtype=np.float64)
-    pts = rng.uniform(lo, lo + np.asarray(box.extents), size=(samples, params.dim))
+    lo = np.asarray(origin.coords, dtype=np.float64)
+    hi = lo + np.asarray(params.shift_extents())
+    pts = rng.uniform(lo, hi, size=(samples, params.dim))
     covered, _ = coverage_cells(params, pts)
     fraction = float(covered.mean())
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)

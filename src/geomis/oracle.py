@@ -1,9 +1,13 @@
 """Exact offline references: maximum independent set and the
 independent kissing number.
 
-Exponential-time machinery for small instances only; every entry point
-refuses inputs past a hard node limit instead of silently grinding.
-Results are deterministic, with lexicographically smallest witnesses.
+Both run on one memoized branching engine per graph, which peels
+degree-0 and degree-1 vertices and branches on a highest-degree one;
+the kissing number solves every neighborhood as a mask of the graph's
+own adjacency.  Exponential-time machinery for small instances only:
+every entry point validates its graph and refuses inputs past a hard
+node limit instead of silently grinding.  Results are deterministic,
+with lexicographically smallest witnesses.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ def _adjacency_masks(graph: Graph) -> list[int]:
 
 
 class _MisEngine:
-    """Memoized branch-and-bound for independent set sizes on bitmasks."""
+    """Memoized branching for independent set sizes on bitmasks.  A mask
+    is solved as its induced subgraph: only adj[v] & mask is read."""
 
     def __init__(self, adj: list[int]) -> None:
         self.adj = adj
@@ -109,11 +114,6 @@ class _MisEngine:
         return result
 
     def _branch(self, m: int) -> int:
-        if m.bit_count() >= 18:
-            lower = self._greedy_lower(m)
-            upper = self._matching_upper(m)
-            if lower == upper:
-                return lower
         # Branch on the most conflicted vertex: skip it, or take it and
         # drop its whole neighborhood.
         best_v = -1
@@ -130,69 +130,42 @@ class _MisEngine:
         with_v = 1 + self.size(m & ~self.closed[best_v])
         return max(without, with_v)
 
-    def _greedy_lower(self, m: int) -> int:
-        count = 0
-        mm = m
-        while mm:
-            best_v = -1
-            best_deg = 1 << 60
-            t = mm
+    def witness(self, mask: int, size: int) -> tuple[int, ...]:
+        """Lexicographically smallest independent set of the given size
+        within mask; size must be self.size(mask)."""
+        chosen: list[int] = []
+        while size > 0:
+            t = mask
             while t:
                 v = (t & -t).bit_length() - 1
                 t &= t - 1
-                deg = (self.adj[v] & mm).bit_count()
-                if deg < best_deg:
-                    best_deg = deg
-                    best_v = v
-                    if deg == 0:
-                        break
-            count += 1
-            mm &= ~self.closed[best_v]
-        return count
+                if 1 + self.size(mask & ~self.closed[v]) == size:
+                    chosen.append(v)
+                    mask &= ~self.closed[v]
+                    size -= 1
+                    break
+        return tuple(chosen)
 
-    def _matching_upper(self, m: int) -> int:
-        # Each greedily matched conflict pair contributes at most one
-        # vertex to any independent set.
-        n = m.bit_count()
-        matched = 0
-        mm = m
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            mm &= ~(1 << v)
-            nbrs = self.adj[v] & mm
-            if nbrs:
-                u = (nbrs & -nbrs).bit_length() - 1
-                mm &= ~(1 << u)
-                matched += 1
-        return n - matched
+
+def check_node_limit(node_limit: int) -> None:
+    """Reject a negative node_limit, which no graph could satisfy."""
+    if node_limit < 0:
+        raise UsageError(f"node_limit must be >= 0, got {node_limit}")
 
 
 def exact_mis(graph: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> MisResult:
     """Exact maximum independent set with a lexicographically smallest
     witness.  Refuses graphs larger than node_limit."""
+    check_node_limit(node_limit)
     n = len(graph)
     if n > node_limit:
         raise OracleRefusal(
             f"graph has {n} vertices, above the exact-search limit {node_limit}"
         )
-    adj = _adjacency_masks(graph)
-    engine = _MisEngine(adj)
+    engine = _MisEngine(_adjacency_masks(graph))
     full = (1 << n) - 1
     opt = engine.size(full)
-    witness: list[int] = []
-    mask = full
-    target = opt
-    while target > 0:
-        t = mask
-        while t:
-            v = (t & -t).bit_length() - 1
-            t &= t - 1
-            if 1 + engine.size(mask & ~engine.closed[v]) == target:
-                witness.append(v)
-                mask &= ~engine.closed[v]
-                target -= 1
-                break
-    return MisResult(size=opt, witness=tuple(witness))
+    return MisResult(size=opt, witness=engine.witness(full, opt))
 
 
 def independent_kissing_number(
@@ -201,27 +174,23 @@ def independent_kissing_number(
     """Largest independent set within any single vertex's neighborhood.
 
     Bounds every online greedy run: the offline optimum is at most this
-    number times the greedy acceptance count (when positive).  Refuses
-    if any neighborhood exceeds node_limit.
+    number times the greedy acceptance count (when positive).  Validates
+    the whole graph once, then solves every neighborhood on one engine.
+    Refuses if any neighborhood exceeds node_limit.
     """
+    check_node_limit(node_limit)
+    engine = _MisEngine(_adjacency_masks(graph))
     best = IknResult(zeta=0, witness_center=None, witness_set=())
-    for v in range(len(graph)):
-        nbrs = sorted(graph[v])
-        if len(nbrs) > node_limit:
+    for v, nbrs in enumerate(engine.adj):
+        degree = nbrs.bit_count()
+        if degree > node_limit:
             raise OracleRefusal(
-                f"neighborhood of vertex {v} has {len(nbrs)} vertices, above {node_limit}"
+                f"neighborhood of vertex {v} has {degree} vertices, above {node_limit}"
             )
-        index = {u: i for i, u in enumerate(nbrs)}
-        nbr_set = set(nbrs)
-        local: list[set[int]] = [
-            {index[w] for w in graph[u] if w in nbr_set} for u in nbrs
-        ]
-        res = exact_mis(local, node_limit)
-        if res.size > best.zeta:
+        zeta = engine.size(nbrs)
+        if zeta > best.zeta:
             best = IknResult(
-                zeta=res.size,
-                witness_center=v,
-                witness_set=tuple(nbrs[i] for i in res.witness),
+                zeta=zeta, witness_center=v, witness_set=engine.witness(nbrs, zeta)
             )
     return best
 

@@ -117,6 +117,21 @@ def test_oracle_node_limit_flag(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mis", "ikn", "ratio", "experiment"])
+def test_negative_node_limit_exits_one(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    if command == "experiment":
+        config = experiment_config(tmp_path, node_limit=-1)
+        argv = ["experiment", "--config", str(config)]
+    else:
+        argv = ["oracle", "--what", command, "--in", str(write_k3(tmp_path)),
+                "--node-limit", "-1"]
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node_limit must be >= 0, got -1\n"
+
+
 def test_lattice_mindist_check(capsys):
     rc = cli_dispatch(["lattice", "--check", "mindist"])
     assert rc == 0

@@ -118,6 +118,18 @@ RUNS = {
 
 # digest of (exit code, stdout, stderr) per command and case
 RUN_DIGESTS = {
+    "oracle-ikn/classify": "584a80e59d0d5a7fd5c4d968ab77548840d083dff98015748aa5fb3feed7b39f",
+    "oracle-ikn/filter": "584a80e59d0d5a7fd5c4d968ab77548840d083dff98015748aa5fb3feed7b39f",
+    "oracle-ikn/filter-abstract": "ed7be8e2a1701d2c34e9a43524e045b9ea3fe146a45e6779c83ff5a252ec92e9",
+    "oracle-ikn/firstfit": "ed7be8e2a1701d2c34e9a43524e045b9ea3fe146a45e6779c83ff5a252ec92e9",
+    "oracle-ikn/hr_classify": "584a80e59d0d5a7fd5c4d968ab77548840d083dff98015748aa5fb3feed7b39f",
+    "oracle-ikn/hr_classify-abstract": "ed7be8e2a1701d2c34e9a43524e045b9ea3fe146a45e6779c83ff5a252ec92e9",
+    "oracle-mis/classify": "e22e35e9f8c4605d4ddfdb00ff8f7b347782a70c09ec66cc0b6aeb2a4c072d7c",
+    "oracle-mis/filter": "95cc547a1fc29fe97ffb08853b4868ddce21eac796b2ef4c2e1c3e245f7b6ae8",
+    "oracle-mis/filter-abstract": "1670e42340a0bb0f16266d018cf7d23af52cf5616ffc08efcf8935af1b03203f",
+    "oracle-mis/firstfit": "1670e42340a0bb0f16266d018cf7d23af52cf5616ffc08efcf8935af1b03203f",
+    "oracle-mis/hr_classify": "cd38863d3e2ab2be10fc008ce40810823305f5a6f03f55f7ee0e6cb5cbaf9e73",
+    "oracle-mis/hr_classify-abstract": "1670e42340a0bb0f16266d018cf7d23af52cf5616ffc08efcf8935af1b03203f",
     "oracle-ratio/classify": "694bc6e6df7343cbb19a122e0e9510c5f90b77d0a4ef12328513d3b8c7a02a14",
     "oracle-ratio/filter": "ca425a55d1ef65060376cb9fddf78e869b80a9bd8e400212c4bd453c4ecfc06f",
     "oracle-ratio/filter-abstract": "bea7519b33c3b658013a44c1f3fd4c63ac491585931c4b443bd762a8e756b602",
@@ -157,11 +169,11 @@ def test_gen_digest(name, tmp_path, capsys):
     assert sha256(out.read_bytes() + b"\0" + printed.encode()) == GEN_DIGESTS[name]
 
 
-@pytest.mark.parametrize("command", ["run", "oracle-ratio"])
+@pytest.mark.parametrize("command", ["run", "oracle-ratio", "oracle-mis", "oracle-ikn"])
 @pytest.mark.parametrize("case", sorted(RUNS))
 def test_run_and_oracle_output_digest(command, case, instances, capsys):
     instance, flags = RUNS[case]
-    head = ["run"] if command == "run" else ["oracle", "--what", "ratio"]
+    head = ["run"] if command == "run" else ["oracle", "--what", command.split("-")[1]]
     printed = run_cli([*head, "--in", str(instances[instance]), *flags], capsys)
     assert sha256(printed) == RUN_DIGESTS[f"{command}/{case}"]
 

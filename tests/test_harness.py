@@ -135,6 +135,16 @@ def test_config_rejects_unknown_keys_and_bad_shapes():
             instance_path="x",
             instance_per_trial=True,
         )
+    # Rejected when read, even with the oracle off.
+    with pytest.raises(UsageError, match="^node_limit must be >= 0, got -1$"):
+        ExperimentConfig(
+            algorithm="firstfit",
+            trials=1,
+            base_seed=0,
+            instance_path="x",
+            oracle=False,
+            node_limit=-1,
+        )
 
 
 def fixed_instance_config(tmp_path, **overrides):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from geomis import (
     LatticeParams,
     Point,
-    SampleBox,
     UsageError,
     closest_lattice_point,
     coverage_cells,
@@ -199,35 +198,30 @@ def test_min_pairwise_distance_grows_with_delta():
     assert loose == pytest.approx(math.sqrt(2.25**2 + 12.0), abs=1e-12)
 
 
-def test_sample_box_aligned():
-    box = SampleBox.aligned(P3, origin=Point((1.0, -2.0, 0.25)))
-    assert box.extents == pytest.approx((4.01, 2 * SQRT3, 2 * SQRT3))
-    assert box.volume == pytest.approx(4.01 * 12.0)
+def test_period_box_extents():
+    assert P3.shift_extents() == pytest.approx((4.01, 2 * SQRT3, 2 * SQRT3))
+    assert math.prod(P3.shift_extents()) == pytest.approx(4.01 * 12.0)
 
 
 def test_mc_volume_fraction_rejects_wrong_box_and_samples():
-    bad = SampleBox(origin=Point((0.0, 0.0, 0.0)), extents=(1.0, 1.0, 1.0))
     with pytest.raises(UsageError):
-        mc_volume_fraction(P3, bad, samples=100, seed=0)
-    good = SampleBox.aligned(P3, origin=Point((0.0, 0.0, 0.0)))
+        mc_volume_fraction(P3, Point((0.0, 0.0)), samples=100, seed=0)
     with pytest.raises(UsageError):
-        mc_volume_fraction(P3, good, samples=0, seed=0)
+        mc_volume_fraction(P3, Point((0.0, 0.0, 0.0)), samples=0, seed=0)
 
 
 def test_mc_volume_fraction_seeded_and_sane():
-    box = SampleBox.aligned(P3, origin=Point((0.0, 0.0, 0.0)))
-    frac1, err1 = mc_volume_fraction(P3, box, samples=20000, seed=99)
-    frac2, _ = mc_volume_fraction(P3, box, samples=20000, seed=99)
+    origin = Point((0.0, 0.0, 0.0))
+    frac1, err1 = mc_volume_fraction(P3, origin, samples=20000, seed=99)
+    frac2, _ = mc_volume_fraction(P3, origin, samples=20000, seed=99)
     assert frac1 == frac2
-    expected = unit_ball_volume(3) / box.volume
+    expected = unit_ball_volume(3) / math.prod(P3.shift_extents())
     assert abs(frac1 - expected) <= 4 * err1
 
 
 def test_mc_volume_fraction_translation_invariant_within_noise():
-    box_a = SampleBox.aligned(P3, origin=Point((0.0, 0.0, 0.0)))
-    box_b = SampleBox.aligned(P3, origin=Point((17.3, -4.9, 2.02)))
-    fa, ea = mc_volume_fraction(P3, box_a, samples=20000, seed=7)
-    fb, eb = mc_volume_fraction(P3, box_b, samples=20000, seed=8)
+    fa, ea = mc_volume_fraction(P3, Point((0.0, 0.0, 0.0)), samples=20000, seed=7)
+    fb, eb = mc_volume_fraction(P3, Point((17.3, -4.9, 2.02)), samples=20000, seed=8)
     assert abs(fa - fb) <= 4 * math.hypot(ea, eb)
 
 

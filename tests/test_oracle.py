@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomis import (
     ArrivalSequence,
@@ -9,12 +11,19 @@ from geomis import (
     UsageError,
     exact_mis,
     independent_kissing_number,
+    random_balls_gen,
+    random_rects_gen,
     run_online,
     star_adversary,
     verify_ratio,
 )
 
-from conftest import brute_mis, gnp_stream
+from conftest import (
+    brute_mis,
+    gnp_stream,
+    reference_exact_mis,
+    reference_independent_kissing_number,
+)
 
 
 def cycle(n):
@@ -79,15 +88,54 @@ def test_exact_mis_refuses_large_graphs():
         exact_mis([set() for _ in range(6)], node_limit=5)
     # At the limit it still answers.
     assert exact_mis([set() for _ in range(6)], node_limit=6).size == 6
+    with pytest.raises(
+        OracleRefusal, match="^neighborhood of vertex 0 has 6 vertices, above 5$"
+    ):
+        independent_kissing_number(star(6), node_limit=5)
+    assert independent_kissing_number(star(6), node_limit=6).zeta == 6
 
 
 def test_adjacency_validation():
-    with pytest.raises(UsageError):
-        exact_mis([{1}, set()])  # asymmetric
-    with pytest.raises(UsageError):
-        exact_mis([{0}])  # self loop
-    with pytest.raises(UsageError):
-        exact_mis([{5}])  # out of range
+    for oracle in (exact_mis, independent_kissing_number):
+        with pytest.raises(UsageError):
+            oracle([{1}, set()])  # asymmetric
+        with pytest.raises(UsageError):
+            oracle([{0}])  # self loop
+        with pytest.raises(UsageError):
+            oracle([{5}])  # out of range
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Graphs of 18 to 40 vertices, where the old bound short-circuit
+    ran: G(n, p), unit or mixed balls, boxes, and disjoint 4-cycles with
+    sparse random chords, on which the short-circuit also fires."""
+    n = draw(st.integers(18, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["gnp", "four_cycles", "balls", "boxes"]))
+    if kind == "gnp":
+        p = draw(st.floats(0.05, 0.9))
+        return gnp_stream(n, p, random.Random(seed)).adjacency()
+    if kind == "four_cycles":
+        adj = gnp_stream(n, draw(st.floats(0.0, 0.1)), random.Random(seed)).adjacency()
+        for v in range(n - n % 4):
+            u = v - v % 4 + (v + 1) % 4
+            adj[v].add(u)
+            adj[u].add(v)
+        return adj
+    dim = draw(st.integers(2, 3))
+    box_side = draw(st.floats(6.0, 14.0)) if dim == 2 else draw(st.floats(5.0, 9.0))
+    if kind == "balls":
+        radius_range = draw(st.sampled_from([(1.0, 1.0), (0.5, 2.0)]))
+        return random_balls_gen(n, dim, box_side, seed, radius_range).adjacency()
+    return random_rects_gen(n, dim, 3.0, box_side, seed).adjacency()
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_graphs())
+def test_oracles_match_reference_with_bound_short_circuit(adj):
+    assert exact_mis(adj) == reference_exact_mis(adj)
+    assert independent_kissing_number(adj) == reference_independent_kissing_number(adj)
 
 
 def test_independent_kissing_number_examples():
