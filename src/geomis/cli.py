@@ -6,7 +6,8 @@ experiment (seeded trial batches with CSV reports).
 
 Exit status: 0 on success, 1 on usage errors (bad flags, malformed
 files, unsupported combinations), 2 when a requested validation or
-check fails (including oracle refusals).
+check fails (including oracle refusals, and lattice self-checks refused
+before they start because their work would pass a fixed limit).
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ from .oracle import (
     independent_kissing_number,
     verify_ratio,
 )
+
+
+# The most work each lattice self-check may take on, refused before
+# anything is allocated.  The README and CI commands need at most 13^3
+# differences, 10000 x 7^3 window points and 200000 x 3 coordinates.
+MINDIST_DIFFERENCE_LIMIT = 10**6
+CLOSEST_POINT_LIMIT = 10**7
+VOLUME_COORDINATE_LIMIT = 4 * 10**6
 
 
 class _CliUsage(Exception):
@@ -182,18 +191,39 @@ def _window_reference(params: LatticeParams, c: Point, window: int) -> float:
     return best
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+
+
+def _refuse_above(limit: int, what: str, count: int, base: int, exponent: int = 1) -> None:
+    """Refuse work on count * base**exponent items above limit, for
+    count >= 1 and base >= 2.  The exponent is clipped where the power
+    already passes limit, so that no huge power is ever computed."""
+    if count * base ** min(exponent, limit.bit_length()) > limit:
+        power = f"{base}^{exponent}" if exponent > 1 else str(base)
+        raise OracleRefusal(f"{what}: {count} x {power} exceeds the limit {limit}")
+
+
 def _cmd_lattice(args: argparse.Namespace) -> int:
     params = LatticeParams(dim=args.dim, delta=args.delta)
     if args.check == "mindist":
+        _require_positive("window", args.window)
+        side = 4 * args.window + 1
+        _refuse_above(
+            MINDIST_DIFFERENCE_LIMIT, "mindist lattice differences", side, side, params.dim - 1
+        )
         value = min_pairwise_distance(params, window=args.window)
         print(f"min_pairwise_distance {value!r}")
         print(f"required > 4: {'pass' if value > 4.0 else 'FAIL'}")
         return 0 if value > 4.0 else 2
     if args.check == "closest":
-        if args.samples < 1:
-            raise UsageError(f"samples must be >= 1, got {args.samples}")
-        if args.window < 1:
-            raise UsageError(f"window must be >= 1, got {args.window}")
+        _require_positive("samples", args.samples)
+        _require_positive("window", args.window)
+        _refuse_above(
+            CLOSEST_POINT_LIMIT, "closest window points scanned",
+            args.samples, 2 * args.window + 1, params.dim,
+        )
         rng = random.Random(args.seed)
         extents = (params.axis1_period,) + (params.cross_period,) * (params.dim - 1)
         worst = 0.0
@@ -211,6 +241,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print(f"coverage_mismatches {cover_mismatches}")
         print("pass" if ok else "FAIL")
         return 0 if ok else 2
+    _require_positive("samples", args.samples)
+    _refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", args.samples, params.dim)
     rng = random.Random(args.seed)
     origin = Point(tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim)))
     period_volume = math.prod(params.shift_extents())

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from operator import add, le
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -54,10 +55,14 @@ class Point:
         return iter(self.coords)
 
 
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points of equal dimension."""
+def _require_same_dim(a: Point | Shape, b: Point | Shape) -> None:
     if a.dim != b.dim:
         raise UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def distance(a: Point, b: Point) -> float:
+    """Euclidean distance between two points of equal dimension."""
+    _require_same_dim(a, b)
     return math.dist(a.coords, b.coords)
 
 
@@ -106,19 +111,26 @@ class HyperRectangle:
 Shape = Union[Ball, HyperRectangle]
 
 
+def _balls_meet(ca: Sequence[float], ra: float, cb: Sequence[float], rb: float) -> bool:
+    return math.dist(ca, cb) <= ra + rb
+
+
+def _boxes_meet(
+    alo: Sequence[float], ahi: Sequence[float], blo: Sequence[float], bhi: Sequence[float]
+) -> bool:
+    return all(map(le, alo, bhi)) and all(map(le, blo, ahi))
+
+
 def balls_intersect(a: Ball, b: Ball) -> bool:
     """Closed-contact test: true iff center distance <= radius sum."""
-    return distance(a.center, b.center) <= a.radius + b.radius
+    _require_same_dim(a, b)
+    return _balls_meet(a.center.coords, a.radius, b.center.coords, b.radius)
 
 
 def rects_intersect(a: HyperRectangle, b: HyperRectangle) -> bool:
     """Closed-contact test: true iff the interval overlap holds on every axis."""
-    if a.dim != b.dim:
-        raise UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return all(
-        al <= bu and bl <= au
-        for al, au, bl, bu in zip(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords)
-    )
+    _require_same_dim(a, b)
+    return _boxes_meet(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords)
 
 
 @dataclass(frozen=True)
@@ -165,17 +177,18 @@ def objects_intersect(a: SizedObject, b: SizedObject) -> bool:
 
 
 class UniformGrid:
-    """Uniform grid of cubic cells for fixed-radius near-neighbour lookup.
+    """Uniform grid of cubic cells for fixed-radius near-neighbour search.
 
     Two points whose coordinates differ by at most ``reach`` on every
     axis, and whose coordinates are at most ``extent`` in absolute
-    value, always fall in the same or adjacent cells, so a lookup over
-    the 3^dim cells around a point finds every such partner (Bentley,
-    Stanat & Williams, IPL 1977).  The cell side is padded: the relative
-    term absorbs last-ulp rounding in the predicates that decide
-    ``reach``, and the absolute term absorbs the rounding of
-    ``x / side`` at magnitude ``extent`` and keeps that quotient small
-    enough for ``floor`` never to overflow.
+    value, always fall in the same or adjacent cells, so every such pair
+    is found either around one point (``near``, over the 3^dim cells
+    around it) or by joining each occupied cell with its occupied
+    neighbours (``cell_pairs``) (Bentley, Stanat & Williams, IPL 1977).
+    The cell side is padded: the relative term absorbs last-ulp rounding
+    in the predicates that decide ``reach``, and the absolute term
+    absorbs the rounding of ``x / side`` at magnitude ``extent`` and
+    keeps that quotient small enough for ``floor`` never to overflow.
     """
 
     def __init__(self, dim: int, reach: float, extent: float) -> None:
@@ -186,10 +199,27 @@ class UniformGrid:
 
     def cell(self, coords: Sequence[float]) -> tuple[int, ...]:
         side = self.side
-        return tuple(math.floor(x / side) for x in coords)
+        return tuple([math.floor(x / side) for x in coords])
 
     def near(self, cell: tuple[int, ...]) -> Iterator[int]:
-        """Items stored in the 3^dim cells around cell, in no set order.
+        """Items stored in the 3^dim cells around cell, in no set order."""
+        for members in self._occupied_around(cell, later=False):
+            yield from members
+
+    def cell_pairs(self) -> Iterator[tuple[list[int], list[int]]]:
+        """The item lists of every two occupied cells at most one step
+        apart on every axis, each pair once: a cell with itself, then
+        with each such cell after it in lexicographic order.  Items of
+        one cell are in insertion order."""
+        for cell, members in self._cells.items():
+            yield members, members
+            for others in self._occupied_around(cell, later=True):
+                yield members, others
+
+    def _occupied_around(self, cell: tuple[int, ...], later: bool) -> Iterator[list[int]]:
+        """Item lists of the occupied cells at most one step from cell on
+        every axis, cell included; with later, only those after cell in
+        lexicographic order.
 
         While fewer cells are occupied than a neighbourhood holds (always
         so in high dimension), the occupied cells are scanned instead, so
@@ -199,15 +229,20 @@ class UniformGrid:
         cells = self._cells
         if len(cells) < self._neighbourhood:
             for key, members in cells.items():
-                if all(-1 <= k - c <= 1 for k, c in zip(key, cell)):
-                    yield from members
+                if (not later or key > cell) and all(
+                    -1 <= k - c <= 1 for k, c in zip(key, cell)
+                ):
+                    yield members
             return
         if self._offsets is None:
             self._offsets = tuple(product((-1, 0, 1), repeat=len(cell)))
-        for offset in self._offsets:
-            members = cells.get(tuple(c + o for c, o in zip(cell, offset)))
+        # product lists the offsets in lexicographic order, so the ones
+        # after the all-zero middle offset lead to the later cells.
+        start = len(self._offsets) // 2 + 1 if later else 0
+        for offset in islice(self._offsets, start, None):
+            members = cells.get(tuple(map(add, cell, offset)))
             if members:
-                yield from members
+                yield members
 
     def add(self, cell: tuple[int, ...], item: int) -> None:
         self._cells.setdefault(cell, []).append(item)
@@ -217,12 +252,16 @@ def intersection_graph(objects: Sequence[SizedObject]) -> list[set[int]]:
     """Symmetric adjacency lists of the pairwise intersection graph.
 
     All objects must share one dimension and one shape kind.  Vertex i
-    is objects[i]; an edge means the closed shapes meet.  Candidate
-    pairs come from a UniformGrid keyed by ball centers (cell side twice
-    the largest radius) or box lower corners (cell side the largest box
-    side), and each candidate is decided by objects_intersect.  That
-    takes near-linear time when the objects have bounded size and
-    bounded density.
+    is objects[i]; an edge means the closed shapes meet.  This is a
+    cell-pair join: every object is bucketed once into a UniformGrid
+    keyed by ball centers (cell side twice the largest radius) or box
+    lower corners (cell side the largest box side), and each candidate
+    pair from UniformGrid.cell_pairs is decided on plain coordinates by
+    the same rule as balls_intersect or rects_intersect.  That takes
+    near-linear time when the objects have bounded size and bounded
+    density.  Each adjacency set is filled in ascending order, as a
+    pairwise scan over i < j would fill it, so set iteration order is
+    reproducible.
     """
     n = len(objects)
     adjacency: list[set[int]] = [set() for _ in range(n)]
@@ -235,21 +274,32 @@ def intersection_graph(objects: Sequence[SizedObject]) -> list[set[int]]:
             raise UsageError(f"object {i} has dim {obj.dim}, expected {dim}")
         if isinstance(obj.shape, Ball) != of_balls:
             raise UsageError("mixed ball/box intersection is not supported")
+    # meet(keys[i], extras[i], keys[j], extras[j]) decides the pair i, j.
     if of_balls:
         keys = [obj.shape.center.coords for obj in objects]
-        reach = 2.0 * max(obj.shape.radius for obj in objects)
+        extras = [obj.shape.radius for obj in objects]
+        reach = 2.0 * max(extras)
+        meet = _balls_meet
     else:
         keys = [obj.shape.lo.coords for obj in objects]
+        extras = [obj.shape.hi.coords for obj in objects]
         reach = max(max(obj.shape.sides) for obj in objects)
+        meet = _boxes_meet
     extent = max(abs(x) for key in keys for x in key)
     grid = UniformGrid(dim, reach, extent)
-    for j, obj in enumerate(objects):
-        cell = grid.cell(keys[j])
-        # Ascending hits make every adjacency set grow in ascending
-        # order, as a pairwise scan over i < j would.
-        for i in sorted(grid.near(cell)):
-            if objects_intersect(objects[i], obj):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-        grid.add(cell, j)
+    for i, key in enumerate(keys):
+        grid.add(grid.cell(key), i)
+    edges: list[tuple[int, int]] = []  # (j, i) with i < j
+    for members, others in grid.cell_pairs():
+        same = members is others
+        for x, i in enumerate(members):
+            key, extra = keys[i], extras[i]
+            for j in others[x + 1:] if same else others:
+                if meet(key, extra, keys[j], extras[j]):
+                    edges.append((j, i) if i < j else (i, j))
+    # Inserting in (j, i) order fills every set in ascending order.
+    edges.sort()
+    for j, i in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
     return adjacency

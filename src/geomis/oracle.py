@@ -153,17 +153,23 @@ def check_node_limit(node_limit: int) -> None:
         raise UsageError(f"node_limit must be >= 0, got {node_limit}")
 
 
-def exact_mis(graph: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> MisResult:
-    """Exact maximum independent set with a lexicographically smallest
-    witness.  Refuses graphs larger than node_limit."""
+def _whole_graph_engine(graph: Graph, node_limit: int) -> _MisEngine:
+    """Refuse a graph above node_limit before any work, then validate it
+    and build its engine."""
     check_node_limit(node_limit)
     n = len(graph)
     if n > node_limit:
         raise OracleRefusal(
             f"graph has {n} vertices, above the exact-search limit {node_limit}"
         )
-    engine = _MisEngine(_adjacency_masks(graph))
-    full = (1 << n) - 1
+    return _MisEngine(_adjacency_masks(graph))
+
+
+def exact_mis(graph: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> MisResult:
+    """Exact maximum independent set with a lexicographically smallest
+    witness.  Refuses graphs larger than node_limit."""
+    engine = _whole_graph_engine(graph, node_limit)
+    full = (1 << len(graph)) - 1
     opt = engine.size(full)
     return MisResult(size=opt, witness=engine.witness(full, opt))
 
@@ -179,7 +185,11 @@ def independent_kissing_number(
     Refuses if any neighborhood exceeds node_limit.
     """
     check_node_limit(node_limit)
-    engine = _MisEngine(_adjacency_masks(graph))
+    return _kissing_number(_MisEngine(_adjacency_masks(graph)), node_limit)
+
+
+def _kissing_number(engine: _MisEngine, node_limit: int) -> IknResult:
+    """independent_kissing_number on an engine built for the whole graph."""
     best = IknResult(zeta=0, witness_center=None, witness_set=())
     for v, nbrs in enumerate(engine.adj):
         degree = nbrs.bit_count()
@@ -202,14 +212,17 @@ def verify_ratio(
 
     bound_satisfied checks opt <= max(zeta, 1) * alg; the floor at 1
     covers conflict-free instances, where any greedy run is optimal.
+    Refuses as exact_mis does, then validates the graph once and answers
+    both the optimum and the kissing number on one engine.
     """
     graph = stream.adjacency()
-    mis = exact_mis(graph, node_limit)
-    ikn = independent_kissing_number(graph, node_limit)
-    ratio = empirical_ratio(mis.size, run.size)
-    bound = mis.size <= max(ikn.zeta, 1) * run.size
+    engine = _whole_graph_engine(graph, node_limit)
+    opt = engine.size((1 << len(graph)) - 1)
+    ikn = _kissing_number(engine, node_limit)
+    ratio = empirical_ratio(opt, run.size)
+    bound = opt <= max(ikn.zeta, 1) * run.size
     return RatioReport(
-        opt_size=mis.size,
+        opt_size=opt,
         alg_size=run.size,
         ratio=ratio,
         zeta=ikn.zeta,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import geomis.cli as cli
 from geomis import FirstFit, load_instance, run_online
 from geomis.cli import cli_dispatch
 
@@ -155,6 +156,64 @@ def test_lattice_closest_rejects_counts_below_one(flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+def _start_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+@pytest.fixture
+def lattice_work_stubbed(monkeypatch):
+    """Each lattice self-check's first piece of work raises _WorkStarted."""
+    for name in ("min_pairwise_distance", "closest_lattice_point", "mc_volume_fraction"):
+        monkeypatch.setattr(cli, name, _start_work)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--check", "mindist"],
+    ["--check", "closest"],
+    ["--check", "volume"],
+    ["--check", "volume", "--dim", "3", "--samples", "200000", "--seed", "1"],
+])
+def test_lattice_work_limits_admit_defaults_and_readme(argv, lattice_work_stubbed):
+    with pytest.raises(_WorkStarted):
+        cli_dispatch(["lattice", *argv])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--check", "mindist", "--dim", "12", "--window", "3"],
+     "mindist lattice differences: 13 x 13^11 exceeds the limit 1000000"),
+    (["--check", "mindist", "--window", "1000000"],
+     "mindist lattice differences: 4000001 x 4000001^2 exceeds the limit 1000000"),
+    (["--check", "closest", "--window", "1000000"],
+     "closest window points scanned: 10000 x 2000001^3 exceeds the limit 10000000"),
+    (["--check", "closest", "--dim", "1000000000000"],
+     "closest window points scanned: 10000 x 7^1000000000000 exceeds the limit 10000000"),
+    (["--check", "volume", "--dim", "1000000000000"],
+     "volume sample coordinates: 10000 x 1000000000000 exceeds the limit 4000000"),
+    (["--check", "volume", "--samples", "2000000"],
+     "volume sample coordinates: 2000000 x 3 exceeds the limit 4000000"),
+])
+def test_lattice_refuses_oversized_work_before_starting(
+    argv, message, lattice_work_stubbed, capsys
+):
+    assert cli_dispatch(["lattice", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {message}\n"
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["--check", "mindist", "--window", "0", "--dim", "1000000000000"], "window", 0),
+    (["--check", "volume", "--samples", "0", "--dim", "1000000000000"], "samples", 0),
+])
+def test_lattice_rejects_counts_below_one_before_sizing_work(argv, flag, value, capsys):
+    assert cli_dispatch(["lattice", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
 
 
 def test_lattice_volume_check(capsys):

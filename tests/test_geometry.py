@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomis import (
+    AdversaryConfig,
     Ball,
     HyperRectangle,
     Point,
@@ -13,6 +14,7 @@ from geomis import (
     UsageError,
     balls_intersect,
     distance,
+    generate_instance,
     intersection_graph,
     objects_intersect,
     rects_intersect,
@@ -169,14 +171,35 @@ def _random_shapes(rng, balls, n, dim, offset):
     return objs
 
 
+def assert_matches_pairwise(objs):
+    """The grid join equals the all-pairs scan, down to the iteration
+    order of every adjacency set."""
+    adj = intersection_graph(objs)
+    ref = pairwise_intersection_graph(objs)
+    assert adj == ref
+    assert [list(s) for s in adj] == [list(s) for s in ref]
+    return adj
+
+
 def test_intersection_graph_matches_pairwise_predicate():
     rng = random.Random(7)
-    for dim in (1, 2, 3):
-        for offset in (0.0, -1e6, 1e6):
+    for dim in (1, 2, 3, 4, 5, 6):
+        for offset in (0.0, -1e6, 1e6, -1e15, 1e15):
             for balls in (True, False):
                 for _ in range(4):
                     objs = _random_shapes(rng, balls, rng.randrange(0, 40), dim, offset)
-                    assert intersection_graph(objs) == pairwise_intersection_graph(objs)
+                    assert_matches_pairwise(objs)
+
+
+@pytest.mark.parametrize(
+    "kind, n, dim, box_side",
+    [("random_rects", 1000, 2, 100.0), ("random_balls", 2000, 3, 30.0)],
+)
+def test_intersection_graph_matches_pairwise_on_workload_shapes(kind, n, dim, box_side):
+    config = AdversaryConfig(kind=kind, n=n, dim=dim, m=8.0, box_side=box_side, seed=5)
+    stream = generate_instance(config)
+    adj = assert_matches_pairwise([ev.payload for ev in stream.events])
+    assert sum(map(len, adj)) > n
 
 
 def test_intersection_graph_rejects_mixed_kinds_far_apart():
@@ -203,7 +226,7 @@ def test_intersection_graph_tangent_chains_across_cells():
         for k in range(n)
     ]
     assert intersection_graph(boxes) == path
-    assert intersection_graph(balls[:40]) == pairwise_intersection_graph(balls[:40])
+    assert_matches_pairwise(balls[:40])
 
 
 def _dyadic(lo: int, hi: int):
@@ -212,10 +235,11 @@ def _dyadic(lo: int, hi: int):
 
 @st.composite
 def shape_lists(draw):
-    """Balls or boxes in d = 1..3 on a 1/8 grid, so that tangent pairs
-    are exact, shifted by an offset of 0 or about +-1e6."""
-    dim = draw(st.integers(1, 3))
-    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e6 + 0.375]))
+    """Balls or boxes in d = 1..6 on a 1/8 grid, so that tangent pairs
+    are exact, shifted by an offset of 0, about +-1e6 or +-1e15 (where
+    1/8 is one ulp)."""
+    dim = draw(st.integers(1, 6))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e6 + 0.375, 1e15, -1e15]))
     balls = draw(st.booleans())
     n = draw(st.integers(0, 30))
     objs = []
@@ -245,7 +269,7 @@ def shape_lists(draw):
 @given(objs=shape_lists())
 @settings(max_examples=150, deadline=None)
 def test_intersection_graph_equals_pairwise_reference(objs):
-    assert intersection_graph(objs) == pairwise_intersection_graph(objs)
+    assert_matches_pairwise(objs)
 
 
 def test_intersection_graph_in_high_dimension():
@@ -260,7 +284,6 @@ def test_intersection_graph_in_high_dimension():
         center = [rng.uniform(0.0, 0.3) for _ in range(dim)]
         center[rng.randrange(3)] = rng.uniform(0.0, 9.0)
         balls.append(SizedObject(Ball(Point(tuple(center)), rng.uniform(0.5, 1.5))))
-    adj = intersection_graph(balls)
-    assert adj == pairwise_intersection_graph(balls)
+    adj = assert_matches_pairwise(balls)
     edges = sum(map(len, adj)) // 2
     assert 0 < edges < n * (n - 1) // 2

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geomis.oracle as oracle_module
 from geomis import (
     ArrivalSequence,
     FirstFit,
     OracleRefusal,
     UsageError,
+    empirical_ratio,
     exact_mis,
     independent_kissing_number,
     random_balls_gen,
@@ -197,8 +199,36 @@ def test_verify_ratio_edgeless_stream():
 
 def test_verify_ratio_refusal_propagates():
     stream = ArrivalSequence.from_neighbor_lists([[] for _ in range(45)])
-    with pytest.raises(OracleRefusal):
+    with pytest.raises(
+        OracleRefusal, match="^graph has 45 vertices, above the exact-search limit 40$"
+    ):
         verify_ratio(stream, run_online(FirstFit(), stream))
+
+
+def test_verify_ratio_answers_both_oracles_on_one_engine(monkeypatch):
+    built = []
+
+    class CountingEngine(oracle_module._MisEngine):
+        def __init__(self, adj):
+            built.append(len(adj))
+            super().__init__(adj)
+
+    monkeypatch.setattr(oracle_module, "_MisEngine", CountingEngine)
+    rng = random.Random(2027)
+    for _ in range(40):
+        stream = gnp_stream(rng.randrange(1, 30), rng.choice([0.1, 0.3, 0.6]), rng)
+        run = run_online(FirstFit(), stream)
+        graph = stream.adjacency()
+        mis = exact_mis(graph)
+        zeta = independent_kissing_number(graph).zeta
+        built.clear()
+        report = verify_ratio(stream, run)
+        assert built == [len(graph)]
+        assert report.opt_size == mis.size
+        assert report.alg_size == run.size
+        assert report.ratio == empirical_ratio(mis.size, run.size)
+        assert report.zeta == zeta
+        assert report.bound_satisfied == (mis.size <= max(zeta, 1) * run.size)
 
 
 def test_verify_ratio_randomized_streams_hold_bound():

@@ -26,11 +26,30 @@ def test_readme_quick_start_prints_what_its_comments_say():
     assert out.getvalue().splitlines() == expected
 
 
-def test_importing_the_cli_does_not_load_numpy():
+NUMPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
+
+
+def test_importing_the_cli_does_not_load_numpy(tmp_path):
     src = str(Path(geomis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, geomis.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    code = f"import sys, geomis.cli; print({NUMPY_MODULES})"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+    # Generating random instances and building their graphs stays numpy-free too.
+    code = f"""
+import sys
+from geomis.cli import cli_dispatch
+for kind in ("random_rects", "random_balls"):
+    path = {str(tmp_path)!r} + "/" + kind + ".gis"
+    assert cli_dispatch(["gen", "--kind", kind, "--n", "200", "--dim", "3",
+                         "--box-side", "20", "--seed", "5", "--out", path]) == 0
+    assert cli_dispatch(["run", "--alg", "firstfit", "--in", path]) == 0
+print({NUMPY_MODULES})
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.count("valid_independent true") == 2
+    assert done.stdout.splitlines()[-1] == "[]"
