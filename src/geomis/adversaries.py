@@ -31,12 +31,18 @@ from .online import (
     RunResult,
     finalize_run,
 )
+from .oracle import OracleRefusal
 
 # Generated instances keep every intersection predicate at least this
 # far from flipping, so closed-contact ties never occur.
 DEGENERACY_MARGIN = 1e-6
 
 _REDRAW_LIMIT = 1000
+
+# The largest zeta a levels instance may have.  Each of its 2*zeta
+# vertices lists every ancestor, about zeta^2 neighbour entries in all,
+# so a config past this is refused before anything is built.
+LEVELS_ZETA_LIMIT = 1000
 
 GENERATOR_KINDS = ("star", "levels", "random_balls", "random_rects")
 
@@ -259,7 +265,8 @@ class AdversaryConfig:
     """Declarative instance source, usable from config files.
 
     kind is one of GENERATOR_KINDS.  Unused fields may stay at their
-    defaults.
+    defaults.  A levels config with zeta above LEVELS_ZETA_LIMIT raises
+    OracleRefusal, so gen and experiment refuse it with exit 2.
     """
 
     kind: str
@@ -286,6 +293,10 @@ class AdversaryConfig:
         for value in self.radius_range:
             require_type("generator radius_range entry", value, float)
         object.__setattr__(self, "radius_range", tuple(self.radius_range))
+        if self.kind == "levels" and self.zeta > LEVELS_ZETA_LIMIT:
+            raise OracleRefusal(
+                f"levels zeta {self.zeta} exceeds the limit {LEVELS_ZETA_LIMIT}"
+            )
 
 
 def generate_instance(config: AdversaryConfig) -> ArrivalSequence:

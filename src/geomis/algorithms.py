@@ -6,9 +6,13 @@ lattice point), so keeping the first ball per lattice cell is greedy
 acceptance on the filtered subsequence.  Each ball survives with
 probability vol(unit ball) / ((4+delta) * (2*sqrt(3))^(d-1)), giving an
 expected acceptance of at least that fraction of the offline optimum;
-at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision rounds one
-arrival with lattice.parity_rounded_point; the filter has no batch
-path, so its accepted set under any shift comes from run_online.
+at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision first runs
+lattice.cross_axes_within_one, which rejects an arrival that one axis
+2..d alone keeps farther than 1 from the lattice, about two thirds of
+them at d=3; that axis's term is in the full squared distance too, so
+the early return is exact.  Only the rest are rounded, with
+lattice.parity_rounded_point.  The filter has no batch path, so its
+accepted set under any shift comes from run_online.
 
 Classify handles fat objects of bounded width spread: it draws one
 dyadic width class [2^j, 2^(j+1)) uniformly and plays greedy first-fit
@@ -29,7 +33,13 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .geometry import Ball, HyperRectangle, UsageError
-from .lattice import CoeffVector, LatticeParams, parity_rounded_point, unit_ball_volume
+from .lattice import (
+    CoeffVector,
+    LatticeParams,
+    cross_axes_within_one,
+    parity_rounded_point,
+    unit_ball_volume,
+)
 from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
 
 
@@ -112,6 +122,10 @@ class LatticeFilter:
                 rng.uniform(0.0, e) for e in self.params.shift_extents()
             )
         shifted = [x + b for x, b in zip(center, self._shift)]
+        # Most arrivals fail on one axis 2..d alone; each such term is
+        # also in the sum below, so this return changes no decision.
+        if not cross_axes_within_one(shifted):
+            return False
         # The one-shot rounding finds the covering lattice point whenever
         # one exists within distance 1, so this equals the coverage test.
         coords, coeffs = parity_rounded_point(self.params, shifted)

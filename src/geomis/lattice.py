@@ -26,10 +26,14 @@ globally nearest point, so closest-point queries additionally scan the
 constant-size candidate window that the rounded distance bounds.
 
 The rounding has one scalar core, parity_rounded_point, which works on
-plain coordinates and builds no Point, so LatticeFilter can call it
-once per arrival; its axis-1 step is also the one closest-point
-queries use for every candidate.  coverage_cells is the same rounding
-over a numpy batch, and the tests check each against the other.  Only
+plain coordinates and builds no Point; its axis-1 step is also the one
+closest-point queries use for every candidate.  Axes 2..d snap on
+their own (_cross_coeff), so cross_axes_within_one can reject a query
+on one of them before axis 1 is rounded; it computes the very float
+terms that the squared distance to the rounded point sums, so it
+rejects only uncovered queries, and LatticeFilter rounds only the
+rest.  coverage_cells is the same rounding over a numpy batch, and the
+tests check each against the other.  Only
 coverage_cells and the self-checks min_pairwise_distance and
 mc_volume_fraction use numpy, and they import it when called, so
 importing the package does not load it.
@@ -47,12 +51,17 @@ from .geometry import Point, UsageError, distance
 
 SQRT3 = math.sqrt(3.0)
 
+# The largest stretch LatticeParams accepts.  delta is meant to be small;
+# larger values only thin the lattice out, and huge ones overflow floats.
+MAX_DELTA = 1.0
+
 CoeffVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Dimension and stretch of the lattice; delta must be positive."""
+    """Dimension and stretch of the lattice; delta must lie in
+    (0, MAX_DELTA]."""
 
     dim: int
     delta: float = 0.01
@@ -60,9 +69,10 @@ class LatticeParams:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise UsageError(f"lattice dimension must be >= 2, got {self.dim}")
+        # Compared before the float conversion, which overflows on huge ints.
+        if not 0.0 < self.delta <= MAX_DELTA:
+            raise UsageError(f"delta must be in (0, {MAX_DELTA}], got {self.delta}")
         object.__setattr__(self, "delta", float(self.delta))
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise UsageError(f"delta must be > 0, got {self.delta}")
 
     @cached_property
     def axis1_unit(self) -> float:
@@ -138,11 +148,32 @@ def parity_rounded_point(
         raise UsageError(
             f"query dim {len(rest) + 1} does not match lattice dim {params.dim}"
         )
-    # ceil(z / 2) for z = floor(x / sqrt(3)): the nearest even multiple
-    # of sqrt(3), rounding up from the odd midpoint.
-    coeffs = [(math.floor(x / SQRT3) + 1) // 2 for x in rest]
+    coeffs = [_cross_coeff(x) for x in rest]
     a1 = _axis1_coeff(params, x0, sum(coeffs))
     return _coords(params, a1, coeffs), (a1, *coeffs)
+
+
+def _cross_coeff(x: float) -> int:
+    """Coefficient of the even multiple of sqrt(3) nearest x on an axis
+    2..d: ceil(z / 2) for z = floor(x / sqrt(3)), rounding up from the
+    odd midpoint."""
+    return (math.floor(x / SQRT3) + 1) // 2
+
+
+def cross_axes_within_one(c: Sequence[float]) -> bool:
+    """False as soon as one axis 2..d alone puts c farther than 1 from
+    its parity-rounded point, whose axes 2..d do not depend on delta.
+
+    Each term is the very float that the squared distance to that point
+    sums, and rounded addition of non-negative floats never falls below
+    a term, so False means the distance is above 1 and, since the
+    rounding finds any covering lattice point, that c is not covered.
+    True decides nothing: axis 1 is not looked at.
+    """
+    for x in c[1:]:
+        if (2.0 * SQRT3 * _cross_coeff(x) - x) ** 2 > 1.0:
+            return False
+    return True
 
 
 def _axis1_coeff(params: LatticeParams, x0: float, rest_sum: int) -> int:

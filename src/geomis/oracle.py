@@ -24,7 +24,9 @@ Graph = Sequence[AbstractSet[int]]
 
 
 class OracleRefusal(RuntimeError):
-    """Raised when an instance exceeds the oracle's hard size limit."""
+    """Raised when requested work exceeds a hard size limit: the
+    oracle's node limit, a lattice self-check's work cap or the levels
+    generator's zeta limit."""
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from geomis import (
     run_online,
     star_adversary,
 )
+from geomis.adversaries import LEVELS_ZETA_LIMIT
+from geomis.oracle import OracleRefusal
 
 from conftest import (
     RejectAll,
@@ -206,3 +208,12 @@ def test_random_balls_in_high_dimension_match_reference():
         {j for j in adj[i] if j < i} for i in range(n)
     ]
     assert 0 < sum(map(len, adj)) // 2 < n * (n - 1) // 2
+
+
+def test_levels_config_refuses_zeta_above_the_limit():
+    assert LEVELS_ZETA_LIMIT == 1000
+    assert AdversaryConfig(kind="levels", zeta=LEVELS_ZETA_LIMIT).zeta == 1000
+    with pytest.raises(OracleRefusal, match="levels zeta 1001 exceeds the limit 1000"):
+        AdversaryConfig(kind="levels", zeta=LEVELS_ZETA_LIMIT + 1)
+    # The star adversary's instance grows linearly, so the limit is not its.
+    assert AdversaryConfig(kind="star", zeta=LEVELS_ZETA_LIMIT + 1).zeta == 1001

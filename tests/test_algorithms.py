@@ -25,7 +25,9 @@ from geomis import (
     run_online,
     width_class_index,
 )
+import geomis.algorithms
 from geomis.algorithms import make_algorithm
+from geomis.lattice import cross_axes_within_one
 from geomis.online import ArrivalEvent
 
 from conftest import ReferenceLatticeFilter, lattice_params, lattice_queries
@@ -381,6 +383,30 @@ def test_filter_builds_no_point_per_arrival(monkeypatch):
     result = run_online(LatticeFilter(P3, seed=4), stream)
     assert result.size > 0
     assert built == []
+
+
+def test_filter_rounds_only_arrivals_that_pass_the_cross_axis_pretest(monkeypatch):
+    stream = random_unit_ball_stream(random.Random(3), 200, 12.0)
+    rounded = []
+    real = geomis.algorithms.parity_rounded_point
+
+    def counting(params, c):
+        rounded.append(list(c))
+        return real(params, c)
+
+    monkeypatch.setattr(geomis.algorithms, "parity_rounded_point", counting)
+    fast, ref = LatticeFilter(P3, seed=9), ReferenceLatticeFilter(P3, seed=9)
+    assert [fast.decide(ev) for ev in stream.events] == [
+        ref.decide(ev) for ev in stream.events
+    ]
+    assert fast.occupied == ref.occupied
+    assert fast.shift == ref.shift
+    shifted = [
+        [x + b for x, b in zip(ev.payload.shape.center.coords, fast.shift)]
+        for ev in stream.events
+    ]
+    assert rounded == [c for c in shifted if cross_axes_within_one(c)]
+    assert len(fast.occupied) <= len(rounded) < len(stream)
 
 
 def test_filter_acceptance_probability_closed_forms():

@@ -372,3 +372,71 @@ def test_malformed_config_exits_one_without_traceback(
 def test_help_exits_zero(capsys):
     assert cli_dispatch(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("command", ["run", "experiment-serial", "experiment-pooled",
+                                     "closest", "volume"])
+def test_delta_above_the_bound_exits_one_without_traceback(
+    tmp_path, capsys, monkeypatch, command
+):
+    instance = tmp_path / "balls.gis"
+    assert cli_dispatch(["gen", "--kind", "random_balls", "--n", "30", "--dim", "3",
+                         "--box-side", "8", "--seed", "1", "--out", str(instance)]) == 0
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", "--alg", "filter", "--in", str(instance), "--delta", "1e200",
+                "--seed", "1"]
+        delta = "1e+200"
+    elif command.startswith("experiment"):
+        monkeypatch.setenv("GEOMIS_THREADS", "1" if command.endswith("serial") else "2")
+        config = tmp_path / "huge_delta.json"
+        config.write_text(json.dumps({
+            "algorithm": "filter", "trials": 4, "base_seed": 42,
+            "instance_path": str(instance), "oracle": False, "delta": 1e308,
+        }))
+        argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "f.csv")]
+        delta = "1e+308"
+    elif command == "closest":
+        argv = ["lattice", "--check", "closest", "--delta", "1e200", "--samples", "10",
+                "--window", "1"]
+        delta = "1e+200"
+    else:
+        argv = ["lattice", "--check", "volume", "--delta", "1e308", "--samples", "1000"]
+        delta = "1e+308"
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: delta must be in (0, 1.0], got {delta}\n"
+
+
+@pytest.fixture
+def levels_work_stubbed(monkeypatch):
+    """Building a levels instance raises _WorkStarted."""
+    monkeypatch.setattr("geomis.adversaries.level_graph_gen", _start_work)
+
+
+@pytest.mark.parametrize("zeta", [1001, 100000000])
+def test_oversized_levels_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, levels_work_stubbed, zeta
+):
+    message = f"refused: levels zeta {zeta} exceeds the limit 1000\n"
+    out = tmp_path / "levels.gis"
+    assert cli_dispatch(["gen", "--kind", "levels", "--zeta", str(zeta), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert not out.exists()
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    config = tmp_path / "levels.json"
+    config.write_text(json.dumps({
+        "algorithm": "firstfit", "trials": 3, "base_seed": 1,
+        "generator": {"kind": "levels", "zeta": zeta, "seed": 2},
+    }))
+    assert cli_dispatch(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_levels_limit_admits_zeta_at_the_limit(tmp_path, levels_work_stubbed):
+    with pytest.raises(_WorkStarted):
+        cli_dispatch(["gen", "--kind", "levels", "--zeta", "1000",
+                      "--out", str(tmp_path / "levels.gis")])

@@ -20,6 +20,7 @@ from geomis import (
     parity_rounded_point,
     unit_ball_volume,
 )
+from geomis.lattice import MAX_DELTA, cross_axes_within_one
 
 from conftest import (
     SQRT3,
@@ -41,6 +42,13 @@ def test_params_validation():
         LatticeParams(dim=3, delta=0.0)
     with pytest.raises(UsageError):
         LatticeParams(dim=3, delta=-0.5)
+
+
+@pytest.mark.parametrize("delta", [math.nextafter(MAX_DELTA, 2.0), 1e200, 10**400, math.inf, math.nan])
+def test_params_reject_delta_above_the_bound(delta):
+    with pytest.raises(UsageError, match=r"delta must be in \(0, 1.0\]"):
+        LatticeParams(dim=3, delta=delta)
+    assert LatticeParams(dim=3, delta=MAX_DELTA).delta == 1.0
 
 
 def test_basis_matches_reference():
@@ -100,6 +108,31 @@ def test_parity_rounding_rejects_a_dimension_mismatch():
     for query in ([1.0, 2.0], Point((1.0, 2.0)), [1.0, 2.0, 3.0, 4.0]):
         with pytest.raises(UsageError):
             parity_rounded_point(P3, query)
+
+
+@given(data=st.data(), params=lattice_params)
+@settings(max_examples=400, deadline=None)
+def test_cross_axis_pretest_rejects_only_uncovered_queries(data, params):
+    q = data.draw(lattice_queries(params))
+    coords, _ = parity_rounded_point(params, q)
+    terms = [(p - x) ** 2 for p, x in zip(coords, q)]
+    passes = cross_axes_within_one(q)
+    assert passes == all(t <= 1.0 for t in terms[1:])
+    if not passes:
+        assert sum(terms) > 1.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_cross_axis_pretest_passes_at_distance_exactly_one(dim):
+    params = LatticeParams(dim=dim, delta=0.01)
+    base = lattice_point(params, (2,) + (0,) * (dim - 1)).coords
+    for axis in range(1, dim):
+        for gap in (1.0, -1.0):
+            q = list(base)
+            q[axis] += gap
+            assert cross_axes_within_one(q)
+            q[axis] = math.nextafter(gap, 2.0 * gap)
+            assert not cross_axes_within_one(q)
 
 
 def test_closest_beats_parity_rounding_here():

@@ -37,7 +37,8 @@ def test_importing_the_cli_does_not_load_numpy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
-    # Generating random instances and building their graphs stays numpy-free too.
+    # Generating random instances, building their graphs and filtering
+    # unit balls through the lattice stay numpy-free too.
     code = f"""
 import sys
 from geomis.cli import cli_dispatch
@@ -46,10 +47,12 @@ for kind in ("random_rects", "random_balls"):
     assert cli_dispatch(["gen", "--kind", kind, "--n", "200", "--dim", "3",
                          "--box-side", "20", "--seed", "5", "--out", path]) == 0
     assert cli_dispatch(["run", "--alg", "firstfit", "--in", path]) == 0
+assert cli_dispatch(["run", "--alg", "filter", "--in", path]) == 0
 print({NUMPY_MODULES})
 """
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.count("valid_independent true") == 2
+    assert done.stdout.count("valid_independent true") == 3
+    assert "algorithm filter" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
