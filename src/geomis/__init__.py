@@ -6,12 +6,10 @@ from .geometry import (
     Ball,
     HyperRectangle,
     Point,
-    SizedObject,
     UsageError,
     balls_intersect,
     distance,
     intersection_graph,
-    objects_intersect,
     rects_intersect,
 )
 from .lattice import (

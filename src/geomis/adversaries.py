@@ -19,7 +19,7 @@ from .geometry import (
     Ball,
     HyperRectangle,
     Point,
-    SizedObject,
+    Shape,
     UniformGrid,
     UsageError,
     require_type,
@@ -120,8 +120,7 @@ class _BallIndex:
         self.grid = UniformGrid(dim, 2.0 * max_radius + DEGENERACY_MARGIN, box_side)
         self.balls: list[Ball] = []
 
-    def clear(self, obj: SizedObject) -> bool:
-        a = obj.shape
+    def clear(self, a: Ball) -> bool:
         for j in self.grid.near(self.grid.cell(a.center.coords)):
             b = self.balls[j]
             gap = abs(math.dist(a.center.coords, b.center.coords) - (a.radius + b.radius))
@@ -129,9 +128,9 @@ class _BallIndex:
                 return False
         return True
 
-    def add(self, obj: SizedObject) -> None:
-        self.grid.add(self.grid.cell(obj.shape.center.coords), len(self.balls))
-        self.balls.append(obj.shape)
+    def add(self, ball: Ball) -> None:
+        self.grid.add(self.grid.cell(ball.center.coords), len(self.balls))
+        self.balls.append(ball)
 
 
 class _BoxEndpoints:
@@ -146,15 +145,13 @@ class _BoxEndpoints:
         self.los: list[list[float]] = [[] for _ in range(dim)]
         self.his: list[list[float]] = [[] for _ in range(dim)]
 
-    def clear(self, obj: SizedObject) -> bool:
-        box = obj.shape
+    def clear(self, box: HyperRectangle) -> bool:
         for al, au, los, his in zip(box.lo.coords, box.hi.coords, self.los, self.his):
             if _endpoint_near(his, al) or _endpoint_near(los, au):
                 return False
         return True
 
-    def add(self, obj: SizedObject) -> None:
-        box = obj.shape
+    def add(self, box: HyperRectangle) -> None:
         for l, u, los, his in zip(box.lo.coords, box.hi.coords, self.los, self.his):
             insort(los, l)
             insort(his, u)
@@ -173,9 +170,9 @@ def _endpoint_near(values: list[float], x: float) -> bool:
     return any(abs(x - v) < margin for v in values[start:stop])
 
 
-def _place(n: int, draw, index) -> list[SizedObject]:
+def _place(n: int, draw, index) -> list[Shape]:
     """Draw n objects in order, redrawing each until index finds it clear."""
-    objects: list[SizedObject] = []
+    objects: list[Shape] = []
     for _ in range(n):
         for _ in range(_REDRAW_LIMIT):
             obj = draw()
@@ -215,10 +212,10 @@ def random_balls_gen(
         raise UsageError(f"bad radius range {radius_range}")
     rng = random.Random(seed)
 
-    def draw() -> SizedObject:
+    def draw() -> Ball:
         center = Point(tuple(rng.uniform(0.0, box_side) for _ in range(dim)))
         radius = lo if lo == hi else rng.uniform(lo, hi)
-        return SizedObject(Ball(center=center, radius=radius))
+        return Ball(center=center, radius=radius)
 
     objects = _place(n, draw, _BallIndex(dim, hi, box_side))
     return ArrivalSequence.from_objects(objects)
@@ -250,11 +247,11 @@ def random_rects_gen(
         raise UsageError(f"M must be >= 1, got {m}")
     rng = random.Random(seed)
 
-    def draw() -> SizedObject:
+    def draw() -> HyperRectangle:
         lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
         sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
         hi = tuple(l + s for l, s in zip(lo, sides))
-        return SizedObject(HyperRectangle(lo=Point(lo), hi=Point(hi)))
+        return HyperRectangle(lo=Point(lo), hi=Point(hi))
 
     objects = _place(n, draw, _BoxEndpoints(dim))
     return ArrivalSequence.from_objects(objects)

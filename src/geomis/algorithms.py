@@ -41,6 +41,7 @@ from .lattice import (
     unit_ball_volume,
 )
 from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
+from .oracle import refuse_above
 
 
 def _floor_log2(x: float) -> int:
@@ -106,9 +107,9 @@ class LatticeFilter:
         return self._shift
 
     def decide(self, event: ArrivalEvent) -> bool:
-        if event.payload is None or not isinstance(event.payload.shape, Ball):
+        ball = event.payload
+        if not isinstance(ball, Ball):
             raise UsageError("LatticeFilter requires unit-ball payloads")
-        ball = event.payload.shape
         center = ball.center.coords
         if len(center) != self.params.dim:
             raise UsageError(
@@ -227,9 +228,9 @@ class HRClassify:
         return self.classes_per_axis**self.dim
 
     def decide(self, event: ArrivalEvent) -> bool:
-        if event.payload is None or not isinstance(event.payload.shape, HyperRectangle):
+        rect = event.payload
+        if not isinstance(rect, HyperRectangle):
             raise UsageError("HRClassify requires box payloads")
-        rect = event.payload.shape
         if rect.dim != self.dim:
             raise UsageError(f"box dim {rect.dim} does not match configured dim {self.dim}")
         sides = rect.sides
@@ -279,10 +280,11 @@ def make_algorithm(
     return HRClassify(m, _require_dim(name, dim), seed=seed, forced_classes=forced)
 
 
-def class_choices(name: str, dim: Optional[int], m: float) -> list[tuple[int, ...]]:
+def class_choices(name: str, dim: Optional[int], m: float, limit: int) -> list[tuple[int, ...]]:
     """Every class classify (one index) or hr_classify (one per axis)
-    can draw, in the order enumerate mode runs them."""
+    can draw, in the order enumerate mode runs them; refused with
+    OracleRefusal, before any is built, when there are more than limit."""
     k = class_count(m)
-    if name == "classify":
-        return [(j,) for j in range(k)]
-    return list(product(range(k), repeat=_require_dim(name, dim)))
+    axes = 1 if name == "classify" else _require_dim(name, dim)
+    refuse_above(limit, f"{name} enumerate classes", 1, k, axes)
+    return list(product(range(k), repeat=axes))

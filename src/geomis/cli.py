@@ -39,6 +39,7 @@ from .oracle import (
     OracleRefusal,
     exact_mis,
     independent_kissing_number,
+    refuse_above,
     verify_ratio,
 )
 
@@ -196,21 +197,12 @@ def _require_positive(name: str, value: int) -> None:
         raise UsageError(f"{name} must be >= 1, got {value}")
 
 
-def _refuse_above(limit: int, what: str, count: int, base: int, exponent: int = 1) -> None:
-    """Refuse work on count * base**exponent items above limit, for
-    count >= 1 and base >= 2.  The exponent is clipped where the power
-    already passes limit, so that no huge power is ever computed."""
-    if count * base ** min(exponent, limit.bit_length()) > limit:
-        power = f"{base}^{exponent}" if exponent > 1 else str(base)
-        raise OracleRefusal(f"{what}: {count} x {power} exceeds the limit {limit}")
-
-
 def _cmd_lattice(args: argparse.Namespace) -> int:
     params = LatticeParams(dim=args.dim, delta=args.delta)
     if args.check == "mindist":
         _require_positive("window", args.window)
         side = 4 * args.window + 1
-        _refuse_above(
+        refuse_above(
             MINDIST_DIFFERENCE_LIMIT, "mindist lattice differences", side, side, params.dim - 1
         )
         value = min_pairwise_distance(params, window=args.window)
@@ -220,7 +212,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     if args.check == "closest":
         _require_positive("samples", args.samples)
         _require_positive("window", args.window)
-        _refuse_above(
+        refuse_above(
             CLOSEST_POINT_LIMIT, "closest window points scanned",
             args.samples, 2 * args.window + 1, params.dim,
         )
@@ -242,7 +234,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print("pass" if ok else "FAIL")
         return 0 if ok else 2
     _require_positive("samples", args.samples)
-    _refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", args.samples, params.dim)
+    refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", args.samples, params.dim)
     rng = random.Random(args.seed)
     origin = Point(tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim)))
     period_volume = math.prod(params.shift_extents())

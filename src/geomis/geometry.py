@@ -2,8 +2,10 @@
 
 Points, closed balls, and axis-aligned boxes in d dimensions, plus the
 closed-contact intersection predicates used to derive conflict graphs.
-Touching counts as intersecting; callers that need to avoid knife-edge
-cases keep their inputs away from exact tangency.
+A Shape, a ball or a box, is an arrival's whole payload; its width,
+the radius of the largest ball it encloses, is the size the algorithms
+classify by.  Touching counts as intersecting; callers that need to
+avoid knife-edge cases keep their inputs away from exact tangency.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ class Ball:
     def dim(self) -> int:
         return self.center.dim
 
+    @property
+    def width(self) -> float:
+        """Radius of the largest enclosed ball: the radius itself."""
+        return self.radius
+
 
 @dataclass(frozen=True)
 class HyperRectangle:
@@ -107,6 +114,11 @@ class HyperRectangle:
     def sides(self) -> tuple[float, ...]:
         return tuple(u - l for l, u in zip(self.lo.coords, self.hi.coords))
 
+    @property
+    def width(self) -> float:
+        """Radius of the largest enclosed ball: half the minimum side."""
+        return min(self.sides) / 2.0
+
 
 Shape = Union[Ball, HyperRectangle]
 
@@ -131,49 +143,6 @@ def rects_intersect(a: HyperRectangle, b: HyperRectangle) -> bool:
     """Closed-contact test: true iff the interval overlap holds on every axis."""
     _require_same_dim(a, b)
     return _boxes_meet(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords)
-
-
-@dataclass(frozen=True)
-class SizedObject:
-    """A shape together with its size metadata.
-
-    width is the radius of the largest ball the shape encloses (ball:
-    its radius; box: half the minimum side).  alpha records how fat the
-    shape is: width divided by the radius of the smallest enclosing
-    ball (1 for balls, min side / diameter for boxes).
-    """
-
-    shape: Shape
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.shape, (Ball, HyperRectangle)):
-            raise UsageError(f"unsupported shape type {type(self.shape).__name__}")
-
-    @property
-    def dim(self) -> int:
-        return self.shape.dim
-
-    @property
-    def width(self) -> float:
-        if isinstance(self.shape, Ball):
-            return self.shape.radius
-        return min(self.shape.sides) / 2.0
-
-    @property
-    def alpha(self) -> float:
-        if isinstance(self.shape, Ball):
-            return 1.0
-        sides = self.shape.sides
-        return min(sides) / math.hypot(*sides)
-
-
-def objects_intersect(a: SizedObject, b: SizedObject) -> bool:
-    """Intersection test for two sized objects of the same shape kind."""
-    if isinstance(a.shape, Ball) and isinstance(b.shape, Ball):
-        return balls_intersect(a.shape, b.shape)
-    if isinstance(a.shape, HyperRectangle) and isinstance(b.shape, HyperRectangle):
-        return rects_intersect(a.shape, b.shape)
-    raise UsageError("mixed ball/box intersection is not supported")
 
 
 class UniformGrid:
@@ -248,45 +217,47 @@ class UniformGrid:
         self._cells.setdefault(cell, []).append(item)
 
 
-def intersection_graph(objects: Sequence[SizedObject]) -> list[set[int]]:
+def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
     """Symmetric adjacency lists of the pairwise intersection graph.
 
-    All objects must share one dimension and one shape kind.  Vertex i
-    is objects[i]; an edge means the closed shapes meet.  This is a
-    cell-pair join: every object is bucketed once into a UniformGrid
-    keyed by ball centers (cell side twice the largest radius) or box
-    lower corners (cell side the largest box side), and each candidate
-    pair from UniformGrid.cell_pairs is decided on plain coordinates by
-    the same rule as balls_intersect or rects_intersect.  That takes
-    near-linear time when the objects have bounded size and bounded
-    density.  Each adjacency set is filled in ascending order, as a
-    pairwise scan over i < j would fill it, so set iteration order is
-    reproducible.
+    All objects must be balls or boxes, of one dimension and one shape
+    kind.  Vertex i is objects[i]; an edge means the closed shapes meet.
+    This is a cell-pair join: every object is bucketed once into a
+    UniformGrid keyed by ball centers (cell side twice the largest
+    radius) or box lower corners (cell side the largest box side), and
+    each candidate pair from UniformGrid.cell_pairs is decided on plain
+    coordinates by the same rule as balls_intersect or rects_intersect.
+    That takes near-linear time when the objects have bounded size and
+    bounded density.  Each adjacency set is filled in ascending order,
+    as a pairwise scan over i < j would fill it, so set iteration order
+    is reproducible.
     """
     n = len(objects)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     if n == 0:
         return adjacency
-    dim = objects[0].dim
-    of_balls = isinstance(objects[0].shape, Ball)
+    first = objects[0]
+    of_balls = isinstance(first, Ball)
     for i, obj in enumerate(objects):
-        if obj.dim != dim:
-            raise UsageError(f"object {i} has dim {obj.dim}, expected {dim}")
-        if isinstance(obj.shape, Ball) != of_balls:
+        if not isinstance(obj, (Ball, HyperRectangle)):
+            raise UsageError(f"unsupported shape type {type(obj).__name__}")
+        if obj.dim != first.dim:
+            raise UsageError(f"object {i} has dim {obj.dim}, expected {first.dim}")
+        if isinstance(obj, Ball) != of_balls:
             raise UsageError("mixed ball/box intersection is not supported")
     # meet(keys[i], extras[i], keys[j], extras[j]) decides the pair i, j.
     if of_balls:
-        keys = [obj.shape.center.coords for obj in objects]
-        extras = [obj.shape.radius for obj in objects]
+        keys = [obj.center.coords for obj in objects]
+        extras = [obj.radius for obj in objects]
         reach = 2.0 * max(extras)
         meet = _balls_meet
     else:
-        keys = [obj.shape.lo.coords for obj in objects]
-        extras = [obj.shape.hi.coords for obj in objects]
-        reach = max(max(obj.shape.sides) for obj in objects)
+        keys = [obj.lo.coords for obj in objects]
+        extras = [obj.hi.coords for obj in objects]
+        reach = max(max(obj.sides) for obj in objects)
         meet = _boxes_meet
     extent = max(abs(x) for key in keys for x in key)
-    grid = UniformGrid(dim, reach, extent)
+    grid = UniformGrid(first.dim, reach, extent)
     for i, key in enumerate(keys):
         grid.add(grid.cell(key), i)
     edges: list[tuple[int, int]] = []  # (j, i) with i < j

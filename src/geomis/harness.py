@@ -31,12 +31,17 @@ from .adversaries import AdversaryConfig, generate_instance, star_adversary
 from .algorithms import ALGORITHMS, class_choices, make_algorithm
 from .geometry import UsageError, require_type
 from .instances import load_instance
+from .lattice import check_delta
 from .online import ArrivalSequence, empirical_ratio, run_online
 from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, check_node_limit, exact_mis
 
 _MASK64 = (1 << 64) - 1
 
 CSV_COLUMNS = ("trial", "seed", "alg", "n", "alg_size", "opt_size", "ratio", "time_ms")
+
+# The most trials one experiment may run: a larger sampled count is
+# refused when the config is built, more enumerated classes before any.
+TRIAL_LIMIT = 10**6
 
 
 def derive_seed(base_seed: int, trial_index: int) -> int:
@@ -133,6 +138,8 @@ class ExperimentConfig:
             raise UsageError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
+        if self.algorithm == "filter":
+            check_delta(self.delta)
         if (self.instance_path is None) == (self.generator is None):
             raise UsageError("exactly one of instance_path or generator is required")
         if self.mode not in ("sample", "enumerate"):
@@ -141,6 +148,8 @@ class ExperimentConfig:
             raise UsageError("enumerate mode applies to classify / hr_classify only")
         if self.mode == "sample" and self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
+        if self.mode == "sample" and self.trials > TRIAL_LIMIT:
+            raise OracleRefusal(f"trials {self.trials} exceeds the limit {TRIAL_LIMIT}")
         if self.instance_per_trial and self.generator is None:
             raise UsageError("instance_per_trial requires a generator source")
 
@@ -314,7 +323,7 @@ def run_experiment(
     if config.mode == "enumerate":
         if stream is None:
             raise UsageError("enumerate mode needs a fixed instance")
-        classes = class_choices(config.algorithm, stream.dim, config.m)
+        classes = class_choices(config.algorithm, stream.dim, config.m, TRIAL_LIMIT)
     else:
         classes = [None] * config.trials
     jobs = list(enumerate(classes))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from .geometry import Ball, HyperRectangle, Point, SizedObject, UsageError
+from .geometry import Ball, HyperRectangle, Point, Shape, UsageError
 from .online import ArrivalSequence, RunResult
 
 MAGIC = "geomis-instance v1"
@@ -88,7 +88,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
         if dim < 1:
             raise InstanceFormatError(dim_no, f"dimension must be >= 1, got {dim}")
 
-    objects: list[SizedObject] = []
+    objects: list[Shape] = []
     neighbor_lists: list[frozenset[int]] = []
     kind: Optional[str] = None
     for line_no, line in lines[2:]:
@@ -144,9 +144,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
                     line_no, f"ball line needs {dim} coordinates plus a radius"
                 )
             try:
-                objects.append(
-                    SizedObject(Ball(center=Point(tuple(values[:dim])), radius=values[dim]))
-                )
+                objects.append(Ball(center=Point(tuple(values[:dim])), radius=values[dim]))
             except UsageError as exc:
                 raise InstanceFormatError(line_no, str(exc)) from None
         else:
@@ -157,9 +155,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
             lo = tuple(values[2 * i] for i in range(dim))
             hi = tuple(values[2 * i + 1] for i in range(dim))
             try:
-                objects.append(
-                    SizedObject(HyperRectangle(lo=Point(lo), hi=Point(hi)))
-                )
+                objects.append(HyperRectangle(lo=Point(lo), hi=Point(hi)))
             except UsageError as exc:
                 raise InstanceFormatError(line_no, str(exc)) from None
 
@@ -174,7 +170,7 @@ def _format_event_line(ev) -> str:
     if ev.payload is None:
         nbrs = ",".join(str(n) for n in sorted(ev.neighbors)) if ev.neighbors else "-"
         return f"vertex {ev.id} {nbrs}"
-    shape = ev.payload.shape
+    shape = ev.payload
     if isinstance(shape, Ball):
         coords = " ".join(repr(x) for x in shape.center.coords)
         return f"ball {coords} {shape.radius!r}"

@@ -58,6 +58,13 @@ MAX_DELTA = 1.0
 CoeffVector = tuple[int, ...]
 
 
+def check_delta(delta: float) -> None:
+    """Raise UsageError unless delta lies in (0, MAX_DELTA].  Compared
+    before any float conversion, which overflows on huge ints."""
+    if not 0.0 < delta <= MAX_DELTA:
+        raise UsageError(f"delta must be in (0, {MAX_DELTA}], got {delta}")
+
+
 @dataclass(frozen=True)
 class LatticeParams:
     """Dimension and stretch of the lattice; delta must lie in
@@ -69,9 +76,7 @@ class LatticeParams:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise UsageError(f"lattice dimension must be >= 2, got {self.dim}")
-        # Compared before the float conversion, which overflows on huge ints.
-        if not 0.0 < self.delta <= MAX_DELTA:
-            raise UsageError(f"delta must be in (0, {MAX_DELTA}], got {self.delta}")
+        check_delta(self.delta)
         object.__setattr__(self, "delta", float(self.delta))
 
     @cached_property

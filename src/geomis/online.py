@@ -3,7 +3,8 @@
 Vertices arrive one at a time; each arrival reveals its edges to the
 vertices already seen, and an algorithm must irrevocably accept or
 reject it before the next arrival.  The accepted set must stay
-independent in the revealed graph.
+independent in the revealed graph.  A geometric arrival's payload is
+the shape itself, a Ball or HyperRectangle that the algorithms read.
 """
 
 from __future__ import annotations
@@ -11,16 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol, Sequence
 
-from .geometry import SizedObject, UsageError, intersection_graph
+from .geometry import Shape, UsageError, intersection_graph
 
 
 @dataclass(frozen=True)
 class ArrivalEvent:
-    """One arrival: its id, edges to earlier ids, optional geometry."""
+    """One arrival: its id, edges to earlier ids, optional shape."""
 
     id: int
     neighbors: frozenset[int]
-    payload: Optional[SizedObject] = None
+    payload: Optional[Shape] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neighbors", frozenset(self.neighbors))
@@ -61,8 +62,9 @@ class ArrivalSequence:
             object.__setattr__(self, "dim", events[0].payload.dim)
 
     @classmethod
-    def from_objects(cls, objects: Sequence[SizedObject]) -> "ArrivalSequence":
-        """Arrival order = list order; edges derived from intersections."""
+    def from_objects(cls, objects: Sequence[Shape]) -> "ArrivalSequence":
+        """Arrival order = list order; each object is its own payload, and
+        edges come from intersection_graph, which rejects non-shapes."""
         adjacency = intersection_graph(objects)
         events = tuple(
             ArrivalEvent(

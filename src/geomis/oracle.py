@@ -25,8 +25,8 @@ Graph = Sequence[AbstractSet[int]]
 
 class OracleRefusal(RuntimeError):
     """Raised when requested work exceeds a hard size limit: the
-    oracle's node limit, a lattice self-check's work cap or the levels
-    generator's zeta limit."""
+    oracle's node limit, a lattice self-check's work cap, the levels
+    generator's zeta limit or an experiment's trial limit."""
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,15 @@ def check_node_limit(node_limit: int) -> None:
     """Reject a negative node_limit, which no graph could satisfy."""
     if node_limit < 0:
         raise UsageError(f"node_limit must be >= 0, got {node_limit}")
+
+
+def refuse_above(limit: int, what: str, count: int, base: int, exponent: int = 1) -> None:
+    """Refuse work on count * base**exponent items above limit, for
+    count >= 1 and base >= 2.  The exponent is clipped where the power
+    already passes limit, so that no huge power is ever computed."""
+    if count * base ** min(exponent, limit.bit_length()) > limit:
+        power = f"{base}^{exponent}" if exponent > 1 else str(base)
+        raise OracleRefusal(f"{what}: {count} x {power} exceeds the limit {limit}")
 
 
 def _whole_graph_engine(graph: Graph, node_limit: int) -> _MisEngine:

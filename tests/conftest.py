@@ -30,7 +30,6 @@ from geomis import (
     MisResult,
     OracleRefusal,
     Point,
-    SizedObject,
     TrialRecord,
     UsageError,
     class_count,
@@ -39,10 +38,10 @@ from geomis import (
     exact_mis,
     generate_instance,
     load_instance,
-    objects_intersect,
     run_online,
     star_adversary,
 )
+from geomis.geometry import Shape
 
 SQRT3 = math.sqrt(3.0)
 
@@ -307,22 +306,31 @@ def reference_independent_kissing_number(
     return best
 
 
-def pairwise_intersection_graph(objects: list[SizedObject]) -> list[set[int]]:
+def _closed_shapes_meet(a: Shape, b: Shape) -> bool:
+    """The closed-contact rules, written out apart from geomis.geometry."""
+    if isinstance(a, Ball):
+        return math.dist(a.center.coords, b.center.coords) <= a.radius + b.radius
+    return all(
+        al <= bu and bl <= au
+        for al, au, bl, bu in zip(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords)
+    )
+
+
+def pairwise_intersection_graph(objects: list[Shape]) -> list[set[int]]:
     """Intersection graph by the all-pairs scan over i < j."""
     n = len(objects)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if objects_intersect(objects[i], objects[j]):
+            if _closed_shapes_meet(objects[i], objects[j]):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return adjacency
 
 
-def _margin_ok(obj: SizedObject, others: list[SizedObject], margin: float) -> bool:
+def _margin_ok(a: Shape, others: list[Shape], margin: float) -> bool:
     """The generators' margin rule, checked against every accepted object."""
-    for other in others:
-        a, b = obj.shape, other.shape
+    for b in others:
         if isinstance(a, Ball):
             gap = abs(math.dist(a.center.coords, b.center.coords) - (a.radius + b.radius))
             if gap < margin:
@@ -334,8 +342,8 @@ def _margin_ok(obj: SizedObject, others: list[SizedObject], margin: float) -> bo
     return True
 
 
-def _draw_until_clear(draw, n: int, margin: float) -> list[SizedObject]:
-    accepted: list[SizedObject] = []
+def _draw_until_clear(draw, n: int, margin: float) -> list[Shape]:
+    accepted: list[Shape] = []
     for _ in range(n):
         for _ in range(1000):
             obj = draw()
@@ -350,30 +358,30 @@ def _draw_until_clear(draw, n: int, margin: float) -> list[SizedObject]:
 def reference_random_balls(
     n: int, dim: int, box_side: float, seed: int,
     radius_range: tuple[float, float] = (1.0, 1.0), margin: float = 1e-6,
-) -> list[SizedObject]:
+) -> list[Shape]:
     """random_balls_gen's objects, drawn from the same RNG calls."""
     rng = random.Random(seed)
     lo, hi = radius_range
 
-    def draw() -> SizedObject:
+    def draw() -> Shape:
         center = Point(tuple(rng.uniform(0.0, box_side) for _ in range(dim)))
         radius = lo if lo == hi else rng.uniform(lo, hi)
-        return SizedObject(Ball(center, radius))
+        return Ball(center, radius)
 
     return _draw_until_clear(draw, n, margin)
 
 
 def reference_random_rects(
     n: int, dim: int, m: float, box_side: float, seed: int, margin: float = 1e-6
-) -> list[SizedObject]:
+) -> list[Shape]:
     """random_rects_gen's objects, drawn from the same RNG calls."""
     rng = random.Random(seed)
 
-    def draw() -> SizedObject:
+    def draw() -> Shape:
         lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
         sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
         hi = tuple(l + s for l, s in zip(lo, sides))
-        return SizedObject(HyperRectangle(Point(lo), Point(hi)))
+        return HyperRectangle(Point(lo), Point(hi))
 
     return _draw_until_clear(draw, n, margin)
 
@@ -495,7 +503,7 @@ class ReferenceLatticeFilter(LatticeFilter):
     rounding; the shift is drawn exactly as LatticeFilter draws it."""
 
     def decide(self, event) -> bool:
-        ball = event.payload.shape
+        ball = event.payload
         if not isinstance(ball, Ball) or ball.radius != 1.0 or ball.dim != self.params.dim:
             raise UsageError("reference filter needs unit balls of the lattice dimension")
         if self._shift is None:

@@ -21,7 +21,6 @@ from geomis import (
     HyperRectangle,
     LatticeParams,
     Point,
-    SizedObject,
     balls_intersect,
     class_count,
     closest_lattice_point,
@@ -178,7 +177,7 @@ def test_criterion_07_filter_acceptance_frequency():
     for i in range(0, 300):
         alg = LatticeFilter(P3, shift=tuple(shifts[i]))
         stream = ArrivalSequence.from_objects(
-            [SizedObject(Ball(Point(tuple(centers[i])), 1.0))]
+            [Ball(Point(tuple(centers[i])), 1.0)]
         )
         assert run_online(alg, stream).size == int(covered[i])
 
@@ -206,7 +205,7 @@ def test_criterion_08_filter_clique_law():
                 if a < b and tuple(cells[a]) != tuple(cells[b]):
                     assert not balls_intersect(balls[a], balls[b])
         # the online filter keeps exactly the first ball of each cluster
-        stream = ArrivalSequence.from_objects([SizedObject(b) for b in balls])
+        stream = ArrivalSequence.from_objects(balls)
         result = run_online(LatticeFilter(P3, shift=tuple(shift)), stream)
         assert sorted(result.accepted) == sorted(min(m) for m in clusters.values())
 
@@ -284,7 +283,7 @@ def test_criterion_11_hyper_rectangle_classes():
             Point((50.0, 50.0)),
             Point((50.0 + center_sides[0], 50.0 + center_sides[1])),
         )
-        objs = [SizedObject(center)]
+        objs = [center]
         for _ in range(19):
             sides = tuple(rng.uniform(lo_w[k], hi_w[k]) for k in range(2))
             lo = tuple(
@@ -294,7 +293,7 @@ def test_criterion_11_hyper_rectangle_classes():
             rect = HyperRectangle(
                 Point(lo), Point((lo[0] + sides[0], lo[1] + sides[1]))
             )
-            objs.append(SizedObject(rect))
+            objs.append(rect)
         adj = intersection_graph(objs)
         for v, nbrs in enumerate(adj):
             if len(nbrs) >= 17:

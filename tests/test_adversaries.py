@@ -97,14 +97,14 @@ def test_random_balls_properties():
     assert len(stream) == 25
     assert stream.dim == 3
     for ev in stream.events:
-        ball = ev.payload.shape
+        ball = ev.payload
         assert ball.radius == 1.0
         assert all(0.0 <= x <= 10.0 for x in ball.center.coords)
     # no near-tangent pair
     for i, ei in enumerate(stream.events):
         for ej in stream.events[:i]:
-            d = math.dist(tuple(ei.payload.shape.center), tuple(ej.payload.shape.center))
-            gap = d - (ei.payload.shape.radius + ej.payload.shape.radius)
+            d = math.dist(tuple(ei.payload.center), tuple(ej.payload.center))
+            gap = d - (ei.payload.radius + ej.payload.radius)
             assert abs(gap) > 1e-6
     assert random_balls_gen(25, dim=3, box_side=10.0, seed=7) == stream
     assert random_balls_gen(25, dim=3, box_side=10.0, seed=8) != stream
@@ -112,7 +112,7 @@ def test_random_balls_properties():
 
 def test_random_balls_radius_range():
     stream = random_balls_gen(15, dim=2, box_side=30.0, seed=3, radius_range=(1.0, 8.0))
-    radii = [ev.payload.shape.radius for ev in stream.events]
+    radii = [ev.payload.radius for ev in stream.events]
     assert all(1.0 <= r <= 8.0 for r in radii)
     assert max(radii) > min(radii)
     with pytest.raises(UsageError):
@@ -125,7 +125,7 @@ def test_random_rects_properties():
     stream = random_rects_gen(20, dim=2, m=5.0, box_side=25.0, seed=11)
     assert len(stream) == 20
     for ev in stream.events:
-        for s in ev.payload.shape.sides:
+        for s in ev.payload.sides:
             assert 1.0 <= s <= 5.0
     assert random_rects_gen(20, dim=2, m=5.0, box_side=25.0, seed=11) == stream
 

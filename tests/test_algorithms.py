@@ -16,7 +16,6 @@ from geomis import (
     LatticeFilter,
     LatticeParams,
     Point,
-    SizedObject,
     UsageError,
     class_count,
     filter_acceptance_probability,
@@ -36,7 +35,7 @@ P3 = LatticeParams(dim=3, delta=0.01)
 
 
 def unit_ball_stream(centers):
-    objs = [SizedObject(Ball(Point(tuple(c)), 1.0)) for c in centers]
+    objs = [Ball(Point(tuple(c)), 1.0) for c in centers]
     return ArrivalSequence.from_objects(objs)
 
 
@@ -47,7 +46,7 @@ def random_unit_ball_stream(rng, n, box_side, dim=3):
 
 def rect_stream(rect_bounds):
     objs = [
-        SizedObject(HyperRectangle(Point(tuple(lo)), Point(tuple(hi))))
+        HyperRectangle(Point(tuple(lo)), Point(tuple(hi)))
         for lo, hi in rect_bounds
     ]
     return ArrivalSequence.from_objects(objs)
@@ -92,9 +91,9 @@ def test_every_width_in_exactly_one_class():
 def test_classify_forced_class_hand_run():
     # widths 1.5, 3.0, 2.5; the two class-1 objects are disjoint.
     objs = [
-        SizedObject(Ball(Point((0.0, 0.0)), 1.5)),
-        SizedObject(Ball(Point((20.0, 0.0)), 3.0)),
-        SizedObject(Ball(Point((40.0, 0.0)), 2.5)),
+        Ball(Point((0.0, 0.0)), 1.5),
+        Ball(Point((20.0, 0.0)), 3.0),
+        Ball(Point((40.0, 0.0)), 2.5),
     ]
     stream = ArrivalSequence.from_objects(objs)
     result = run_online(Classify(8.0, forced_class=1), stream)
@@ -106,11 +105,9 @@ def test_classify_equals_first_fit_on_chosen_class():
     for _ in range(15):
         n = rng.randrange(1, 30)
         objs = [
-            SizedObject(
-                Ball(
-                    Point((rng.uniform(0, 25), rng.uniform(0, 25))),
-                    rng.uniform(1.0, 8.0),
-                )
+            Ball(
+                Point((rng.uniform(0, 25), rng.uniform(0, 25))),
+                rng.uniform(1.0, 8.0),
             )
             for _ in range(n)
         ]
@@ -133,10 +130,10 @@ def test_classify_equals_first_fit_on_chosen_class():
 def test_classify_width_out_of_range():
     stream = unit_ball_stream([(0.0, 0.0, 0.0)])  # width 1 ok
     run_online(Classify(8.0, forced_class=0), stream)
-    low = ArrivalSequence.from_objects([SizedObject(Ball(Point((0.0,)), 0.5))])
+    low = ArrivalSequence.from_objects([Ball(Point((0.0,)), 0.5)])
     with pytest.raises(UsageError):
         run_online(Classify(8.0, forced_class=0), low)
-    high = ArrivalSequence.from_objects([SizedObject(Ball(Point((0.0,)), 9.0))])
+    high = ArrivalSequence.from_objects([Ball(Point((0.0,)), 9.0)])
     with pytest.raises(UsageError):
         run_online(Classify(8.0, forced_class=0), high)
 
@@ -156,7 +153,7 @@ def test_classify_forced_class_bounds():
 def test_classify_seeded_class_draw_uniform():
     counts = [0, 0, 0, 0]
     dummy = ArrivalSequence.from_objects(
-        [SizedObject(Ball(Point((0.0,)), 1.0))]
+        [Ball(Point((0.0,)), 1.0)]
     )
     for seed in range(2000):
         alg = Classify(8.0, seed=seed)
@@ -208,7 +205,7 @@ def test_hr_classify_equals_first_fit_on_chosen_class():
                 accepted = []
                 for ev in stream.events:
                     cls = tuple(
-                        width_class_index(s) for s in ev.payload.shape.sides
+                        width_class_index(s) for s in ev.payload.sides
                     )
                     if cls != (j1, j2):
                         continue
@@ -283,7 +280,7 @@ def test_filter_equals_literal_first_fit_over_covered():
         got = run_online(LatticeFilter(P3, shift=shift), stream)
         accepted = []
         for ev in stream.events:
-            center = Point(tuple(x + b for x, b in zip(ev.payload.shape.center, shift)))
+            center = Point(tuple(x + b for x, b in zip(ev.payload.center, shift)))
             if not is_covered(P3, center):
                 continue
             if not (set(ev.neighbors) & set(accepted)):
@@ -312,7 +309,7 @@ def test_filter_validation():
     with pytest.raises(UsageError):
         LatticeFilter(P3, shift=(0.0, 2.0 * math.sqrt(3.0), 0.0))
     non_unit = ArrivalSequence.from_objects(
-        [SizedObject(Ball(Point((0.0, 0.0, 0.0)), 2.0))]
+        [Ball(Point((0.0, 0.0, 0.0)), 2.0)]
     )
     with pytest.raises(UsageError):
         run_online(LatticeFilter(P3, shift=(0.0, 0.0, 0.0)), non_unit)
@@ -342,7 +339,7 @@ def test_filter_decisions_match_point_reference(data, params):
         fast, ref = LatticeFilter(params, shift=shift), ReferenceLatticeFilter(params, shift=shift)
     # Every centre arrives twice, so occupied cells are hit again.
     events = [
-        ArrivalEvent(i, frozenset(), SizedObject(Ball(Point(tuple(c)), 1.0)))
+        ArrivalEvent(i, frozenset(), Ball(Point(tuple(c)), 1.0))
         for i, c in enumerate(centres + centres)
     ]
     assert [fast.decide(ev) for ev in events] == [ref.decide(ev) for ev in events]
@@ -363,7 +360,7 @@ def test_filter_accepts_at_distance_exactly_one(dim):
                 centre = list(base)
                 centre[axis] += sign
                 assert sum((a - b) ** 2 for a, b in zip(centre, base)) == 1.0
-                ball = SizedObject(Ball(Point(tuple(centre)), 1.0))
+                ball = Ball(Point(tuple(centre)), 1.0)
                 for alg in (LatticeFilter, ReferenceLatticeFilter):
                     filt = alg(params, shift=(0.0,) * dim)
                     assert filt.decide(ArrivalEvent(0, frozenset(), ball))
@@ -402,7 +399,7 @@ def test_filter_rounds_only_arrivals_that_pass_the_cross_axis_pretest(monkeypatc
     assert fast.occupied == ref.occupied
     assert fast.shift == ref.shift
     shifted = [
-        [x + b for x, b in zip(ev.payload.shape.center.coords, fast.shift)]
+        [x + b for x, b in zip(ev.payload.center.coords, fast.shift)]
         for ev in stream.events
     ]
     assert rounded == [c for c in shifted if cross_axes_within_one(c)]

@@ -3,7 +3,17 @@ import json
 import pytest
 
 import geomis.cli as cli
-from geomis import FirstFit, load_instance, run_online
+import geomis.harness as harness
+from geomis import (
+    AdversaryConfig,
+    ExperimentConfig,
+    FirstFit,
+    OracleRefusal,
+    generate_instance,
+    load_instance,
+    run_online,
+    save_instance,
+)
 from geomis.cli import cli_dispatch
 
 
@@ -48,7 +58,7 @@ def test_gen_random_balls_with_radius_range(tmp_path):
     )
     assert rc == 0
     stream = load_instance(out)
-    radii = {ev.payload.shape.radius for ev in stream.events}
+    radii = {ev.payload.radius for ev in stream.events}
     assert len(stream) == 12 and max(radii) > 1.0
 
 
@@ -440,3 +450,104 @@ def test_levels_limit_admits_zeta_at_the_limit(tmp_path, levels_work_stubbed):
     with pytest.raises(_WorkStarted):
         cli_dispatch(["gen", "--kind", "levels", "--zeta", "1000",
                       "--out", str(tmp_path / "levels.gis")])
+
+
+@pytest.fixture
+def instance_builds(monkeypatch):
+    """Names of the harness's load_instance / generate_instance calls."""
+    calls = []
+    for name in ("load_instance", "generate_instance"):
+        def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_trials_past_the_limit_refused_before_any_instance(
+    tmp_path, capsys, monkeypatch, instance_builds, override
+):
+    trials = 100000000000000000000
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    config = tmp_path / "many.json"
+    config.write_text(json.dumps({
+        "algorithm": "firstfit", "trials": 3 if override else trials, "base_seed": 1,
+        "generator": {"kind": "levels", "zeta": 4, "seed": 2},
+    }))
+    argv = ["experiment", "--config", str(config)]
+    if override:
+        argv += ["--trials", str(trials)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"refused: trials {trials} exceeds the limit 1000000\n"
+    )
+    assert instance_builds == []
+
+
+def test_trial_limit_admits_trials_at_the_limit(monkeypatch):
+    monkeypatch.setattr(harness, "TRIAL_LIMIT", 3)
+    levels = AdversaryConfig(kind="levels", zeta=4, seed=2)
+    ExperimentConfig(algorithm="firstfit", trials=3, base_seed=1, generator=levels)
+    with pytest.raises(OracleRefusal, match="^trials 4 exceeds the limit 3$"):
+        ExperimentConfig(algorithm="firstfit", trials=4, base_seed=1, generator=levels)
+
+
+@pytest.mark.parametrize("dim", [2, 30])
+def test_enumerate_past_the_limit_refused_before_any_class(tmp_path, capsys, monkeypatch, dim):
+    # M = 8 gives 4 classes per axis, so 4^dim classes against a limit of 15.
+    monkeypatch.setattr(harness, "TRIAL_LIMIT", 15)
+    instance = tmp_path / "boxes.gis"
+    assert cli_dispatch(["gen", "--kind", "random_rects", "--n", "3", "--dim", str(dim),
+                         "--M", "8", "--box-side", "50", "--out", str(instance)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("geomis.algorithms.product", _start_work)
+    config = tmp_path / "enumerate.json"
+    config.write_text(json.dumps({
+        "algorithm": "hr_classify", "trials": 1, "base_seed": 1, "M": 8.0,
+        "mode": "enumerate", "instance_path": str(instance),
+    }))
+    assert cli_dispatch(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"refused: hr_classify enumerate classes: 1 x 4^{dim} exceeds the limit 15\n"
+    )
+
+
+def test_enumerate_limit_admits_classes_at_the_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "TRIAL_LIMIT", 16)
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    instance = tmp_path / "boxes.gis"
+    assert cli_dispatch(["gen", "--kind", "random_rects", "--n", "3", "--dim", "2",
+                         "--M", "8", "--box-side", "50", "--out", str(instance)]) == 0
+    config = ExperimentConfig(algorithm="hr_classify", trials=1, base_seed=1, m=8.0,
+                              mode="enumerate", instance_path=str(instance))
+    records, _ = harness.run_experiment(config)
+    assert len(records) == 16
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("source", ["file", "generator"])
+def test_filter_delta_checked_before_any_instance(
+    tmp_path, capsys, monkeypatch, instance_builds, threads, source
+):
+    monkeypatch.setenv("GEOMIS_THREADS", threads)
+    balls = {"kind": "random_balls", "n": 30, "dim": 3, "box_side": 8.0, "seed": 1}
+    config = {"algorithm": "filter", "trials": 4, "base_seed": 42, "delta": 2.0}
+    if source == "file":
+        instance = tmp_path / "balls.gis"
+        save_instance(generate_instance(AdversaryConfig(**balls)), instance)
+        config["instance_path"] = str(instance)
+    else:
+        config["generator"] = balls
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps(config))
+    assert cli_dispatch(["experiment", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: delta must be in (0, 1.0], got 2.0\n")
+    assert instance_builds == []
+    # Only the filter builds a lattice, so other algorithms ignore delta.
+    path.write_text(json.dumps({**config, "algorithm": "firstfit"}))
+    assert cli_dispatch(["experiment", "--config", str(path)]) == 0
+    assert instance_builds == ["load_instance" if source == "file" else "generate_instance"]

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -9,14 +8,13 @@ from geomis import (
     AdversaryConfig,
     Ball,
     HyperRectangle,
+    ArrivalSequence,
     Point,
-    SizedObject,
     UsageError,
     balls_intersect,
     distance,
     generate_instance,
     intersection_graph,
-    objects_intersect,
     rects_intersect,
 )
 
@@ -88,35 +86,35 @@ def test_rects_sharing_only_a_corner_intersect():
 
 
 def test_mixed_kinds_rejected():
-    ball = SizedObject(Ball(Point((0.0, 0.0)), 1.0))
-    rect = SizedObject(HyperRectangle(Point((0.0, 0.0)), Point((1.0, 1.0))))
+    ball = Ball(Point((0.0, 0.0)), 1.0)
+    rect = HyperRectangle(Point((0.0, 0.0)), Point((1.0, 1.0)))
     with pytest.raises(UsageError):
-        objects_intersect(ball, rect)
-
-
-def test_sized_object_metadata_ball():
-    obj = SizedObject(Ball(Point((0.0, 0.0, 0.0)), 2.5))
-    assert obj.width == 2.5
-    assert obj.alpha == 1.0
-
-
-def test_sized_object_metadata_unit_cube():
-    cube = HyperRectangle(Point((0.0, 0.0, 0.0)), Point((1.0, 1.0, 1.0)))
-    obj = SizedObject(cube)
-    assert obj.width == pytest.approx(0.5)
-    assert obj.alpha == pytest.approx(1.0 / math.sqrt(3.0))
-
-
-def test_sized_object_rejects_unknown_shape():
+        intersection_graph([ball, rect])
     with pytest.raises(UsageError):
-        SizedObject(Point((0.0, 0.0)))
+        intersection_graph([rect, ball])
+
+
+def test_ball_width_is_its_radius():
+    assert Ball(Point((0.0, 0.0, 0.0)), 2.5).width == 2.5
+
+
+def test_box_width_is_half_its_minimum_side():
+    box = HyperRectangle(Point((0.0, 0.0, 0.0)), Point((1.0, 3.0, 2.0)))
+    assert box.width == 0.5
+
+
+def test_from_objects_rejects_unknown_shape():
+    ball = Ball(Point((0.0, 0.0)), 1.0)
+    for objects in ([Point((0.0, 0.0))], [ball, Point((5.0, 5.0))]):
+        with pytest.raises(UsageError, match="^unsupported shape type Point$"):
+            ArrivalSequence.from_objects(objects)
 
 
 def test_intersection_graph_chain_of_balls():
     objs = [
-        SizedObject(Ball(Point((0.0, 0.0)), 1.0)),
-        SizedObject(Ball(Point((1.9, 0.0)), 1.0)),
-        SizedObject(Ball(Point((3.9, 0.0)), 1.0)),
+        Ball(Point((0.0, 0.0)), 1.0),
+        Ball(Point((1.9, 0.0)), 1.0),
+        Ball(Point((3.9, 0.0)), 1.0),
     ]
     adj = intersection_graph(objs)
     assert adj == [{1}, {0, 2}, {1}]
@@ -164,10 +162,10 @@ def _random_shapes(rng, balls, n, dim, offset):
     for _ in range(n):
         lo = tuple(offset + rng.uniform(-10, 10) for _ in range(dim))
         if balls:
-            objs.append(SizedObject(Ball(Point(lo), rng.uniform(0.2, 3.0))))
+            objs.append(Ball(Point(lo), rng.uniform(0.2, 3.0)))
         else:
             hi = tuple(l + rng.uniform(0.1, 6.0) for l in lo)
-            objs.append(SizedObject(HyperRectangle(Point(lo), Point(hi))))
+            objs.append(HyperRectangle(Point(lo), Point(hi)))
     return objs
 
 
@@ -203,8 +201,8 @@ def test_intersection_graph_matches_pairwise_on_workload_shapes(kind, n, dim, bo
 
 
 def test_intersection_graph_rejects_mixed_kinds_far_apart():
-    ball = SizedObject(Ball(Point((0.0, 0.0)), 1.0))
-    rect = SizedObject(HyperRectangle(Point((500.0, 500.0)), Point((501.0, 501.0))))
+    ball = Ball(Point((0.0, 0.0)), 1.0)
+    rect = HyperRectangle(Point((500.0, 500.0)), Point((501.0, 501.0)))
     with pytest.raises(UsageError):
         intersection_graph([ball, rect])
     with pytest.raises(UsageError):
@@ -217,12 +215,12 @@ def test_intersection_graph_tangent_chains_across_cells():
     # cells, and a cell side even 0.1% short of 2 would split one.
     n = 1500
     path = [{k - 1, k + 1} & set(range(n)) for k in range(n)]
-    balls = [SizedObject(Ball(Point((-1e6 + 2.0 * k, 3.0)), 1.0)) for k in range(n)]
+    balls = [Ball(Point((-1e6 + 2.0 * k, 3.0)), 1.0) for k in range(n)]
     assert intersection_graph(balls) == path
     boxes = [
-        SizedObject(HyperRectangle(
+        HyperRectangle(
             Point((2.0 * k - 7.0, 2.0 * k)), Point((2.0 * k - 5.0, 2.0 * k + 2.0))
-        ))
+        )
         for k in range(n)
     ]
     assert intersection_graph(boxes) == path
@@ -247,22 +245,22 @@ def shape_lists(draw):
         corner = [offset + draw(_dyadic(-160, 160)) for _ in range(dim)]
         if balls:
             radius = draw(_dyadic(1, 40))
-            objs.append(SizedObject(Ball(Point(tuple(corner)), radius)))
+            objs.append(Ball(Point(tuple(corner)), radius))
             if draw(st.booleans()):
                 # An exactly tangent partner along one axis.
                 axis = draw(st.integers(0, dim - 1))
                 other = draw(_dyadic(1, 40))
                 corner[axis] += radius + other
-                objs.append(SizedObject(Ball(Point(tuple(corner)), other)))
+                objs.append(Ball(Point(tuple(corner)), other))
         else:
             sides = [draw(_dyadic(1, 64)) for _ in range(dim)]
             hi = [c + s for c, s in zip(corner, sides)]
-            objs.append(SizedObject(HyperRectangle(Point(tuple(corner)), Point(tuple(hi)))))
+            objs.append(HyperRectangle(Point(tuple(corner)), Point(tuple(hi))))
             if draw(st.booleans()):
                 # A partner whose lower corner sits on this box's upper corner.
                 far = [u + draw(_dyadic(1, 64)) for u in hi]
                 partner = HyperRectangle(Point(tuple(hi)), Point(tuple(far)))
-                objs.append(SizedObject(partner))
+                objs.append(partner)
     return draw(st.permutations(objs))
 
 
@@ -283,7 +281,7 @@ def test_intersection_graph_in_high_dimension():
     for _ in range(n):
         center = [rng.uniform(0.0, 0.3) for _ in range(dim)]
         center[rng.randrange(3)] = rng.uniform(0.0, 9.0)
-        balls.append(SizedObject(Ball(Point(tuple(center)), rng.uniform(0.5, 1.5))))
+        balls.append(Ball(Point(tuple(center)), rng.uniform(0.5, 1.5)))
     adj = assert_matches_pairwise(balls)
     edges = sum(map(len, adj)) // 2
     assert 0 < edges < n * (n - 1) // 2

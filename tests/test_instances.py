@@ -7,7 +7,6 @@ from geomis import (
     HyperRectangle,
     InstanceFormatError,
     Point,
-    SizedObject,
     level_graph_gen,
     load_instance,
     random_balls_gen,
@@ -127,18 +126,18 @@ def test_transcript_is_loadable_and_replayable(tmp_path):
 def test_mixed_precision_floats_roundtrip(tmp_path):
     vals = (0.1 + 0.2, 1e-17, 123456789.123456789, 2.0**-45)
     objs = [
-        SizedObject(Ball(Point((vals[0], vals[1])), 1.0)),
-        SizedObject(Ball(Point((vals[2], vals[3])), 1.0)),
+        Ball(Point((vals[0], vals[1])), 1.0),
+        Ball(Point((vals[2], vals[3])), 1.0),
     ]
     stream = ArrivalSequence.from_objects(objs)
     got = roundtrip(stream, tmp_path)
     for a, b in zip(got.events, stream.events):
-        assert a.payload.shape.center.coords == b.payload.shape.center.coords
+        assert a.payload.center.coords == b.payload.center.coords
 
 
 def test_rect_roundtrip_interleaved_bounds(tmp_path):
     rect = HyperRectangle(Point((0.25, -1.5)), Point((3.75, 2.5)))
-    stream = ArrivalSequence.from_objects([SizedObject(rect)])
+    stream = ArrivalSequence.from_objects([rect])
     path = tmp_path / "r.txt"
     save_instance(stream, path)
     body = [

@@ -9,7 +9,6 @@ from geomis import (
     Ball,
     FirstFit,
     Point,
-    SizedObject,
     UsageError,
     empirical_ratio,
     finalize_run,
@@ -33,7 +32,7 @@ def test_neighbors_must_point_backward():
 
 
 def test_payloads_all_or_none():
-    ball = SizedObject(Ball(Point((0.0, 0.0)), 1.0))
+    ball = Ball(Point((0.0, 0.0)), 1.0)
     events = (
         ArrivalEvent(id=0, neighbors=frozenset(), payload=ball),
         ArrivalEvent(id=1, neighbors=frozenset()),
@@ -44,9 +43,9 @@ def test_payloads_all_or_none():
 
 def test_from_objects_derives_adjacency():
     objs = [
-        SizedObject(Ball(Point((0.0, 0.0)), 1.0)),
-        SizedObject(Ball(Point((1.5, 0.0)), 1.0)),
-        SizedObject(Ball(Point((9.0, 0.0)), 1.0)),
+        Ball(Point((0.0, 0.0)), 1.0),
+        Ball(Point((1.5, 0.0)), 1.0),
+        Ball(Point((9.0, 0.0)), 1.0),
     ]
     stream = ArrivalSequence.from_objects(objs)
     assert stream.dim == 2
