@@ -184,7 +184,11 @@ class Classify:
             raise UsageError("Classify requires sized-object payloads")
         width = event.payload.width
         if not 1.0 <= width <= self.m:
-            raise UsageError(f"width {width} outside [1, {self.m}]")
+            meaning = "its radius" if isinstance(event.payload, Ball) else "half its smallest side"
+            raise UsageError(
+                f"arrival {event.id} has width {width} ({meaning}), outside [1, {self.m}]:"
+                " classify needs every width in [1, M]"
+            )
         if self.chosen_class is None:
             self.chosen_class = random.Random(self._seed).randrange(self.num_classes)
         if width_class_index(width) != self.chosen_class:

@@ -2,12 +2,17 @@
 independent kissing number.
 
 Both run on one memoized branching engine per graph, which peels
-degree-0 and degree-1 vertices and branches on a highest-degree one;
-the kissing number solves every neighborhood as a mask of the graph's
-own adjacency.  Exponential-time machinery for small instances only:
-every entry point validates its graph and refuses inputs past a hard
-node limit instead of silently grinding.  Results are deterministic,
-with lexicographically smallest witnesses.
+degree-0 and degree-1 vertices, splits what is left into connected
+components solved (and memoized) one by one, and branches on a
+highest-degree vertex of a connected remainder; the kissing number
+solves every neighborhood as a mask of the graph's own adjacency.
+Witnesses are built component by component too, and exact_mis builds
+its witness only when it is first read, so a caller that wants the
+size alone never pays for one.  Exponential-time machinery for small
+instances only: every entry point validates its graph and refuses
+inputs past a hard node limit, which counts the whole graph, instead of
+silently grinding.  Results are deterministic, with lexicographically
+smallest witnesses.
 """
 
 from __future__ import annotations
@@ -27,12 +32,6 @@ class OracleRefusal(RuntimeError):
     """Raised when requested work exceeds a hard size limit: the
     oracle's node limit, a lattice self-check's work cap, the levels
     generator's zeta limit or an experiment's trial limit."""
-
-
-@dataclass(frozen=True)
-class MisResult:
-    size: int
-    witness: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,13 @@ def _adjacency_masks(graph: Graph) -> list[int]:
 
 class _MisEngine:
     """Memoized branching for independent set sizes on bitmasks.  A mask
-    is solved as its induced subgraph: only adj[v] & mask is read."""
+    is solved as its induced subgraph: only adj[v] & mask is read.
+
+    After peeling, a disconnected remainder is split into its connected
+    components, each solved and memoized as its own mask, so that a
+    component met again under other branches is solved once.  Witnesses
+    are the union of each component's lexicographically smallest one.
+    """
 
     def __init__(self, adj: list[int]) -> None:
         self.adj = adj
@@ -108,12 +113,30 @@ class _MisEngine:
                     break
             if not changed:
                 break
-        if m == 0:
-            result = gain
-        else:
-            result = gain + self._branch(m)
-        self.cache[mask] = result
-        return result
+        # Solve each component of what is left as its own mask.  It has
+        # no vertex left to peel, so it goes straight to branching.
+        while m:
+            component = self._component(m)
+            m &= ~component
+            solved = self.cache.get(component)
+            if solved is None:
+                solved = self.cache[component] = self._branch(component)
+            gain += solved
+        self.cache[mask] = gain
+        return gain
+
+    def _component(self, m: int) -> int:
+        """The connected component of m's lowest vertex in the subgraph
+        that m induces, by a breadth-first search over bitmasks that
+        stops as soon as it has reached all of m."""
+        component = frontier = m & -m
+        while frontier and component != m:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = self.adj[v] & m & ~component
+            component |= new
+            frontier |= new
+        return component
 
     def _branch(self, m: int) -> int:
         # Branch on the most conflicted vertex: skip it, or take it and
@@ -132,21 +155,72 @@ class _MisEngine:
         with_v = 1 + self.size(m & ~self.closed[best_v])
         return max(without, with_v)
 
-    def witness(self, mask: int, size: int) -> tuple[int, ...]:
-        """Lexicographically smallest independent set of the given size
-        within mask; size must be self.size(mask)."""
+    def witness(self, mask: int) -> tuple[int, ...]:
+        """Lexicographically smallest maximum independent set within mask.
+
+        A vertex extends to an optimum of the whole mask exactly when it
+        extends to an optimum of its own component, so the answer is the
+        union of each component's smallest witness.  Within a component,
+        the lowest vertex that extends to an optimum is taken, and what
+        it leaves of the component is split again."""
         chosen: list[int] = []
-        while size > 0:
-            t = mask
+        pending = [mask]
+        while pending:
+            m = pending.pop()
+            if m == 0:
+                continue
+            component = self._component(m)
+            pending.append(m & ~component)
+            size = self.size(component)
+            t = component
             while t:
                 v = (t & -t).bit_length() - 1
                 t &= t - 1
-                if 1 + self.size(mask & ~self.closed[v]) == size:
+                rest = component & ~self.closed[v]
+                if 1 + self.size(rest) == size:
                     chosen.append(v)
-                    mask &= ~self.closed[v]
-                    size -= 1
+                    pending.append(rest)
                     break
-        return tuple(chosen)
+        return tuple(sorted(chosen))
+
+
+class MisResult:
+    """Size of a maximum independent set and its lexicographically
+    smallest witness.  exact_mis hands over its engine in place of the
+    witness, which is built from the engine's memo the first time it is
+    read, after which the engine is dropped; reading only the size never
+    builds one."""
+
+    __slots__ = ("size", "_witness", "_engine")
+
+    def __init__(self, size: int, witness: tuple[int, ...]) -> None:
+        self.size = size
+        self._witness = witness
+        self._engine: Optional[_MisEngine] = None
+
+    @classmethod
+    def _built_on_read(cls, size: int, engine: _MisEngine) -> MisResult:
+        result = cls(size, ())
+        result._engine = engine
+        return result
+
+    @property
+    def witness(self) -> tuple[int, ...]:
+        if self._engine is not None:
+            self._witness = self._engine.witness((1 << len(self._engine.adj)) - 1)
+            self._engine = None
+        return self._witness
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MisResult):
+            return NotImplemented
+        return (self.size, self.witness) == (other.size, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.witness))
+
+    def __repr__(self) -> str:
+        return f"MisResult(size={self.size!r}, witness={self.witness!r})"
 
 
 def check_node_limit(node_limit: int) -> None:
@@ -178,11 +252,10 @@ def _whole_graph_engine(graph: Graph, node_limit: int) -> _MisEngine:
 
 def exact_mis(graph: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> MisResult:
     """Exact maximum independent set with a lexicographically smallest
-    witness.  Refuses graphs larger than node_limit."""
+    witness, built when .witness is first read.  Refuses graphs larger
+    than node_limit."""
     engine = _whole_graph_engine(graph, node_limit)
-    full = (1 << len(graph)) - 1
-    opt = engine.size(full)
-    return MisResult(size=opt, witness=engine.witness(full, opt))
+    return MisResult._built_on_read(engine.size((1 << len(graph)) - 1), engine)
 
 
 def independent_kissing_number(
@@ -211,7 +284,7 @@ def _kissing_number(engine: _MisEngine, node_limit: int) -> IknResult:
         zeta = engine.size(nbrs)
         if zeta > best.zeta:
             best = IknResult(
-                zeta=zeta, witness_center=v, witness_set=engine.witness(nbrs, zeta)
+                zeta=zeta, witness_center=v, witness_set=engine.witness(nbrs)
             )
     return best
 

@@ -6,9 +6,13 @@ import geomis.cli as cli
 import geomis.harness as harness
 from geomis import (
     AdversaryConfig,
+    ArrivalSequence,
+    Ball,
     ExperimentConfig,
     FirstFit,
+    HyperRectangle,
     OracleRefusal,
+    Point,
     generate_instance,
     load_instance,
     run_online,
@@ -551,3 +555,26 @@ def test_filter_delta_checked_before_any_instance(
     path.write_text(json.dumps({**config, "algorithm": "firstfit"}))
     assert cli_dispatch(["experiment", "--config", str(path)]) == 0
     assert instance_builds == ["load_instance" if source == "file" else "generate_instance"]
+
+
+@pytest.mark.parametrize(
+    "shapes, width",
+    [
+        (
+            [HyperRectangle(Point((10.0, 10.0)), Point((12.0, 12.0))),
+             HyperRectangle(Point((0.0, 0.0)), Point((3.0, 1.2)))],
+            "0.6 (half its smallest side)",
+        ),
+        ([Ball(Point((30.0, 30.0)), 1.0), Ball(Point((0.0, 0.0)), 9.5)], "9.5 (its radius)"),
+    ],
+)
+def test_classify_width_error_names_the_arrival(tmp_path, capsys, shapes, width):
+    instance = tmp_path / "shapes.gis"
+    save_instance(ArrivalSequence.from_objects(shapes), instance)
+    rc = cli_dispatch(["run", "--alg", "classify", "--M", "8", "--in", str(instance)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == (
+        f"error: arrival 1 has width {width}, outside [1, 8.0]:"
+        " classify needs every width in [1, M]\n"
+    )

@@ -6,19 +6,26 @@ from hypothesis import strategies as st
 
 import geomis.oracle as oracle_module
 from geomis import (
+    AdversaryConfig,
     ArrivalSequence,
+    ExperimentConfig,
     FirstFit,
+    MisResult,
     OracleRefusal,
     UsageError,
     empirical_ratio,
     exact_mis,
+    generate_instance,
     independent_kissing_number,
     random_balls_gen,
     random_rects_gen,
+    run_experiment,
     run_online,
+    save_instance,
     star_adversary,
     verify_ratio,
 )
+from geomis.cli import cli_dispatch
 
 from conftest import (
     brute_mis,
@@ -107,14 +114,32 @@ def test_adjacency_validation():
             oracle([{5}])  # out of range
 
 
+def disconnected_graph(sizes, p, rng):
+    """Union of connected G(n, p) pieces of the given sizes, each made
+    connected by a random spanning tree, with the vertex labels shuffled
+    so that the components interleave in vertex order."""
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    adj = [set() for _ in labels]
+    start = 0
+    for size in sizes:
+        piece = labels[start:start + size]
+        start += size
+        for i in range(1, size):
+            for j in [rng.randrange(i)] + [j for j in range(i) if rng.random() < p]:
+                adj[piece[i]].add(piece[j])
+                adj[piece[j]].add(piece[i])
+    return adj
+
+
 @st.composite
 def oracle_graphs(draw):
-    """Graphs of 18 to 40 vertices, where the old bound short-circuit
-    ran: G(n, p), unit or mixed balls, boxes, and disjoint 4-cycles with
-    sparse random chords, on which the short-circuit also fires."""
+    """Graphs of 18 to 40 vertices: G(n, p), unit or mixed balls, boxes,
+    disjoint 4-cycles with sparse random chords, and unions of 2 to 5
+    connected components whose vertices interleave."""
     n = draw(st.integers(18, 40))
     seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(["gnp", "four_cycles", "balls", "boxes"]))
+    kind = draw(st.sampled_from(["gnp", "four_cycles", "balls", "boxes", "disconnected"]))
     if kind == "gnp":
         p = draw(st.floats(0.05, 0.9))
         return gnp_stream(n, p, random.Random(seed)).adjacency()
@@ -125,6 +150,11 @@ def oracle_graphs(draw):
             adj[v].add(u)
             adj[u].add(v)
         return adj
+    if kind == "disconnected":
+        rng = random.Random(seed)
+        cuts = sorted(rng.sample(range(1, n), draw(st.integers(2, 5)) - 1))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        return disconnected_graph(sizes, draw(st.floats(0.05, 0.6)), rng)
     dim = draw(st.integers(2, 3))
     box_side = draw(st.floats(6.0, 14.0)) if dim == 2 else draw(st.floats(5.0, 9.0))
     if kind == "balls":
@@ -133,11 +163,97 @@ def oracle_graphs(draw):
     return random_rects_gen(n, dim, 3.0, box_side, seed).adjacency()
 
 
+def components(adj):
+    seen, found = set(), []
+    for root in range(len(adj)):
+        if root not in seen:
+            seen.add(root)
+            stack, comp = [root], {root}
+            while stack:
+                for u in adj[stack.pop()] - seen:
+                    seen.add(u)
+                    comp.add(u)
+                    stack.append(u)
+            found.append(comp)
+    return found
+
+
+def test_disconnected_graphs_interleave_their_components():
+    adj = disconnected_graph([5, 7, 1, 9], 0.2, random.Random(3))
+    comps = components(adj)
+    assert sorted(map(len, comps)) == [1, 5, 7, 9]
+    assert any(min(a) < min(b) < max(a) for a in comps for b in comps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(oracle_graphs())
-def test_oracles_match_reference_with_bound_short_circuit(adj):
+def test_oracles_match_reference_on_connected_and_disconnected_graphs(adj):
     assert exact_mis(adj) == reference_exact_mis(adj)
     assert independent_kissing_number(adj) == reference_independent_kissing_number(adj)
+
+
+@settings(max_examples=50, deadline=None)
+@given(oracle_graphs())
+def test_verify_ratio_matches_reference(adj):
+    stream = ArrivalSequence.from_neighbor_lists(
+        [[u for u in nbrs if u < v] for v, nbrs in enumerate(adj)]
+    )
+    report = verify_ratio(stream, run_online(FirstFit(), stream))
+    assert report.opt_size == reference_exact_mis(adj).size
+    assert report.zeta == reference_independent_kissing_number(adj).zeta
+
+
+@pytest.fixture
+def witness_builds(monkeypatch):
+    """Masks that _MisEngine.witness is asked for, in call order."""
+    masks = []
+    real = oracle_module._MisEngine.witness
+
+    def counting(self, mask):
+        masks.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(oracle_module._MisEngine, "witness", counting)
+    return masks
+
+
+def test_exact_mis_builds_its_witness_once_when_read(witness_builds):
+    adj = disconnected_graph([6, 4, 8], 0.3, random.Random(11))
+    result = exact_mis(adj)
+    assert result.size == reference_exact_mis(adj).size
+    assert witness_builds == []
+    first = result.witness
+    assert result.witness == first == reference_exact_mis(adj).witness
+    assert witness_builds == [(1 << len(adj)) - 1]
+    assert result._engine is None
+
+
+README_BALLS = {"kind": "random_balls", "n": 80, "dim": 3, "box_side": 8.0, "seed": 5}
+
+
+def test_scoring_builds_no_witness(tmp_path, monkeypatch, capsys, witness_builds):
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    config = ExperimentConfig(
+        algorithm="filter", trials=50, base_seed=42,
+        generator=AdversaryConfig(**README_BALLS), node_limit=100,
+    )
+    records, _ = run_experiment(config)
+    assert {r.opt_size for r in records} == {34}
+    instance = tmp_path / "balls.gis"
+    save_instance(generate_instance(AdversaryConfig(**README_BALLS)), instance)
+    argv = ["oracle", "--what", "mis", "--in", str(instance), "--node-limit", "100"]
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == "34\n"
+    assert witness_builds == []
+
+
+def test_mis_result_built_from_a_witness_keeps_equality_and_repr():
+    built = MisResult(size=2, witness=(0, 2))
+    assert built == MisResult(2, (0, 2)) == exact_mis(cycle(5))
+    assert built != MisResult(size=2, witness=(1, 3))
+    assert hash(built) == hash(exact_mis(cycle(5)))
+    assert repr(built) == "MisResult(size=2, witness=(0, 2))"
+    assert repr(exact_mis(cycle(5))) == repr(built)
 
 
 def test_independent_kissing_number_examples():
