@@ -2,16 +2,7 @@
 intersection graphs, with exact offline oracles and a seeded
 experiment harness.  The names imported below are the public API."""
 
-from .geometry import (
-    Ball,
-    HyperRectangle,
-    Point,
-    UsageError,
-    balls_intersect,
-    distance,
-    intersection_graph,
-    rects_intersect,
-)
+from .geometry import Ball, HyperRectangle, UsageError, intersection_graph
 from .lattice import (
     CoeffVector,
     LatticeParams,

@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 from .geometry import (
     Ball,
     HyperRectangle,
-    Point,
     Shape,
     UniformGrid,
     UsageError,
@@ -121,15 +120,15 @@ class _BallIndex:
         self.balls: list[Ball] = []
 
     def clear(self, a: Ball) -> bool:
-        for j in self.grid.near(self.grid.cell(a.center.coords)):
+        for j in self.grid.near(self.grid.cell(a.center)):
             b = self.balls[j]
-            gap = abs(math.dist(a.center.coords, b.center.coords) - (a.radius + b.radius))
+            gap = abs(math.dist(a.center, b.center) - (a.radius + b.radius))
             if gap < DEGENERACY_MARGIN:
                 return False
         return True
 
     def add(self, ball: Ball) -> None:
-        self.grid.add(self.grid.cell(ball.center.coords), len(self.balls))
+        self.grid.add(self.grid.cell(ball.center), len(self.balls))
         self.balls.append(ball)
 
 
@@ -146,13 +145,13 @@ class _BoxEndpoints:
         self.his: list[list[float]] = [[] for _ in range(dim)]
 
     def clear(self, box: HyperRectangle) -> bool:
-        for al, au, los, his in zip(box.lo.coords, box.hi.coords, self.los, self.his):
+        for al, au, los, his in zip(box.lo, box.hi, self.los, self.his):
             if _endpoint_near(his, al) or _endpoint_near(los, au):
                 return False
         return True
 
     def add(self, box: HyperRectangle) -> None:
-        for l, u, los, his in zip(box.lo.coords, box.hi.coords, self.los, self.his):
+        for l, u, los, his in zip(box.lo, box.hi, self.los, self.his):
             insort(los, l)
             insort(his, u)
 
@@ -168,6 +167,13 @@ def _endpoint_near(values: list[float], x: float) -> bool:
     start = bisect_left(values, x - 2.0 * margin)
     stop = bisect_right(values, x + 2.0 * margin, start)
     return any(abs(x - v) < margin for v in values[start:stop])
+
+
+def _require_finite(name: str, value: float) -> None:
+    """Refuse NaN and infinities, which pass the range checks; compared,
+    as math.isfinite overflows on huge ints."""
+    if not -math.inf < value < math.inf:
+        raise UsageError(f"{name} must be finite, got {value}")
 
 
 def _place(n: int, draw, index) -> list[Shape]:
@@ -205,6 +211,7 @@ def random_balls_gen(
         raise UsageError(f"n must be >= 0, got {n}")
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
+    _require_finite("box_side", box_side)
     if box_side <= 0:
         raise UsageError(f"box_side must be positive, got {box_side}")
     lo, hi = float(radius_range[0]), float(radius_range[1])
@@ -213,7 +220,7 @@ def random_balls_gen(
     rng = random.Random(seed)
 
     def draw() -> Ball:
-        center = Point(tuple(rng.uniform(0.0, box_side) for _ in range(dim)))
+        center = [rng.uniform(0.0, box_side) for _ in range(dim)]
         radius = lo if lo == hi else rng.uniform(lo, hi)
         return Ball(center=center, radius=radius)
 
@@ -241,8 +248,10 @@ def random_rects_gen(
         raise UsageError(f"n must be >= 0, got {n}")
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
+    _require_finite("box_side", box_side)
     if box_side <= 0:
         raise UsageError(f"box_side must be positive, got {box_side}")
+    _require_finite("M", m)
     if m < 1:
         raise UsageError(f"M must be >= 1, got {m}")
     rng = random.Random(seed)
@@ -251,7 +260,7 @@ def random_rects_gen(
         lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
         sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
         hi = tuple(l + s for l, s in zip(lo, sides))
-        return HyperRectangle(lo=Point(lo), hi=Point(hi))
+        return HyperRectangle(lo=lo, hi=hi)
 
     objects = _place(n, draw, _BoxEndpoints(dim))
     return ArrivalSequence.from_objects(objects)

@@ -110,7 +110,7 @@ class LatticeFilter:
         ball = event.payload
         if not isinstance(ball, Ball):
             raise UsageError("LatticeFilter requires unit-ball payloads")
-        center = ball.center.coords
+        center = ball.center
         if len(center) != self.params.dim:
             raise UsageError(
                 f"ball dim {len(center)} does not match lattice dim {self.params.dim}"

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .adversaries import GENERATOR_KINDS, AdversaryConfig, generate_instance, star_adversary
 from .algorithms import ALGORITHMS, make_algorithm
-from .geometry import Point, UsageError, distance
+from .geometry import UsageError
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .instances import load_instance, read_utf8, save_instance, save_transcript
 from .lattice import (
@@ -182,13 +182,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if report.bound_satisfied else 2
 
 
-def _window_reference(params: LatticeParams, c: Point, window: int) -> float:
+def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) -> float:
     """Exhaustive nearest-lattice-point distance over a coefficient window."""
     from itertools import product
 
     best = math.inf
     for coeffs in product(range(-window, window + 1), repeat=params.dim):
-        best = min(best, distance(lattice_point(params, coeffs), c))
+        best = min(best, math.dist(lattice_point(params, coeffs), c))
     return best
 
 
@@ -221,10 +221,10 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         worst = 0.0
         cover_mismatches = 0
         for _ in range(args.samples):
-            c = Point(tuple(rng.uniform(0.0, e) for e in extents))
+            c = tuple(rng.uniform(0.0, e) for e in extents)
             p, _ = closest_lattice_point(params, c)
             ref = _window_reference(params, c, args.window)
-            worst = max(worst, abs(distance(p, c) - ref))
+            worst = max(worst, abs(math.dist(p, c) - ref))
             if is_covered(params, c) != (ref <= 1.0):
                 cover_mismatches += 1
         ok = worst <= 1e-9 and cover_mismatches == 0
@@ -236,12 +236,12 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     _require_positive("samples", args.samples)
     refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", args.samples, params.dim)
     rng = random.Random(args.seed)
-    origin = Point(tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim)))
+    origin = tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim))
     period_volume = math.prod(params.shift_extents())
     fraction, stderr = mc_volume_fraction(params, origin, args.samples, seed=args.seed)
     expected = unit_ball_volume(params.dim) / period_volume
     ok = abs(fraction - expected) <= 3.0 * stderr
-    print(f"box_origin {tuple(origin.coords)}")
+    print(f"box_origin {origin}")
     print(f"covered_fraction {fraction!r} (stderr {stderr:.3e})")
     print(f"expected_fraction {expected!r}")
     print(f"volume_estimate {fraction * period_volume!r}")

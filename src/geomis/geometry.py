@@ -1,7 +1,8 @@
 """Geometric primitives and intersection graphs.
 
-Points, closed balls, and axis-aligned boxes in d dimensions, plus the
-closed-contact intersection predicates used to derive conflict graphs.
+Closed balls and axis-aligned boxes in d dimensions, whose center and
+corners are plain tuples of finite floats, and the intersection graphs
+derived from them by closed contact.
 A Shape, a ball or a box, is an arrival's whole payload; its width,
 the radius of the largest ball it encloses, is the size the algorithms
 classify by.  Touching counts as intersecting; callers that need to
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice, product
 from operator import add, le
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class UsageError(ValueError):
@@ -35,54 +36,32 @@ def require_type(name: str, value: object, kind: type) -> None:
     raise UsageError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Point:
-    """Immutable point in R^d, d >= 1."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(float(x) for x in self.coords)
-        if len(coords) == 0:
-            raise UsageError("point needs at least one coordinate")
-        if not all(math.isfinite(x) for x in coords):
-            raise UsageError(f"non-finite coordinate in {coords!r}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
-def _require_same_dim(a: Point | Shape, b: Point | Shape) -> None:
-    if a.dim != b.dim:
-        raise UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    _require_same_dim(a, b)
-    return math.dist(a.coords, b.coords)
+def _coordinates(values: Iterable[float]) -> tuple[float, ...]:
+    """values as a non-empty tuple of finite floats."""
+    coords = tuple(map(float, values))
+    if not coords:
+        raise UsageError("point needs at least one coordinate")
+    if not all(map(math.isfinite, coords)):
+        raise UsageError(f"non-finite coordinate in {coords!r}")
+    return coords
 
 
 @dataclass(frozen=True)
 class Ball:
     """Closed Euclidean ball."""
 
-    center: Point
+    center: tuple[float, ...]
     radius: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "center", _coordinates(self.center))
         object.__setattr__(self, "radius", float(self.radius))
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise UsageError(f"ball radius must be positive, got {self.radius}")
 
     @property
     def dim(self) -> int:
-        return self.center.dim
+        return len(self.center)
 
     @property
     def width(self) -> float:
@@ -94,13 +73,16 @@ class Ball:
 class HyperRectangle:
     """Closed axis-aligned box given by strict lower/upper corners."""
 
-    lo: Point
-    hi: Point
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.lo.dim != self.hi.dim:
+        lo, hi = _coordinates(self.lo), _coordinates(self.hi)
+        if len(lo) != len(hi):
             raise UsageError("corner dimension mismatch")
-        for axis, (l, u) in enumerate(zip(self.lo.coords, self.hi.coords)):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        for axis, (l, u) in enumerate(zip(lo, hi)):
             if not l < u:
                 raise UsageError(
                     f"degenerate box: lo[{axis}]={l} must be < hi[{axis}]={u}"
@@ -108,11 +90,11 @@ class HyperRectangle:
 
     @property
     def dim(self) -> int:
-        return self.lo.dim
+        return len(self.lo)
 
     @property
     def sides(self) -> tuple[float, ...]:
-        return tuple(u - l for l, u in zip(self.lo.coords, self.hi.coords))
+        return tuple(u - l for l, u in zip(self.lo, self.hi))
 
     @property
     def width(self) -> float:
@@ -124,25 +106,15 @@ Shape = Union[Ball, HyperRectangle]
 
 
 def _balls_meet(ca: Sequence[float], ra: float, cb: Sequence[float], rb: float) -> bool:
+    """Closed contact: the center distance is at most the radius sum."""
     return math.dist(ca, cb) <= ra + rb
 
 
 def _boxes_meet(
     alo: Sequence[float], ahi: Sequence[float], blo: Sequence[float], bhi: Sequence[float]
 ) -> bool:
+    """Closed contact: the intervals overlap on every axis."""
     return all(map(le, alo, bhi)) and all(map(le, blo, ahi))
-
-
-def balls_intersect(a: Ball, b: Ball) -> bool:
-    """Closed-contact test: true iff center distance <= radius sum."""
-    _require_same_dim(a, b)
-    return _balls_meet(a.center.coords, a.radius, b.center.coords, b.radius)
-
-
-def rects_intersect(a: HyperRectangle, b: HyperRectangle) -> bool:
-    """Closed-contact test: true iff the interval overlap holds on every axis."""
-    _require_same_dim(a, b)
-    return _boxes_meet(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords)
 
 
 class UniformGrid:
@@ -225,8 +197,8 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
     This is a cell-pair join: every object is bucketed once into a
     UniformGrid keyed by ball centers (cell side twice the largest
     radius) or box lower corners (cell side the largest box side), and
-    each candidate pair from UniformGrid.cell_pairs is decided on plain
-    coordinates by the same rule as balls_intersect or rects_intersect.
+    each candidate pair from UniformGrid.cell_pairs is decided by
+    _balls_meet or _boxes_meet.
     That takes near-linear time when the objects have bounded size and
     bounded density.  Each adjacency set is filled in ascending order,
     as a pairwise scan over i < j would fill it, so set iteration order
@@ -247,13 +219,13 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
             raise UsageError("mixed ball/box intersection is not supported")
     # meet(keys[i], extras[i], keys[j], extras[j]) decides the pair i, j.
     if of_balls:
-        keys = [obj.center.coords for obj in objects]
+        keys = [obj.center for obj in objects]
         extras = [obj.radius for obj in objects]
         reach = 2.0 * max(extras)
         meet = _balls_meet
     else:
-        keys = [obj.lo.coords for obj in objects]
-        extras = [obj.hi.coords for obj in objects]
+        keys = [obj.lo for obj in objects]
+        extras = [obj.hi for obj in objects]
         reach = max(max(obj.sides) for obj in objects)
         meet = _boxes_meet
     extent = max(abs(x) for key in keys for x in key)

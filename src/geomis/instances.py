@@ -23,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from .geometry import Ball, HyperRectangle, Point, Shape, UsageError
+from .geometry import Ball, HyperRectangle, Shape, UsageError
 from .online import ArrivalSequence, RunResult
 
 MAGIC = "geomis-instance v1"
@@ -144,7 +144,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
                     line_no, f"ball line needs {dim} coordinates plus a radius"
                 )
             try:
-                objects.append(Ball(center=Point(tuple(values[:dim])), radius=values[dim]))
+                objects.append(Ball(center=values[:dim], radius=values[dim]))
             except UsageError as exc:
                 raise InstanceFormatError(line_no, str(exc)) from None
         else:
@@ -152,10 +152,8 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
                 raise InstanceFormatError(
                     line_no, f"rect line needs {2 * dim} values (lo/hi per axis)"
                 )
-            lo = tuple(values[2 * i] for i in range(dim))
-            hi = tuple(values[2 * i + 1] for i in range(dim))
             try:
-                objects.append(HyperRectangle(lo=Point(lo), hi=Point(hi)))
+                objects.append(HyperRectangle(lo=values[0::2], hi=values[1::2]))
             except UsageError as exc:
                 raise InstanceFormatError(line_no, str(exc)) from None
 
@@ -172,11 +170,9 @@ def _format_event_line(ev) -> str:
         return f"vertex {ev.id} {nbrs}"
     shape = ev.payload
     if isinstance(shape, Ball):
-        coords = " ".join(repr(x) for x in shape.center.coords)
+        coords = " ".join(repr(x) for x in shape.center)
         return f"ball {coords} {shape.radius!r}"
-    pairs = " ".join(
-        f"{l!r} {u!r}" for l, u in zip(shape.lo.coords, shape.hi.coords)
-    )
+    pairs = " ".join(f"{l!r} {u!r}" for l, u in zip(shape.lo, shape.hi))
     return f"rect {pairs}"
 
 

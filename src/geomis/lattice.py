@@ -25,18 +25,18 @@ whenever one exists within distance 1, but it is not always the
 globally nearest point, so closest-point queries additionally scan the
 constant-size candidate window that the rounded distance bounds.
 
-The rounding has one scalar core, parity_rounded_point, which works on
-plain coordinates and builds no Point; its axis-1 step is also the one
-closest-point queries use for every candidate.  Axes 2..d snap on
-their own (_cross_coeff), so cross_axes_within_one can reject a query
-on one of them before axis 1 is rounded; it computes the very float
-terms that the squared distance to the rounded point sums, so it
+Queries and lattice points are plain coordinate sequences.  The
+rounding has one scalar core, parity_rounded_point; its axis-1 step is
+also the one closest-point queries use for every candidate.  Axes 2..d
+snap on their own (_cross_coeff), so cross_axes_within_one can reject
+a query on one of them before axis 1 is rounded; it computes the very
+float terms that the squared distance to the rounded point sums, so it
 rejects only uncovered queries, and LatticeFilter rounds only the
 rest.  coverage_cells is the same rounding over a numpy batch, and the
-tests check each against the other.  Only
-coverage_cells and the self-checks min_pairwise_distance and
-mc_volume_fraction use numpy, and they import it when called, so
-importing the package does not load it.
+tests check each against the other.  Only coverage_cells and the
+self-checks min_pairwise_distance and mc_volume_fraction use numpy,
+and they import it when called, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .geometry import Point, UsageError, distance
+from .geometry import UsageError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -94,25 +94,13 @@ class LatticeParams:
         """Translation period along each axis >= 2 (= 4*sqrt(3))."""
         return 4.0 * SQRT3
 
-    def basis(self) -> list[Point]:
-        vecs = []
-        for i in range(self.dim):
-            coords = [0.0] * self.dim
-            if i == 0:
-                coords[0] = self.axis1_period
-            else:
-                coords[0] = -self.axis1_unit
-                coords[i] = 2.0 * SQRT3
-            vecs.append(Point(tuple(coords)))
-        return vecs
-
     def shift_extents(self) -> tuple[float, ...]:
         """Per-axis ranges a random shift is drawn from."""
         return (self.axis1_period,) + (2.0 * SQRT3,) * (self.dim - 1)
 
 
-def lattice_point(params: LatticeParams, coeffs: Sequence[int]) -> Point:
-    """The lattice point with the given integer coefficients."""
+def lattice_point(params: LatticeParams, coeffs: Sequence[int]) -> tuple[float, ...]:
+    """Coordinates of the lattice point with the given integer coefficients."""
     if len(coeffs) != params.dim:
         raise UsageError(f"expected {params.dim} coefficients, got {len(coeffs)}")
     ints = []
@@ -120,7 +108,7 @@ def lattice_point(params: LatticeParams, coeffs: Sequence[int]) -> Point:
         if a != int(a):
             raise UsageError(f"coefficients must be integers, got {a!r}")
         ints.append(int(a))
-    return Point(_coords(params, ints[0], ints[1:]))
+    return _coords(params, ints[0], ints[1:])
 
 
 def _coords(params: LatticeParams, a1: int, rest: Sequence[int]) -> tuple[float, ...]:
@@ -144,9 +132,9 @@ def parity_rounded_point(
     queries a different parity choice can be nearer, so use
     closest_lattice_point for true nearest-point queries.
 
-    c is any sequence of coordinates, a Point included.  Returns the
-    rounded point's coordinates as a plain tuple, computed exactly as
-    lattice_point computes them, and its coefficients.
+    c is any sequence of coordinates.  Returns the rounded point's
+    coordinates, computed exactly as lattice_point computes them, and
+    its coefficients.
     """
     x0, *rest = c
     if len(rest) + 1 != params.dim:
@@ -191,7 +179,9 @@ def _axis1_coeff(params: LatticeParams, x0: float, rest_sum: int) -> int:
     return (m + rest_sum) // 2
 
 
-def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, CoeffVector]:
+def closest_lattice_point(
+    params: LatticeParams, c: Sequence[float]
+) -> tuple[tuple[float, ...], CoeffVector]:
     """The lattice point nearest to c, with its coefficients.
 
     Starts from the parity-rounded point, whose distance D bounds the
@@ -200,29 +190,29 @@ def closest_lattice_point(params: LatticeParams, c: Point) -> tuple[Point, Coeff
     up to float rounding; ties keep the first candidate in scan order.
     """
     p0, coeffs0 = parity_rounded_point(params, c)
-    bound = math.dist(p0, c.coords) + 1e-9
+    bound = math.dist(p0, c) + 1e-9
     axis_ranges = []
-    for x in c.coords[1:]:
+    for x in c[1:]:
         step = 2.0 * SQRT3
         lo = math.ceil((x - bound) / step)
         hi = math.floor((x + bound) / step)
         axis_ranges.append(range(lo, hi + 1))
     best_d2 = float("inf")
-    best: tuple[Point, CoeffVector] = (Point(p0), coeffs0)
+    best = (p0, coeffs0)
     for combo in itertools.product(*axis_ranges):
-        coeffs = (_axis1_coeff(params, c.coords[0], sum(combo)),) + combo
+        coeffs = (_axis1_coeff(params, c[0], sum(combo)),) + combo
         p = lattice_point(params, coeffs)
-        d2 = sum((a - b) ** 2 for a, b in zip(p.coords, c.coords))
+        d2 = sum((a - b) ** 2 for a, b in zip(p, c))
         if d2 < best_d2:
             best_d2 = d2
             best = (p, coeffs)
     return best
 
 
-def is_covered(params: LatticeParams, c: Point) -> bool:
+def is_covered(params: LatticeParams, c: Sequence[float]) -> bool:
     """True iff c lies in some closed unit ball centered at a lattice point."""
     p, _ = closest_lattice_point(params, c)
-    return distance(p, c) <= 1.0
+    return math.dist(p, c) <= 1.0
 
 
 def coverage_cells(
@@ -286,7 +276,7 @@ def min_pairwise_distance(params: LatticeParams, window: int = 3) -> float:
 
 
 def mc_volume_fraction(
-    params: LatticeParams, origin: Point, samples: int, seed: int
+    params: LatticeParams, origin: Sequence[float], samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the covered fraction of the period box at
     origin, whose sides are params.shift_extents().
@@ -300,10 +290,10 @@ def mc_volume_fraction(
 
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
-    if origin.dim != params.dim:
+    if len(origin) != params.dim:
         raise UsageError("origin dimension mismatch")
     rng = np.random.default_rng(seed)
-    lo = np.asarray(origin.coords, dtype=np.float64)
+    lo = np.asarray(origin, dtype=np.float64)
     hi = lo + np.asarray(params.shift_extents())
     pts = rng.uniform(lo, hi, size=(samples, params.dim))
     covered, _ = coverage_cells(params, pts)

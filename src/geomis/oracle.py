@@ -269,24 +269,27 @@ def independent_kissing_number(
     Refuses if any neighborhood exceeds node_limit.
     """
     check_node_limit(node_limit)
-    return _kissing_number(_MisEngine(_adjacency_masks(graph)), node_limit)
+    engine = _MisEngine(_adjacency_masks(graph))
+    zeta, center = _kissing_number(engine, node_limit)
+    witness = () if center is None else engine.witness(engine.adj[center])
+    return IknResult(zeta=zeta, witness_center=center, witness_set=witness)
 
 
-def _kissing_number(engine: _MisEngine, node_limit: int) -> IknResult:
-    """independent_kissing_number on an engine built for the whole graph."""
-    best = IknResult(zeta=0, witness_center=None, witness_set=())
+def _kissing_number(engine: _MisEngine, node_limit: int) -> tuple[int, Optional[int]]:
+    """zeta on an engine built for the whole graph, and the first vertex
+    whose neighborhood attains it (None when zeta is 0); builds no
+    witness."""
+    zeta, center = 0, None
     for v, nbrs in enumerate(engine.adj):
         degree = nbrs.bit_count()
         if degree > node_limit:
             raise OracleRefusal(
                 f"neighborhood of vertex {v} has {degree} vertices, above {node_limit}"
             )
-        zeta = engine.size(nbrs)
-        if zeta > best.zeta:
-            best = IknResult(
-                zeta=zeta, witness_center=v, witness_set=engine.witness(nbrs)
-            )
-    return best
+        size = engine.size(nbrs)
+        if size > zeta:
+            zeta, center = size, v
+    return zeta, center
 
 
 def verify_ratio(
@@ -302,13 +305,13 @@ def verify_ratio(
     graph = stream.adjacency()
     engine = _whole_graph_engine(graph, node_limit)
     opt = engine.size((1 << len(graph)) - 1)
-    ikn = _kissing_number(engine, node_limit)
+    zeta, _ = _kissing_number(engine, node_limit)
     ratio = empirical_ratio(opt, run.size)
-    bound = opt <= max(ikn.zeta, 1) * run.size
+    bound = opt <= max(zeta, 1) * run.size
     return RatioReport(
         opt_size=opt,
         alg_size=run.size,
         ratio=ratio,
-        zeta=ikn.zeta,
+        zeta=zeta,
         bound_satisfied=bound,
     )

@@ -29,7 +29,6 @@ from geomis import (
     LatticeParams,
     MisResult,
     OracleRefusal,
-    Point,
     TrialRecord,
     UsageError,
     class_count,
@@ -309,10 +308,10 @@ def reference_independent_kissing_number(
 def _closed_shapes_meet(a: Shape, b: Shape) -> bool:
     """The closed-contact rules, written out apart from geomis.geometry."""
     if isinstance(a, Ball):
-        return math.dist(a.center.coords, b.center.coords) <= a.radius + b.radius
+        return math.dist(a.center, b.center) <= a.radius + b.radius
     return all(
         al <= bu and bl <= au
-        for al, au, bl, bu in zip(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords)
+        for al, au, bl, bu in zip(a.lo, a.hi, b.lo, b.hi)
     )
 
 
@@ -332,11 +331,11 @@ def _margin_ok(a: Shape, others: list[Shape], margin: float) -> bool:
     """The generators' margin rule, checked against every accepted object."""
     for b in others:
         if isinstance(a, Ball):
-            gap = abs(math.dist(a.center.coords, b.center.coords) - (a.radius + b.radius))
+            gap = abs(math.dist(a.center, b.center) - (a.radius + b.radius))
             if gap < margin:
                 return False
         else:
-            for al, au, bl, bu in zip(a.lo.coords, a.hi.coords, b.lo.coords, b.hi.coords):
+            for al, au, bl, bu in zip(a.lo, a.hi, b.lo, b.hi):
                 if abs(al - bu) < margin or abs(bl - au) < margin:
                     return False
     return True
@@ -364,7 +363,7 @@ def reference_random_balls(
     lo, hi = radius_range
 
     def draw() -> Shape:
-        center = Point(tuple(rng.uniform(0.0, box_side) for _ in range(dim)))
+        center = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
         radius = lo if lo == hi else rng.uniform(lo, hi)
         return Ball(center, radius)
 
@@ -381,7 +380,7 @@ def reference_random_rects(
         lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
         sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
         hi = tuple(l + s for l, s in zip(lo, sides))
-        return HyperRectangle(Point(lo), Point(hi))
+        return HyperRectangle(lo, hi)
 
     return _draw_until_clear(draw, n, margin)
 
@@ -444,22 +443,24 @@ def reference_experiment_records(config) -> list[TrialRecord]:
     return records
 
 
-def reference_lattice_point(params: LatticeParams, coeffs) -> Point:
-    """The lattice point with integer coefficients coeffs, as a Point."""
+def reference_lattice_point(params: LatticeParams, coeffs) -> tuple[float, ...]:
+    """Coordinates of the lattice point with integer coefficients coeffs."""
     ints = [int(a) for a in coeffs]
     rest = ints[1:]
     x1 = (4.0 + params.delta) * ints[0] - (2.0 + params.delta / 2.0) * sum(rest)
-    return Point((x1,) + tuple(2.0 * SQRT3 * a for a in rest))
+    return (x1,) + tuple(2.0 * SQRT3 * a for a in rest)
 
 
-def reference_parity_rounded_point(params: LatticeParams, c: Point) -> tuple[Point, tuple]:
-    """Per-axis parity rounding on Points, one branch per parity case."""
+def reference_parity_rounded_point(
+    params: LatticeParams, c: Sequence[float]
+) -> tuple[tuple[float, ...], tuple]:
+    """Per-axis parity rounding, one branch per parity case."""
     rest: list[int] = []
-    for x in c.coords[1:]:
+    for x in c[1:]:
         z = math.floor(x / SQRT3)
         rest.append(z // 2 if z % 2 == 0 else (z + 1) // 2)
     k = sum(rest) % 2
-    z1 = math.floor(c.coords[0] / (2.0 + params.delta / 2.0))
+    z1 = math.floor(c[0] / (2.0 + params.delta / 2.0))
     m = z1 if z1 % 2 == k else z1 + 1
     coeffs = ((m + sum(rest)) // 2,) + tuple(rest)
     return reference_lattice_point(params, coeffs), coeffs
@@ -484,7 +485,7 @@ def lattice_queries(draw, params: LatticeParams):
             for _ in range(dim - 1)
         ]
         a1 = round((offset + (2.0 + params.delta / 2.0) * sum(rest)) / (4.0 + params.delta))
-        q = list(reference_lattice_point(params, [a1 + draw(st.integers(-20, 20))] + rest).coords)
+        q = list(reference_lattice_point(params, [a1 + draw(st.integers(-20, 20))] + rest))
         q[draw(st.integers(0, dim - 1))] += draw(st.sampled_from([1.0, -1.0]))
         return q
     centre = round(offset / SQRT3) // 2
@@ -499,7 +500,7 @@ lattice_params = st.builds(
 
 
 class ReferenceLatticeFilter(LatticeFilter):
-    """LatticeFilter deciding through a shifted Point and the reference
+    """LatticeFilter deciding through a shifted center and the reference
     rounding; the shift is drawn exactly as LatticeFilter draws it."""
 
     def decide(self, event) -> bool:
@@ -509,9 +510,9 @@ class ReferenceLatticeFilter(LatticeFilter):
         if self._shift is None:
             rng = random.Random(self._seed)
             self._shift = tuple(rng.uniform(0.0, e) for e in self.params.shift_extents())
-        shifted = Point(tuple(x + b for x, b in zip(ball.center.coords, self._shift)))
+        shifted = tuple(x + b for x, b in zip(ball.center, self._shift))
         p, coeffs = reference_parity_rounded_point(self.params, shifted)
-        if sum((a - b) ** 2 for a, b in zip(p.coords, shifted.coords)) > 1.0:
+        if sum((a - b) ** 2 for a, b in zip(p, shifted)) > 1.0:
             return False
         if coeffs in self.occupied:
             return False

@@ -20,8 +20,6 @@ from geomis import (
     HRClassify,
     HyperRectangle,
     LatticeParams,
-    Point,
-    balls_intersect,
     class_count,
     closest_lattice_point,
     coverage_cells,
@@ -44,6 +42,7 @@ from geomis.algorithms import LatticeFilter
 from geomis.cli import cli_dispatch
 
 from conftest import (
+    _closed_shapes_meet,
     brute_min_distances,
     gnp_stream,
     record_criterion,
@@ -136,9 +135,9 @@ def test_criterion_05_closest_point_oracle():
     reference_points = window_lattice_points(3, 0.01, window=3)
     reference = brute_min_distances(reference_points, queries)
     for row, ref in zip(queries, reference):
-        q = Point(tuple(row))
+        q = tuple(row)
         point, _ = closest_lattice_point(P3, q)
-        got = math.dist(tuple(point), tuple(row))
+        got = math.dist(point, q)
         assert abs(got - ref) <= 1e-9
         assert is_covered(P3, q) == (ref <= 1.0)
 
@@ -150,7 +149,7 @@ def test_criterion_06_volume_identity():
     period_volume = math.prod(P3.shift_extents())
     estimates = []
     for i in range(20):
-        origin = Point(tuple(rng.uniform(-25.0, 25.0) for _ in range(3)))
+        origin = tuple(rng.uniform(-25.0, 25.0) for _ in range(3))
         fraction, stderr = mc_volume_fraction(P3, origin, samples=10**6, seed=9000 + i)
         estimate = fraction * period_volume
         sigma = stderr * period_volume
@@ -177,7 +176,7 @@ def test_criterion_07_filter_acceptance_frequency():
     for i in range(0, 300):
         alg = LatticeFilter(P3, shift=tuple(shifts[i]))
         stream = ArrivalSequence.from_objects(
-            [Ball(Point(tuple(centers[i])), 1.0)]
+            [Ball(tuple(centers[i]), 1.0)]
         )
         assert run_online(alg, stream).size == int(covered[i])
 
@@ -190,7 +189,7 @@ def test_criterion_08_filter_clique_law():
         centers = rng.uniform(0.0, 8.0, size=(200, 3))
         shift = rng.uniform(0.0, 1.0, size=3) * extents
         covered, cells = coverage_cells(P3, centers + shift)
-        balls = [Ball(Point(tuple(c)), 1.0) for c in centers]
+        balls = [Ball(tuple(c), 1.0) for c in centers]
         clusters: dict[tuple, list[int]] = {}
         for i in np.flatnonzero(covered):
             clusters.setdefault(tuple(cells[i]), []).append(int(i))
@@ -199,11 +198,11 @@ def test_criterion_08_filter_clique_law():
             for a in members:
                 for b in members:
                     if a < b:
-                        assert balls_intersect(balls[a], balls[b])
+                        assert _closed_shapes_meet(balls[a], balls[b])
         for a in covered_ids:
             for b in covered_ids:
                 if a < b and tuple(cells[a]) != tuple(cells[b]):
-                    assert not balls_intersect(balls[a], balls[b])
+                    assert not _closed_shapes_meet(balls[a], balls[b])
         # the online filter keeps exactly the first ball of each cluster
         stream = ArrivalSequence.from_objects(balls)
         result = run_online(LatticeFilter(P3, shift=tuple(shift)), stream)
@@ -280,8 +279,8 @@ def test_criterion_11_hyper_rectangle_classes():
         hi_w = (min(2.0 ** (ci + 1), m), min(2.0 ** (cj + 1), m))
         center_sides = tuple(rng.uniform(lo_w[k], hi_w[k]) for k in range(2))
         center = HyperRectangle(
-            Point((50.0, 50.0)),
-            Point((50.0 + center_sides[0], 50.0 + center_sides[1])),
+            (50.0, 50.0),
+            (50.0 + center_sides[0], 50.0 + center_sides[1]),
         )
         objs = [center]
         for _ in range(19):
@@ -291,7 +290,7 @@ def test_criterion_11_hyper_rectangle_classes():
                 for k in range(2)
             )
             rect = HyperRectangle(
-                Point(lo), Point((lo[0] + sides[0], lo[1] + sides[1]))
+                lo, (lo[0] + sides[0], lo[1] + sides[1])
             )
             objs.append(rect)
         adj = intersection_graph(objs)

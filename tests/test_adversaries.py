@@ -99,7 +99,7 @@ def test_random_balls_properties():
     for ev in stream.events:
         ball = ev.payload
         assert ball.radius == 1.0
-        assert all(0.0 <= x <= 10.0 for x in ball.center.coords)
+        assert all(0.0 <= x <= 10.0 for x in ball.center)
     # no near-tangent pair
     for i, ei in enumerate(stream.events):
         for ej in stream.events[:i]:

@@ -15,7 +15,6 @@ from geomis import (
     HyperRectangle,
     LatticeFilter,
     LatticeParams,
-    Point,
     UsageError,
     class_count,
     filter_acceptance_probability,
@@ -25,6 +24,7 @@ from geomis import (
     width_class_index,
 )
 import geomis.algorithms
+import geomis.geometry
 from geomis.algorithms import make_algorithm
 from geomis.lattice import cross_axes_within_one
 from geomis.online import ArrivalEvent
@@ -35,7 +35,7 @@ P3 = LatticeParams(dim=3, delta=0.01)
 
 
 def unit_ball_stream(centers):
-    objs = [Ball(Point(tuple(c)), 1.0) for c in centers]
+    objs = [Ball(tuple(c), 1.0) for c in centers]
     return ArrivalSequence.from_objects(objs)
 
 
@@ -46,7 +46,7 @@ def random_unit_ball_stream(rng, n, box_side, dim=3):
 
 def rect_stream(rect_bounds):
     objs = [
-        HyperRectangle(Point(tuple(lo)), Point(tuple(hi)))
+        HyperRectangle(tuple(lo), tuple(hi))
         for lo, hi in rect_bounds
     ]
     return ArrivalSequence.from_objects(objs)
@@ -91,9 +91,9 @@ def test_every_width_in_exactly_one_class():
 def test_classify_forced_class_hand_run():
     # widths 1.5, 3.0, 2.5; the two class-1 objects are disjoint.
     objs = [
-        Ball(Point((0.0, 0.0)), 1.5),
-        Ball(Point((20.0, 0.0)), 3.0),
-        Ball(Point((40.0, 0.0)), 2.5),
+        Ball((0.0, 0.0), 1.5),
+        Ball((20.0, 0.0), 3.0),
+        Ball((40.0, 0.0), 2.5),
     ]
     stream = ArrivalSequence.from_objects(objs)
     result = run_online(Classify(8.0, forced_class=1), stream)
@@ -106,7 +106,7 @@ def test_classify_equals_first_fit_on_chosen_class():
         n = rng.randrange(1, 30)
         objs = [
             Ball(
-                Point((rng.uniform(0, 25), rng.uniform(0, 25))),
+                (rng.uniform(0, 25), rng.uniform(0, 25)),
                 rng.uniform(1.0, 8.0),
             )
             for _ in range(n)
@@ -130,10 +130,10 @@ def test_classify_equals_first_fit_on_chosen_class():
 def test_classify_width_out_of_range():
     stream = unit_ball_stream([(0.0, 0.0, 0.0)])  # width 1 ok
     run_online(Classify(8.0, forced_class=0), stream)
-    low = ArrivalSequence.from_objects([Ball(Point((0.0,)), 0.5)])
+    low = ArrivalSequence.from_objects([Ball((0.0,), 0.5)])
     with pytest.raises(UsageError):
         run_online(Classify(8.0, forced_class=0), low)
-    high = ArrivalSequence.from_objects([Ball(Point((0.0,)), 9.0)])
+    high = ArrivalSequence.from_objects([Ball((0.0,), 9.0)])
     with pytest.raises(UsageError):
         run_online(Classify(8.0, forced_class=0), high)
 
@@ -153,7 +153,7 @@ def test_classify_forced_class_bounds():
 def test_classify_seeded_class_draw_uniform():
     counts = [0, 0, 0, 0]
     dummy = ArrivalSequence.from_objects(
-        [Ball(Point((0.0,)), 1.0)]
+        [Ball((0.0,), 1.0)]
     )
     for seed in range(2000):
         alg = Classify(8.0, seed=seed)
@@ -265,7 +265,7 @@ def test_filter_zero_covered_accepts_nothing():
     # centers chosen in the uncovered gap around (0, 1.9, 0)
     centers = [(0.0, 1.9, 0.0), (0.3, 1.8, 0.2), (3.0, 1.9, 0.0)]
     for c in centers:
-        assert not is_covered(P3, Point(c))
+        assert not is_covered(P3, c)
     stream = unit_ball_stream(centers)
     result = run_online(LatticeFilter(P3, shift=(0.0, 0.0, 0.0)), stream)
     assert result.accepted == ()
@@ -280,7 +280,7 @@ def test_filter_equals_literal_first_fit_over_covered():
         got = run_online(LatticeFilter(P3, shift=shift), stream)
         accepted = []
         for ev in stream.events:
-            center = Point(tuple(x + b for x, b in zip(ev.payload.center, shift)))
+            center = tuple(x + b for x, b in zip(ev.payload.center, shift))
             if not is_covered(P3, center):
                 continue
             if not (set(ev.neighbors) & set(accepted)):
@@ -309,7 +309,7 @@ def test_filter_validation():
     with pytest.raises(UsageError):
         LatticeFilter(P3, shift=(0.0, 2.0 * math.sqrt(3.0), 0.0))
     non_unit = ArrivalSequence.from_objects(
-        [Ball(Point((0.0, 0.0, 0.0)), 2.0)]
+        [Ball((0.0, 0.0, 0.0), 2.0)]
     )
     with pytest.raises(UsageError):
         run_online(LatticeFilter(P3, shift=(0.0, 0.0, 0.0)), non_unit)
@@ -339,7 +339,7 @@ def test_filter_decisions_match_point_reference(data, params):
         fast, ref = LatticeFilter(params, shift=shift), ReferenceLatticeFilter(params, shift=shift)
     # Every centre arrives twice, so occupied cells are hit again.
     events = [
-        ArrivalEvent(i, frozenset(), Ball(Point(tuple(c)), 1.0))
+        ArrivalEvent(i, frozenset(), Ball(tuple(c), 1.0))
         for i, c in enumerate(centres + centres)
     ]
     assert [fast.decide(ev) for ev in events] == [ref.decide(ev) for ev in events]
@@ -354,13 +354,13 @@ def test_filter_accepts_at_distance_exactly_one(dim):
     cases = [(0.01, 0), (0.5, 0), (0.5, 3), (0.5, -7)]
     for delta, a1 in cases:
         params = LatticeParams(dim=dim, delta=delta)
-        base = lattice_point(params, (a1,) + (0,) * (dim - 1)).coords
+        base = lattice_point(params, (a1,) + (0,) * (dim - 1))
         for axis in range(dim):
             for sign in (1.0, -1.0):
                 centre = list(base)
                 centre[axis] += sign
                 assert sum((a - b) ** 2 for a, b in zip(centre, base)) == 1.0
-                ball = Ball(Point(tuple(centre)), 1.0)
+                ball = Ball(tuple(centre), 1.0)
                 for alg in (LatticeFilter, ReferenceLatticeFilter):
                     filt = alg(params, shift=(0.0,) * dim)
                     assert filt.decide(ArrivalEvent(0, frozenset(), ball))
@@ -368,18 +368,22 @@ def test_filter_accepts_at_distance_exactly_one(dim):
 
 
 def test_filter_builds_no_point_per_arrival(monkeypatch):
+    # Shapes check their coordinates through geometry._coordinates; the
+    # decide loop must check none.
     stream = random_unit_ball_stream(random.Random(2), 200, 12.0)
     built = []
-    real = Point.__post_init__
+    real = geomis.geometry._coordinates
 
-    def counting(self):
-        built.append(self)
-        real(self)
+    def counting(values):
+        built.append(values)
+        return real(values)
 
-    monkeypatch.setattr(Point, "__post_init__", counting)
+    monkeypatch.setattr(geomis.geometry, "_coordinates", counting)
     result = run_online(LatticeFilter(P3, seed=4), stream)
     assert result.size > 0
     assert built == []
+    Ball((0.0, 0.0, 0.0), 1.0)
+    assert built == [(0.0, 0.0, 0.0)]
 
 
 def test_filter_rounds_only_arrivals_that_pass_the_cross_axis_pretest(monkeypatch):
@@ -399,7 +403,7 @@ def test_filter_rounds_only_arrivals_that_pass_the_cross_axis_pretest(monkeypatc
     assert fast.occupied == ref.occupied
     assert fast.shift == ref.shift
     shifted = [
-        [x + b for x, b in zip(ev.payload.center.coords, fast.shift)]
+        [x + b for x, b in zip(ev.payload.center, fast.shift)]
         for ev in stream.events
     ]
     assert rounded == [c for c in shifted if cross_axes_within_one(c)]

@@ -12,7 +12,6 @@ from geomis import (
     FirstFit,
     HyperRectangle,
     OracleRefusal,
-    Point,
     generate_instance,
     load_instance,
     run_online,
@@ -423,6 +422,42 @@ def test_delta_above_the_bound_exits_one_without_traceback(
     assert captured.err == f"error: delta must be in (0, 1.0], got {delta}\n"
 
 
+@pytest.mark.parametrize("kind, name, value, n", [
+    ("random_balls", "box_side", "nan", 3),
+    ("random_balls", "box_side", "inf", 0),
+    ("random_rects", "box_side", "-inf", 3),
+    ("random_rects", "M", "inf", 3),
+    ("random_rects", "M", "nan", 0),
+])
+def test_non_finite_generator_parameters_exit_one_before_any_draw(
+    tmp_path, capsys, monkeypatch, kind, name, value, n
+):
+    message = f"error: {name} must be finite, got {value}\n"
+    params = {"box_side": 10.0, "M": 8.0, name: float(value)}
+    out = tmp_path / "x.gis"
+    argv = ["gen", "--kind", kind, "--n", str(n), "--dim", "2", "--seed", "1",
+            "--out", str(out)]
+    argv += [f"--box-side={params['box_side']}", f"--M={params['M']}"]
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert not out.exists()
+    for threads, per_trial in (("1", False), ("2", True)):
+        monkeypatch.setenv("GEOMIS_THREADS", threads)
+        config = tmp_path / "gen.json"
+        # json writes the non-finite floats as NaN, Infinity and -Infinity.
+        config.write_text(json.dumps({
+            "algorithm": "firstfit", "trials": 3, "base_seed": 1,
+            "instance_per_trial": per_trial,
+            "generator": {"kind": kind, "n": n, "dim": 2, "seed": 2, **params},
+        }))
+        csv = tmp_path / "gen.csv"
+        assert cli_dispatch(["experiment", "--config", str(config), "--out", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert not csv.exists()
+
+
 @pytest.fixture
 def levels_work_stubbed(monkeypatch):
     """Building a levels instance raises _WorkStarted."""
@@ -561,11 +596,11 @@ def test_filter_delta_checked_before_any_instance(
     "shapes, width",
     [
         (
-            [HyperRectangle(Point((10.0, 10.0)), Point((12.0, 12.0))),
-             HyperRectangle(Point((0.0, 0.0)), Point((3.0, 1.2)))],
+            [HyperRectangle((10.0, 10.0), (12.0, 12.0)),
+             HyperRectangle((0.0, 0.0), (3.0, 1.2))],
             "0.6 (half its smallest side)",
         ),
-        ([Ball(Point((30.0, 30.0)), 1.0), Ball(Point((0.0, 0.0)), 9.5)], "9.5 (its radius)"),
+        ([Ball((30.0, 30.0), 1.0), Ball((0.0, 0.0), 9.5)], "9.5 (its radius)"),
     ],
 )
 def test_classify_width_error_names_the_arrival(tmp_path, capsys, shapes, width):

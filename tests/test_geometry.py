@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,85 +10,100 @@ from geomis import (
     Ball,
     HyperRectangle,
     ArrivalSequence,
-    Point,
     UsageError,
-    balls_intersect,
-    distance,
     generate_instance,
     intersection_graph,
-    rects_intersect,
+    save_instance,
 )
 
-from conftest import pairwise_intersection_graph
+from conftest import _closed_shapes_meet, pairwise_intersection_graph
 
 finite_coord = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
 
 
-def test_distance_three_four_five():
-    assert distance(Point((0.0, 0.0)), Point((3.0, 4.0))) == 5.0
+def meet(a, b) -> bool:
+    """Whether intersection_graph joins the pair a, b."""
+    return intersection_graph([a, b]) == [{1}, {0}]
 
 
-def test_distance_requires_matching_dimension():
-    with pytest.raises(UsageError):
-        distance(Point((0.0,)), Point((0.0, 0.0)))
-
-
-def test_point_rejects_non_finite_coordinates():
-    with pytest.raises(UsageError):
-        Point((0.0, float("nan")))
-    with pytest.raises(UsageError):
-        Point((float("inf"),))
-    with pytest.raises(UsageError):
-        Point(())
-
-
-def test_point_iteration_and_dim():
-    p = Point((1.5, 1.0))
-    assert tuple(p) == (1.5, 1.0)
-    assert p.dim == 2
+def test_shapes_store_float_tuples_and_refuse_bad_coordinates(tmp_path):
+    balls = [Ball((0, 1), 2), Ball([0.0, 1.0], 2.0), Ball((0.0, 1.0), 2.0)]
+    boxes = [
+        HyperRectangle((0, 1), (2, 3)),
+        HyperRectangle([0.0, 1.0], [2.0, 3.0]),
+        HyperRectangle((0.0, 1.0), (2.0, 3.0)),
+    ]
+    expected = [
+        "geomis-instance v1\ndim 2\nball 0.0 1.0 2.0\n",
+        "geomis-instance v1\ndim 2\nrect 0.0 2.0 1.0 3.0\n",
+    ]
+    for shapes, text in zip((balls, boxes), expected):
+        assert all(shape == shapes[0] for shape in shapes)
+        assert len({hash(shape) for shape in shapes}) == 1
+        for shape in shapes:
+            path = tmp_path / "one.gis"
+            save_instance(ArrivalSequence.from_objects([shape]), path)
+            assert path.read_bytes() == text.encode()
+    for coords in (balls[0].center, boxes[0].lo, boxes[0].hi):
+        assert type(coords) is tuple and all(type(x) is float for x in coords)
+    assert balls[0].dim == boxes[0].dim == 2
+    nan, inf = float("nan"), float("inf")
+    for build, message in [
+        (lambda: Ball((), 1.0), "point needs at least one coordinate"),
+        (lambda: Ball((0.0, nan), 1.0), "non-finite coordinate in (0.0, nan)"),
+        (lambda: Ball([inf], 1.0), "non-finite coordinate in (inf,)"),
+        (lambda: HyperRectangle((), ()), "point needs at least one coordinate"),
+        (lambda: HyperRectangle((0.0, -inf), (1.0, 1.0)), "non-finite coordinate in (0.0, -inf)"),
+        (lambda: HyperRectangle((0.0, 0.0), (1.0, nan)), "non-finite coordinate in (1.0, nan)"),
+        (lambda: HyperRectangle((0.0,), (1.0, 1.0)), "corner dimension mismatch"),
+        (lambda: HyperRectangle((0.0, 0.0), (1.0,)), "corner dimension mismatch"),
+    ]:
+        with pytest.raises(UsageError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_ball_requires_positive_radius():
     with pytest.raises(UsageError):
-        Ball(Point((0.0,)), 0.0)
+        Ball((0.0,), 0.0)
     with pytest.raises(UsageError):
-        Ball(Point((0.0,)), -1.0)
+        Ball((0.0,), -1.0)
 
 
 def test_rect_requires_strictly_increasing_bounds():
     with pytest.raises(UsageError):
-        HyperRectangle(Point((0.0, 0.0)), Point((1.0, 0.0)))
-    r = HyperRectangle(Point((0.0, 0.0)), Point((2.0, 1.0)))
+        HyperRectangle((0.0, 0.0), (1.0, 0.0))
+    r = HyperRectangle((0.0, 0.0), (2.0, 1.0))
     assert r.sides == (2.0, 1.0)
 
 
 def test_tangent_balls_intersect():
-    a = Ball(Point((0.0, 0.0)), 1.0)
-    b = Ball(Point((2.0, 0.0)), 1.0)
-    assert balls_intersect(a, b)
-    c = Ball(Point((2.0 + 1e-9, 0.0)), 1.0)
-    assert not balls_intersect(a, c)
+    a = Ball((0.0, 0.0), 1.0)
+    b = Ball((2.0, 0.0), 1.0)
+    assert meet(a, b)
+    c = Ball((2.0 + 1e-9, 0.0), 1.0)
+    assert not meet(a, c)
 
 
 def test_rects_sharing_a_face_intersect():
-    a = HyperRectangle(Point((0.0, 0.0)), Point((1.0, 1.0)))
-    b = HyperRectangle(Point((1.0, 0.0)), Point((2.0, 1.0)))
-    assert rects_intersect(a, b)
-    c = HyperRectangle(Point((1.0 + 1e-9, 0.0)), Point((2.0, 1.0)))
-    assert not rects_intersect(a, c)
+    a = HyperRectangle((0.0, 0.0), (1.0, 1.0))
+    b = HyperRectangle((1.0, 0.0), (2.0, 1.0))
+    assert meet(a, b)
+    c = HyperRectangle((1.0 + 1e-9, 0.0), (2.0, 1.0))
+    assert not meet(a, c)
 
 
 def test_rects_sharing_only_a_corner_intersect():
-    a = HyperRectangle(Point((0.0, 0.0)), Point((1.0, 1.0)))
-    b = HyperRectangle(Point((1.0, 1.0)), Point((2.0, 2.0)))
-    assert rects_intersect(a, b)
+    a = HyperRectangle((0.0, 0.0), (1.0, 1.0))
+    b = HyperRectangle((1.0, 1.0), (2.0, 2.0))
+    assert meet(a, b)
 
 
 def test_mixed_kinds_rejected():
-    ball = Ball(Point((0.0, 0.0)), 1.0)
-    rect = HyperRectangle(Point((0.0, 0.0)), Point((1.0, 1.0)))
+    ball = Ball((0.0, 0.0), 1.0)
+    rect = HyperRectangle((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(UsageError):
         intersection_graph([ball, rect])
     with pytest.raises(UsageError):
@@ -95,26 +111,26 @@ def test_mixed_kinds_rejected():
 
 
 def test_ball_width_is_its_radius():
-    assert Ball(Point((0.0, 0.0, 0.0)), 2.5).width == 2.5
+    assert Ball((0.0, 0.0, 0.0), 2.5).width == 2.5
 
 
 def test_box_width_is_half_its_minimum_side():
-    box = HyperRectangle(Point((0.0, 0.0, 0.0)), Point((1.0, 3.0, 2.0)))
+    box = HyperRectangle((0.0, 0.0, 0.0), (1.0, 3.0, 2.0))
     assert box.width == 0.5
 
 
 def test_from_objects_rejects_unknown_shape():
-    ball = Ball(Point((0.0, 0.0)), 1.0)
-    for objects in ([Point((0.0, 0.0))], [ball, Point((5.0, 5.0))]):
-        with pytest.raises(UsageError, match="^unsupported shape type Point$"):
+    ball = Ball((0.0, 0.0), 1.0)
+    for objects in ([(0.0, 0.0)], [ball, (5.0, 5.0)]):
+        with pytest.raises(UsageError, match="^unsupported shape type tuple$"):
             ArrivalSequence.from_objects(objects)
 
 
 def test_intersection_graph_chain_of_balls():
     objs = [
-        Ball(Point((0.0, 0.0)), 1.0),
-        Ball(Point((1.9, 0.0)), 1.0),
-        Ball(Point((3.9, 0.0)), 1.0),
+        Ball((0.0, 0.0), 1.0),
+        Ball((1.9, 0.0), 1.0),
+        Ball((3.9, 0.0), 1.0),
     ]
     adj = intersection_graph(objs)
     assert adj == [{1}, {0, 2}, {1}]
@@ -131,9 +147,9 @@ def test_intersection_graph_empty():
 )
 @settings(max_examples=200, deadline=None)
 def test_ball_intersection_symmetric(ax, ay, bx, by, ra, rb):
-    a = Ball(Point((ax, ay)), ra)
-    b = Ball(Point((bx, by)), rb)
-    assert balls_intersect(a, b) == balls_intersect(b, a)
+    a = Ball((ax, ay), ra)
+    b = Ball((bx, by), rb)
+    assert meet(a, b) == meet(b, a) == _closed_shapes_meet(a, b)
 
 
 @given(
@@ -147,14 +163,14 @@ def test_ball_intersection_symmetric(ax, ay, bx, by, ra, rb):
 )
 @settings(max_examples=200, deadline=None)
 def test_ball_intersection_translation_invariant(ax, ay, bx, by, ra, rb, shift):
-    a = Ball(Point((ax, ay)), ra)
-    b = Ball(Point((bx, by)), rb)
-    a2 = Ball(Point((ax + shift[0], ay + shift[1])), ra)
-    b2 = Ball(Point((bx + shift[0], by + shift[1])), rb)
+    a = Ball((ax, ay), ra)
+    b = Ball((bx, by), rb)
+    a2 = Ball((ax + shift[0], ay + shift[1]), ra)
+    b2 = Ball((bx + shift[0], by + shift[1]), rb)
     # Exact float translation can flip razor-thin tangency cases; keep clear of them.
-    gap = distance(a.center, b.center) - (ra + rb)
+    gap = math.dist(a.center, b.center) - (ra + rb)
     if abs(gap) > 1e-6:
-        assert balls_intersect(a, b) == balls_intersect(a2, b2)
+        assert meet(a, b) == meet(a2, b2)
 
 
 def _random_shapes(rng, balls, n, dim, offset):
@@ -162,10 +178,10 @@ def _random_shapes(rng, balls, n, dim, offset):
     for _ in range(n):
         lo = tuple(offset + rng.uniform(-10, 10) for _ in range(dim))
         if balls:
-            objs.append(Ball(Point(lo), rng.uniform(0.2, 3.0)))
+            objs.append(Ball(lo, rng.uniform(0.2, 3.0)))
         else:
             hi = tuple(l + rng.uniform(0.1, 6.0) for l in lo)
-            objs.append(HyperRectangle(Point(lo), Point(hi)))
+            objs.append(HyperRectangle(lo, hi))
     return objs
 
 
@@ -201,8 +217,8 @@ def test_intersection_graph_matches_pairwise_on_workload_shapes(kind, n, dim, bo
 
 
 def test_intersection_graph_rejects_mixed_kinds_far_apart():
-    ball = Ball(Point((0.0, 0.0)), 1.0)
-    rect = HyperRectangle(Point((500.0, 500.0)), Point((501.0, 501.0)))
+    ball = Ball((0.0, 0.0), 1.0)
+    rect = HyperRectangle((500.0, 500.0), (501.0, 501.0))
     with pytest.raises(UsageError):
         intersection_graph([ball, rect])
     with pytest.raises(UsageError):
@@ -215,11 +231,11 @@ def test_intersection_graph_tangent_chains_across_cells():
     # cells, and a cell side even 0.1% short of 2 would split one.
     n = 1500
     path = [{k - 1, k + 1} & set(range(n)) for k in range(n)]
-    balls = [Ball(Point((-1e6 + 2.0 * k, 3.0)), 1.0) for k in range(n)]
+    balls = [Ball((-1e6 + 2.0 * k, 3.0), 1.0) for k in range(n)]
     assert intersection_graph(balls) == path
     boxes = [
         HyperRectangle(
-            Point((2.0 * k - 7.0, 2.0 * k)), Point((2.0 * k - 5.0, 2.0 * k + 2.0))
+            (2.0 * k - 7.0, 2.0 * k), (2.0 * k - 5.0, 2.0 * k + 2.0)
         )
         for k in range(n)
     ]
@@ -245,21 +261,21 @@ def shape_lists(draw):
         corner = [offset + draw(_dyadic(-160, 160)) for _ in range(dim)]
         if balls:
             radius = draw(_dyadic(1, 40))
-            objs.append(Ball(Point(tuple(corner)), radius))
+            objs.append(Ball(tuple(corner), radius))
             if draw(st.booleans()):
                 # An exactly tangent partner along one axis.
                 axis = draw(st.integers(0, dim - 1))
                 other = draw(_dyadic(1, 40))
                 corner[axis] += radius + other
-                objs.append(Ball(Point(tuple(corner)), other))
+                objs.append(Ball(tuple(corner), other))
         else:
             sides = [draw(_dyadic(1, 64)) for _ in range(dim)]
             hi = [c + s for c, s in zip(corner, sides)]
-            objs.append(HyperRectangle(Point(tuple(corner)), Point(tuple(hi))))
+            objs.append(HyperRectangle(tuple(corner), tuple(hi)))
             if draw(st.booleans()):
                 # A partner whose lower corner sits on this box's upper corner.
                 far = [u + draw(_dyadic(1, 64)) for u in hi]
-                partner = HyperRectangle(Point(tuple(hi)), Point(tuple(far)))
+                partner = HyperRectangle(tuple(hi), tuple(far))
                 objs.append(partner)
     return draw(st.permutations(objs))
 
@@ -281,7 +297,7 @@ def test_intersection_graph_in_high_dimension():
     for _ in range(n):
         center = [rng.uniform(0.0, 0.3) for _ in range(dim)]
         center[rng.randrange(3)] = rng.uniform(0.0, 9.0)
-        balls.append(Ball(Point(tuple(center)), rng.uniform(0.5, 1.5)))
+        balls.append(Ball(tuple(center), rng.uniform(0.5, 1.5)))
     adj = assert_matches_pairwise(balls)
     edges = sum(map(len, adj)) // 2
     assert 0 < edges < n * (n - 1) // 2

@@ -6,7 +6,6 @@ from geomis import (
     FirstFit,
     HyperRectangle,
     InstanceFormatError,
-    Point,
     level_graph_gen,
     load_instance,
     random_balls_gen,
@@ -126,17 +125,17 @@ def test_transcript_is_loadable_and_replayable(tmp_path):
 def test_mixed_precision_floats_roundtrip(tmp_path):
     vals = (0.1 + 0.2, 1e-17, 123456789.123456789, 2.0**-45)
     objs = [
-        Ball(Point((vals[0], vals[1])), 1.0),
-        Ball(Point((vals[2], vals[3])), 1.0),
+        Ball((vals[0], vals[1]), 1.0),
+        Ball((vals[2], vals[3]), 1.0),
     ]
     stream = ArrivalSequence.from_objects(objs)
     got = roundtrip(stream, tmp_path)
     for a, b in zip(got.events, stream.events):
-        assert a.payload.center.coords == b.payload.center.coords
+        assert a.payload.center == b.payload.center
 
 
 def test_rect_roundtrip_interleaved_bounds(tmp_path):
-    rect = HyperRectangle(Point((0.25, -1.5)), Point((3.75, 2.5)))
+    rect = HyperRectangle((0.25, -1.5), (3.75, 2.5))
     stream = ArrivalSequence.from_objects([rect])
     path = tmp_path / "r.txt"
     save_instance(stream, path)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from geomis import (
     LatticeParams,
-    Point,
     UsageError,
     closest_lattice_point,
     coverage_cells,
@@ -52,7 +51,8 @@ def test_params_reject_delta_above_the_bound(delta):
 
 
 def test_basis_matches_reference():
-    got = np.array([tuple(v) for v in P3.basis()])
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    got = np.array([lattice_point(P3, e) for e in units])
     assert np.allclose(got, reference_basis(3, 0.01), atol=0.0)
 
 
@@ -72,7 +72,7 @@ def test_lattice_point_input_validation():
 
 def test_basis_vectors_pairwise_far():
     basis = [lattice_point(P3, c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    for a, b in itertools.combinations(basis + [Point((0.0, 0.0, 0.0))], 2):
+    for a, b in itertools.combinations(basis + [(0.0, 0.0, 0.0)], 2):
         d = math.dist(tuple(a), tuple(b))
         assert d > 4.0
 
@@ -80,7 +80,7 @@ def test_basis_vectors_pairwise_far():
 def test_parity_rounding_odd_axis_rounds_up():
     # Coordinate sqrt(3) sits exactly between multiples 0 and 2*sqrt(3);
     # the odd intermediate rounds upward.
-    point, coeffs = parity_rounded_point(P3, Point((0.0, SQRT3, 0.0)))
+    point, coeffs = parity_rounded_point(P3, (0.0, SQRT3, 0.0))
     assert tuple(point)[1] == pytest.approx(2 * SQRT3)
     assert coeffs[1] == 1
 
@@ -88,7 +88,7 @@ def test_parity_rounding_odd_axis_rounds_up():
 def test_parity_rounding_returns_lattice_member():
     rng = random.Random(11)
     for _ in range(200):
-        q = Point(tuple(rng.uniform(-12, 12) for _ in range(3)))
+        q = tuple(rng.uniform(-12, 12) for _ in range(3))
         point, coeffs = parity_rounded_point(P3, q)
         assert tuple(point) == pytest.approx(tuple(lattice_point(P3, coeffs)), abs=1e-12)
 
@@ -97,15 +97,15 @@ def test_parity_rounding_returns_lattice_member():
 @settings(max_examples=400, deadline=None)
 def test_parity_rounding_matches_point_reference(data, params):
     q = data.draw(lattice_queries(params))
-    ref_point, ref_coeffs = reference_parity_rounded_point(params, Point(tuple(q)))
-    expected = (ref_point.coords, ref_coeffs)
-    for query in (q, tuple(q), Point(tuple(q))):
+    ref_point, ref_coeffs = reference_parity_rounded_point(params, q)
+    expected = (ref_point, ref_coeffs)
+    for query in (q, tuple(q), iter(q)):
         assert parity_rounded_point(params, query) == expected
-    assert tuple(lattice_point(params, ref_coeffs)) == ref_point.coords
+    assert lattice_point(params, ref_coeffs) == ref_point
 
 
 def test_parity_rounding_rejects_a_dimension_mismatch():
-    for query in ([1.0, 2.0], Point((1.0, 2.0)), [1.0, 2.0, 3.0, 4.0]):
+    for query in ([1.0, 2.0], (1.0, 2.0), [1.0, 2.0, 3.0, 4.0]):
         with pytest.raises(UsageError):
             parity_rounded_point(P3, query)
 
@@ -125,7 +125,7 @@ def test_cross_axis_pretest_rejects_only_uncovered_queries(data, params):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_cross_axis_pretest_passes_at_distance_exactly_one(dim):
     params = LatticeParams(dim=dim, delta=0.01)
-    base = lattice_point(params, (2,) + (0,) * (dim - 1)).coords
+    base = lattice_point(params, (2,) + (0,) * (dim - 1))
     for axis in range(1, dim):
         for gap in (1.0, -1.0):
             q = list(base)
@@ -138,7 +138,7 @@ def test_cross_axis_pretest_passes_at_distance_exactly_one(dim):
 def test_closest_beats_parity_rounding_here():
     # A query where one-shot parity rounding picks the origin but a
     # strictly nearer lattice point exists.
-    q = Point((1.955, 1.682, 0.0))
+    q = (1.955, 1.682, 0.0)
     rounded, rounded_coeffs = parity_rounded_point(P3, q)
     closest, closest_coeffs = closest_lattice_point(P3, q)
     assert rounded_coeffs == (0, 0, 0)
@@ -172,22 +172,22 @@ def test_closest_matches_brute_force(dim, count):
     points = window_lattice_points(dim, 0.01, window=7)
     brute = brute_min_distances(points, queries)
     for q, expected in zip(queries, brute):
-        got_point, _ = closest_lattice_point(params, Point(tuple(q)))
+        got_point, _ = closest_lattice_point(params, tuple(q))
         got = math.dist(tuple(got_point), tuple(q))
         assert abs(got - expected) <= 1e-9
 
 
 def test_is_covered_examples():
-    assert is_covered(P3, Point((0.0, 0.0, 0.0)))
-    assert is_covered(P3, Point((0.5, 0.5, 0.5)))
-    assert not is_covered(P3, Point((0.0, 1.5, 0.0)))
-    assert is_covered(P3, Point((4.01, 0.0, 0.6)))
+    assert is_covered(P3, (0.0, 0.0, 0.0))
+    assert is_covered(P3, (0.5, 0.5, 0.5))
+    assert not is_covered(P3, (0.0, 1.5, 0.0))
+    assert is_covered(P3, (4.01, 0.0, 0.6))
 
 
 def test_coverage_matches_parity_distance():
     rng = random.Random(3)
     for _ in range(300):
-        q = Point(tuple(rng.uniform(-10, 10) for _ in range(3)))
+        q = tuple(rng.uniform(-10, 10) for _ in range(3))
         point, _ = parity_rounded_point(P3, q)
         assert is_covered(P3, q) == (math.dist(tuple(point), tuple(q)) <= 1.0)
 
@@ -199,7 +199,7 @@ def test_coverage_cells_matches_scalar_path():
     assert covered.shape == (500,)
     assert cells.shape == (500, 3)
     for row, flag, cell in zip(pts, covered, cells):
-        q = Point(tuple(row))
+        q = tuple(row)
         assert bool(flag) == is_covered(P3, q)
         _, coeffs = parity_rounded_point(P3, q)
         assert tuple(int(c) for c in cell) == coeffs
@@ -238,13 +238,13 @@ def test_period_box_extents():
 
 def test_mc_volume_fraction_rejects_wrong_box_and_samples():
     with pytest.raises(UsageError):
-        mc_volume_fraction(P3, Point((0.0, 0.0)), samples=100, seed=0)
+        mc_volume_fraction(P3, (0.0, 0.0), samples=100, seed=0)
     with pytest.raises(UsageError):
-        mc_volume_fraction(P3, Point((0.0, 0.0, 0.0)), samples=0, seed=0)
+        mc_volume_fraction(P3, (0.0, 0.0, 0.0), samples=0, seed=0)
 
 
 def test_mc_volume_fraction_seeded_and_sane():
-    origin = Point((0.0, 0.0, 0.0))
+    origin = (0.0, 0.0, 0.0)
     frac1, err1 = mc_volume_fraction(P3, origin, samples=20000, seed=99)
     frac2, _ = mc_volume_fraction(P3, origin, samples=20000, seed=99)
     assert frac1 == frac2
@@ -253,8 +253,8 @@ def test_mc_volume_fraction_seeded_and_sane():
 
 
 def test_mc_volume_fraction_translation_invariant_within_noise():
-    fa, ea = mc_volume_fraction(P3, Point((0.0, 0.0, 0.0)), samples=20000, seed=7)
-    fb, eb = mc_volume_fraction(P3, Point((17.3, -4.9, 2.02)), samples=20000, seed=8)
+    fa, ea = mc_volume_fraction(P3, (0.0, 0.0, 0.0), samples=20000, seed=7)
+    fb, eb = mc_volume_fraction(P3, (17.3, -4.9, 2.02), samples=20000, seed=8)
     assert abs(fa - fb) <= 4 * math.hypot(ea, eb)
 
 

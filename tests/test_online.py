@@ -8,7 +8,6 @@ from geomis import (
     ArrivalSequence,
     Ball,
     FirstFit,
-    Point,
     UsageError,
     empirical_ratio,
     finalize_run,
@@ -32,7 +31,7 @@ def test_neighbors_must_point_backward():
 
 
 def test_payloads_all_or_none():
-    ball = Ball(Point((0.0, 0.0)), 1.0)
+    ball = Ball((0.0, 0.0), 1.0)
     events = (
         ArrivalEvent(id=0, neighbors=frozenset(), payload=ball),
         ArrivalEvent(id=1, neighbors=frozenset()),
@@ -43,9 +42,9 @@ def test_payloads_all_or_none():
 
 def test_from_objects_derives_adjacency():
     objs = [
-        Ball(Point((0.0, 0.0)), 1.0),
-        Ball(Point((1.5, 0.0)), 1.0),
-        Ball(Point((9.0, 0.0)), 1.0),
+        Ball((0.0, 0.0), 1.0),
+        Ball((1.5, 0.0), 1.0),
+        Ball((9.0, 0.0), 1.0),
     ]
     stream = ArrivalSequence.from_objects(objs)
     assert stream.dim == 2

@@ -247,6 +247,26 @@ def test_scoring_builds_no_witness(tmp_path, monkeypatch, capsys, witness_builds
     assert witness_builds == []
 
 
+def test_kissing_number_builds_one_witness_and_ratio_none(witness_builds):
+    # Disjoint stars with 1, 2 and 3 leaves, each center listed before
+    # its leaves, so zeta improves three times: at vertices 0, 2 and 5.
+    adj = [set() for _ in range(9)]
+    for center, leaves in ((0, [1]), (2, [3, 4]), (5, [6, 7, 8])):
+        for leaf in leaves:
+            adj[center].add(leaf)
+            adj[leaf].add(center)
+    stream = ArrivalSequence.from_neighbor_lists(
+        [[u for u in adj[v] if u < v] for v in range(len(adj))]
+    )
+    report = verify_ratio(stream, run_online(FirstFit(), stream))
+    assert report.zeta == 3
+    assert witness_builds == []
+    ikn = independent_kissing_number(adj)
+    assert ikn == reference_independent_kissing_number(adj)
+    assert (ikn.zeta, ikn.witness_center, ikn.witness_set) == (3, 5, (6, 7, 8))
+    assert witness_builds == [0b111000000]
+
+
 def test_mis_result_built_from_a_witness_keeps_equality_and_repr():
     built = MisResult(size=2, witness=(0, 2))
     assert built == MisResult(2, (0, 2)) == exact_mis(cycle(5))
