@@ -28,7 +28,7 @@ def meet(a, b) -> bool:
     return intersection_graph([a, b]) == [{1}, {0}]
 
 
-def test_shapes_store_float_tuples_and_refuse_bad_coordinates(tmp_path):
+def test_shapes_from_any_coordinate_sequence_are_equal(tmp_path):
     balls = [Ball((0, 1), 2), Ball([0.0, 1.0], 2.0), Ball((0.0, 1.0), 2.0)]
     boxes = [
         HyperRectangle((0, 1), (2, 3)),
@@ -46,9 +46,23 @@ def test_shapes_store_float_tuples_and_refuse_bad_coordinates(tmp_path):
             path = tmp_path / "one.gis"
             save_instance(ArrivalSequence.from_objects([shape]), path)
             assert path.read_bytes() == text.encode()
-    for coords in (balls[0].center, boxes[0].lo, boxes[0].hi):
+
+
+def test_point_iteration_and_dim():
+    ball = Ball((1.5, 1), 2.0)
+    box = HyperRectangle([0, 1.0, 2], (3.0, 4, 5.5))
+    for coords, values in [
+        (ball.center, (1.5, 1.0)),
+        (box.lo, (0.0, 1.0, 2.0)),
+        (box.hi, (3.0, 4.0, 5.5)),
+    ]:
         assert type(coords) is tuple and all(type(x) is float for x in coords)
-    assert balls[0].dim == boxes[0].dim == 2
+        assert tuple(iter(coords)) == values
+    assert ball.dim == 2
+    assert box.dim == 3
+
+
+def test_point_rejects_non_finite_coordinates():
     nan, inf = float("nan"), float("inf")
     for build, message in [
         (lambda: Ball((), 1.0), "point needs at least one coordinate"),
