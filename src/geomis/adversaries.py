@@ -169,11 +169,28 @@ def _endpoint_near(values: list[float], x: float) -> bool:
     return any(abs(x - v) < margin for v in values[start:stop])
 
 
-def _require_finite(name: str, value: float) -> None:
-    """Refuse NaN and infinities, which pass the range checks; compared,
-    as math.isfinite overflows on huge ints."""
-    if not -math.inf < value < math.inf:
-        raise UsageError(f"{name} must be finite, got {value}")
+def _require_finite(name: str, value: float) -> float:
+    """value as a float, refusing NaN and infinities, which pass the range
+    checks, and ints past float range, which the message does not print."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise UsageError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(x):
+        raise UsageError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _require_region(n: int, dim: int, box_side: float) -> float:
+    """Check n, dim and box_side before any draw; box_side as a float."""
+    if n < 0:
+        raise UsageError(f"n must be >= 0, got {n}")
+    if dim < 1:
+        raise UsageError(f"dim must be >= 1, got {dim}")
+    box_side = _require_finite("box_side", box_side)
+    if box_side <= 0:
+        raise UsageError(f"box_side must be positive, got {box_side}")
+    return box_side
 
 
 def _place(n: int, draw, index) -> list[Shape]:
@@ -207,14 +224,8 @@ def random_balls_gen(
     ball is within DEGENERACY_MARGIN (1e-6) of the radius sum, so no
     pair is within 1e-6 of tangency.
     """
-    if n < 0:
-        raise UsageError(f"n must be >= 0, got {n}")
-    if dim < 1:
-        raise UsageError(f"dim must be >= 1, got {dim}")
-    _require_finite("box_side", box_side)
-    if box_side <= 0:
-        raise UsageError(f"box_side must be positive, got {box_side}")
-    lo, hi = float(radius_range[0]), float(radius_range[1])
+    box_side = _require_region(n, dim, box_side)
+    lo, hi = (_require_finite("radius_range", r) for r in radius_range)
     if not 0 < lo <= hi:
         raise UsageError(f"bad radius range {radius_range}")
     rng = random.Random(seed)
@@ -244,14 +255,8 @@ def random_rects_gen(
     of such a box's lower endpoint.  So no two boxes have facing
     endpoints within 1e-6 on any axis.
     """
-    if n < 0:
-        raise UsageError(f"n must be >= 0, got {n}")
-    if dim < 1:
-        raise UsageError(f"dim must be >= 1, got {dim}")
-    _require_finite("box_side", box_side)
-    if box_side <= 0:
-        raise UsageError(f"box_side must be positive, got {box_side}")
-    _require_finite("M", m)
+    box_side = _require_region(n, dim, box_side)
+    m = _require_finite("M", m)
     if m < 1:
         raise UsageError(f"M must be >= 1, got {m}")
     rng = random.Random(seed)

@@ -18,7 +18,8 @@ Classify handles fat objects of bounded width spread: it draws one
 dyadic width class [2^j, 2^(j+1)) uniformly and plays greedy first-fit
 on that class only.  HRClassify does the same for hyper-rectangles with
 an independent class draw per axis, where each class has independent
-kissing number at most 4^d.
+kissing number at most 4^d.  Every strategy makes its random draw, the
+shift or the classes, from its seed when it is built; decide draws none.
 
 ALGORITHMS names the strategies, together with FirstFit; make_algorithm
 builds any of them from a name, and the harness and the CLI build them
@@ -72,39 +73,30 @@ class LatticeFilter:
     """Online strategy for unit balls: accept the first ball whose
     shifted center each lattice point covers.
 
-    The shift is drawn once, lazily at the first arrival, uniformly
-    over one lattice period per axis.  Within one run, balls covered by
-    the same lattice point pairwise intersect and balls covered by
-    different lattice points never do, so one-per-cell acceptance is
-    exactly greedy first-fit on the covered subsequence.
+    The shift is given, or drawn once from seed when the filter is
+    built, uniformly over one lattice period per axis.  Within one run,
+    balls covered by the same lattice point pairwise intersect and balls
+    covered by different lattice points never do, so one-per-cell
+    acceptance is exactly greedy first-fit on the covered subsequence.
     """
 
     def __init__(
-        self,
-        params: LatticeParams,
-        seed: Optional[int] = None,
+        self, params: LatticeParams, seed: Optional[int] = None,
         shift: Optional[Sequence[float]] = None,
     ) -> None:
         self.params = params
-        self._seed = seed
-        self._shift: Optional[tuple[float, ...]] = None
-        if shift is not None:
-            self._shift = self._validated_shift(shift)
+        extents = params.shift_extents()
+        if shift is None:
+            rng = random.Random(seed)
+            self.shift = tuple(rng.uniform(0.0, e) for e in extents)
+        else:
+            self.shift = tuple(float(x) for x in shift)
+            if len(self.shift) != params.dim:
+                raise UsageError(f"shift must have {params.dim} coordinates")
+            for x, e in zip(self.shift, extents):
+                if not 0.0 <= x < e:
+                    raise UsageError(f"shift coordinate {x} outside [0, {e})")
         self.occupied: dict[CoeffVector, int] = {}
-
-    def _validated_shift(self, shift: Sequence[float]) -> tuple[float, ...]:
-        b = tuple(float(x) for x in shift)
-        extents = self.params.shift_extents()
-        if len(b) != self.params.dim:
-            raise UsageError(f"shift must have {self.params.dim} coordinates")
-        for x, e in zip(b, extents):
-            if not 0.0 <= x < e:
-                raise UsageError(f"shift coordinate {x} outside [0, {e})")
-        return b
-
-    @property
-    def shift(self) -> Optional[tuple[float, ...]]:
-        return self._shift
 
     def decide(self, event: ArrivalEvent) -> bool:
         ball = event.payload
@@ -112,17 +104,10 @@ class LatticeFilter:
             raise UsageError("LatticeFilter requires unit-ball payloads")
         center = ball.center
         if len(center) != self.params.dim:
-            raise UsageError(
-                f"ball dim {len(center)} does not match lattice dim {self.params.dim}"
-            )
+            raise UsageError(f"ball dim {len(center)} does not match lattice dim {self.params.dim}")
         if ball.radius != 1.0:
             raise UsageError(f"LatticeFilter requires unit balls, got radius {ball.radius}")
-        if self._shift is None:
-            rng = random.Random(self._seed)
-            self._shift = tuple(
-                rng.uniform(0.0, e) for e in self.params.shift_extents()
-            )
-        shifted = [x + b for x, b in zip(center, self._shift)]
+        shifted = [x + b for x, b in zip(center, self.shift)]
         # Most arrivals fail on one axis 2..d alone; each such term is
         # also in the sum below, so this return changes no decision.
         if not cross_axes_within_one(shifted):
@@ -159,27 +144,46 @@ def filter_acceptance_probability(
     return unit_ball_volume(dim) / cell
 
 
-class Classify:
-    """Online strategy for sized objects with widths in [1, M]: draw one
-    dyadic width class uniformly, then play first-fit on that class."""
+class _ClassFirstFit:
+    """First-fit on the arrivals whose per-axis dyadic class tuple is
+    chosen_classes: the forced tuple, or one uniform class per axis drawn
+    from seed when built.  Subclasses check an arrival in _classes."""
+
+    _index_name = "class index"
 
     def __init__(
-        self,
-        m: float,
-        seed: Optional[int] = None,
-        forced_class: Optional[int] = None,
+        self, m: float, axes: int, seed: Optional[int], forced: Optional[Sequence[int]]
     ) -> None:
         self.m = float(m)
-        self.num_classes = class_count(self.m)
-        if forced_class is not None and not 0 <= forced_class < self.num_classes:
-            raise UsageError(
-                f"forced_class {forced_class} outside 0..{self.num_classes - 1}"
-            )
-        self._seed = seed
-        self.chosen_class: Optional[int] = forced_class
+        k = class_count(self.m)
+        if forced is None:
+            rng = random.Random(seed)
+            self.chosen_classes = tuple(rng.randrange(k) for _ in range(axes))
+        else:
+            self.chosen_classes = tuple(int(j) for j in forced)
+            if len(self.chosen_classes) != axes:
+                raise UsageError(f"forced_classes must have {axes} entries")
+            for j in self.chosen_classes:
+                if not 0 <= j < k:
+                    raise UsageError(f"{self._index_name} {j} outside 0..{k - 1}")
         self._greedy = FirstFit()
 
     def decide(self, event: ArrivalEvent) -> bool:
+        return self._classes(event) == self.chosen_classes and self._greedy.decide(event)
+
+
+class Classify(_ClassFirstFit):
+    """Online strategy for sized objects with widths in [1, M]: draw one
+    dyadic width class uniformly, then play first-fit on that class."""
+
+    _index_name = "forced_class"
+
+    def __init__(
+        self, m: float, seed: Optional[int] = None, forced_class: Optional[int] = None
+    ) -> None:
+        super().__init__(m, 1, seed, None if forced_class is None else (forced_class,))
+
+    def _classes(self, event: ArrivalEvent) -> tuple[int, ...]:
         if event.payload is None:
             raise UsageError("Classify requires sized-object payloads")
         width = event.payload.width
@@ -189,67 +193,34 @@ class Classify:
                 f"arrival {event.id} has width {width} ({meaning}), outside [1, {self.m}]:"
                 " classify needs every width in [1, M]"
             )
-        if self.chosen_class is None:
-            self.chosen_class = random.Random(self._seed).randrange(self.num_classes)
-        if width_class_index(width) != self.chosen_class:
-            return False
-        return self._greedy.decide(event)
+        return (width_class_index(width),)
 
 
-class HRClassify:
+class HRClassify(_ClassFirstFit):
     """Online strategy for axis-aligned boxes with sides in [1, M]: draw
     one dyadic class per axis, keep boxes matching on every axis, and
     play first-fit on them."""
 
     def __init__(
-        self,
-        m: float,
-        dim: int,
-        seed: Optional[int] = None,
+        self, m: float, dim: int, seed: Optional[int] = None,
         forced_classes: Optional[Sequence[int]] = None,
     ) -> None:
-        self.m = float(m)
         if dim < 1:
             raise UsageError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
-        self.classes_per_axis = class_count(self.m)
-        self.chosen_classes: Optional[tuple[int, ...]] = None
-        if forced_classes is not None:
-            forced = tuple(int(j) for j in forced_classes)
-            if len(forced) != dim:
-                raise UsageError(f"forced_classes must have {dim} entries")
-            for j in forced:
-                if not 0 <= j < self.classes_per_axis:
-                    raise UsageError(
-                        f"class index {j} outside 0..{self.classes_per_axis - 1}"
-                    )
-            self.chosen_classes = forced
-        self._seed = seed
-        self._greedy = FirstFit()
+        super().__init__(m, dim, seed, forced_classes)
 
-    @property
-    def num_classes(self) -> int:
-        return self.classes_per_axis**self.dim
-
-    def decide(self, event: ArrivalEvent) -> bool:
+    def _classes(self, event: ArrivalEvent) -> tuple[int, ...]:
         rect = event.payload
         if not isinstance(rect, HyperRectangle):
             raise UsageError("HRClassify requires box payloads")
-        if rect.dim != self.dim:
-            raise UsageError(f"box dim {rect.dim} does not match configured dim {self.dim}")
+        dim = len(self.chosen_classes)
+        if rect.dim != dim:
+            raise UsageError(f"box dim {rect.dim} does not match configured dim {dim}")
         sides = rect.sides
         for s in sides:
             if not 1.0 <= s <= self.m:
                 raise UsageError(f"side length {s} outside [1, {self.m}]")
-        if self.chosen_classes is None:
-            rng = random.Random(self._seed)
-            self.chosen_classes = tuple(
-                rng.randrange(self.classes_per_axis) for _ in range(self.dim)
-            )
-        cls = tuple(width_class_index(s) for s in sides)
-        if cls != self.chosen_classes:
-            return False
-        return self._greedy.decide(event)
+        return tuple(width_class_index(s) for s in sides)
 
 
 ALGORITHMS = ("firstfit", "filter", "classify", "hr_classify")

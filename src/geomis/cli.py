@@ -17,6 +17,7 @@ import math
 import random
 import sys
 from dataclasses import replace
+from itertools import product
 from typing import Optional, Sequence
 
 from .adversaries import GENERATOR_KINDS, AdversaryConfig, generate_instance, star_adversary
@@ -33,7 +34,7 @@ from .lattice import (
     mc_volume_fraction,
     unit_ball_volume,
 )
-from .online import FirstFit, run_online
+from .online import ArrivalSequence, FirstFit, RunResult, run_online
 from .oracle import (
     DEFAULT_NODE_LIMIT,
     OracleRefusal,
@@ -85,18 +86,14 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one online algorithm over an instance file")
     run.add_argument("--alg", required=True, choices=ALGORITHMS)
     run.add_argument("--in", dest="infile", required=True)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--delta", type=float, default=0.01)
-    run.add_argument("--M", dest="m", type=float, default=8.0)
+    _add_algorithm_flags(run)
     run.set_defaults(func=_cmd_run)
 
     oracle = sub.add_parser("oracle", help="exact offline answers for an instance file")
     oracle.add_argument("--what", required=True, choices=["mis", "ikn", "ratio"])
     oracle.add_argument("--in", dest="infile", required=True)
     oracle.add_argument("--alg", default="firstfit", choices=ALGORITHMS)
-    oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--delta", type=float, default=0.01)
-    oracle.add_argument("--M", dest="m", type=float, default=8.0)
+    _add_algorithm_flags(oracle)
     oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -124,6 +121,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _add_algorithm_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags _run_algorithm builds the --alg strategy from."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--delta", type=float, default=0.01)
+    parser.add_argument("--M", dest="m", type=float, default=8.0)
+
+
+def _run_algorithm(args: argparse.Namespace, stream: ArrivalSequence) -> RunResult:
+    algorithm = make_algorithm(args.alg, stream.dim, seed=args.seed, delta=args.delta, m=args.m)
+    return run_online(algorithm, stream)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = AdversaryConfig(
         kind=args.kind, zeta=args.zeta, n=args.n, dim=args.dim, m=args.m,
@@ -146,10 +155,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     stream = load_instance(args.infile)
-    algorithm = make_algorithm(
-        args.alg, stream.dim, seed=args.seed, delta=args.delta, m=args.m
-    )
-    result = run_online(algorithm, stream)
+    result = _run_algorithm(args, stream)
     ids = " ".join(str(i) for i in result.accepted)
     print(f"algorithm {args.alg}")
     print(f"arrivals {len(stream)}")
@@ -169,11 +175,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.what == "ikn":
         print(independent_kissing_number(graph, args.node_limit).zeta)
         return 0
-    algorithm = make_algorithm(
-        args.alg, stream.dim, seed=args.seed, delta=args.delta, m=args.m
-    )
-    result = run_online(algorithm, stream)
-    report = verify_ratio(stream, result, args.node_limit)
+    report = verify_ratio(stream, _run_algorithm(args, stream), args.node_limit)
     print(f"opt {report.opt_size}")
     print(f"alg {report.alg_size}")
     print(f"ratio {report.ratio}")
@@ -184,8 +186,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) -> float:
     """Exhaustive nearest-lattice-point distance over a coefficient window."""
-    from itertools import product
-
     best = math.inf
     for coeffs in product(range(-window, window + 1), repeat=params.dim):
         best = min(best, math.dist(lattice_point(params, coeffs), c))

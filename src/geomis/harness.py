@@ -157,7 +157,7 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the str digit limit
             raise UsageError(f"bad config JSON: {exc}") from None
         if not isinstance(data, dict):
             raise UsageError("config JSON must be an object")

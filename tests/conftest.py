@@ -501,16 +501,13 @@ lattice_params = st.builds(
 
 class ReferenceLatticeFilter(LatticeFilter):
     """LatticeFilter deciding through a shifted center and the reference
-    rounding; the shift is drawn exactly as LatticeFilter draws it."""
+    rounding, under the shift LatticeFilter fixed when it was built."""
 
     def decide(self, event) -> bool:
         ball = event.payload
         if not isinstance(ball, Ball) or ball.radius != 1.0 or ball.dim != self.params.dim:
             raise UsageError("reference filter needs unit balls of the lattice dimension")
-        if self._shift is None:
-            rng = random.Random(self._seed)
-            self._shift = tuple(rng.uniform(0.0, e) for e in self.params.shift_extents())
-        shifted = tuple(x + b for x, b in zip(ball.center, self._shift))
+        shifted = tuple(x + b for x, b in zip(ball.center, self.shift))
         p, coeffs = reference_parity_rounded_point(self.params, shifted)
         if sum((a - b) ** 2 for a, b in zip(p, shifted)) > 1.0:
             return False

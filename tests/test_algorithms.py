@@ -152,13 +152,9 @@ def test_classify_forced_class_bounds():
 
 def test_classify_seeded_class_draw_uniform():
     counts = [0, 0, 0, 0]
-    dummy = ArrivalSequence.from_objects(
-        [Ball((0.0,), 1.0)]
-    )
     for seed in range(2000):
-        alg = Classify(8.0, seed=seed)
-        run_online(alg, dummy)
-        counts[alg.chosen_class] += 1
+        (j,) = Classify(8.0, seed=seed).chosen_classes
+        counts[j] += 1
     assert sum(counts) == 2000
     expected = 2000 / 4
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -182,7 +178,8 @@ def test_hr_class_tuple_example():
     alg = HRClassify(5.0, dim=2, forced_classes=(0, 1))
     result = run_online(alg, stream)
     assert result.accepted == (0,)
-    assert alg.num_classes == 9
+    assert alg.chosen_classes == (0, 1)
+    assert class_count(5.0) ** 2 == 9
     other = run_online(HRClassify(5.0, dim=2, forced_classes=(1, 1)), stream)
     assert other.accepted == ()
 
@@ -299,6 +296,23 @@ def test_filter_seeded_shift_reproducible():
     run_online(alg, stream)
     extents = P3.shift_extents()
     assert all(0.0 <= x < e for x, e in zip(alg.shift, extents))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 123, 2**70])
+def test_strategies_draw_from_their_seed_when_built(seed):
+    # No arrival reaches the strategies: the draws are fixed in __init__,
+    # as one uniform shift coordinate or one randrange per axis from
+    # random.Random(seed).
+    rng = random.Random(seed)
+    shift = tuple(rng.uniform(0.0, e) for e in (4.01, 2 * math.sqrt(3), 2 * math.sqrt(3)))
+    assert LatticeFilter(P3, seed=seed).shift == shift
+    assert ReferenceLatticeFilter(P3, seed=seed).shift == shift
+    assert make_algorithm("filter", 3, seed=seed, delta=0.01, m=8.0).shift == shift
+    assert Classify(8.0, seed=seed).chosen_classes == (random.Random(seed).randrange(4),)
+    rng = random.Random(seed)
+    classes = tuple(rng.randrange(3) for _ in range(3))
+    assert HRClassify(5.0, dim=3, seed=seed).chosen_classes == classes
+    assert make_algorithm("hr_classify", 3, seed=seed, delta=0.01, m=5.0).chosen_classes == classes
 
 
 def test_filter_validation():

@@ -458,6 +458,60 @@ def test_non_finite_generator_parameters_exit_one_before_any_draw(
         assert not csv.exists()
 
 
+@pytest.mark.parametrize("kind, name", [("random_balls", "box_side"), ("random_rects", "M")])
+def test_generator_integers_past_float_range_exit_one(tmp_path, capsys, monkeypatch, kind, name):
+    message = f"error: {name} must be finite, got an integer too large for a float\n"
+    params = {"box_side": 10.0, "M": 8.0, name: int("9" * 401)}
+    for threads, per_trial in (("1", False), ("2", True)):
+        monkeypatch.setenv("GEOMIS_THREADS", threads)
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({
+            "algorithm": "firstfit", "trials": 3, "base_seed": 1,
+            "instance_per_trial": per_trial,
+            "generator": {"kind": kind, "n": 3, "dim": 2, "seed": 2, **params},
+        }))
+        csv = tmp_path / "gen.csv"
+        assert cli_dispatch(["experiment", "--config", str(config), "--out", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert not csv.exists()
+
+
+@pytest.mark.parametrize("radii, shown", [(["1", "inf"], "inf"), (["nan", "1"], "nan")])
+@pytest.mark.parametrize("n", [5, 0])
+def test_non_finite_radius_range_exits_one_before_any_draw(tmp_path, capsys, radii, shown, n):
+    message = f"error: radius_range must be finite, got {shown}\n"
+    out = tmp_path / "x.gis"
+    assert cli_dispatch(["gen", "--kind", "random_balls", "--n", str(n), "--dim", "2",
+                         "--box-side", "10", "--radius-range", *radii, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert not out.exists()
+    config = tmp_path / "gen.json"
+    # json writes the non-finite floats as NaN and Infinity.
+    config.write_text(json.dumps({
+        "algorithm": "firstfit", "trials": 3, "base_seed": 1,
+        "generator": {"kind": "random_balls", "n": n, "dim": 2, "box_side": 10.0,
+                      "seed": 2, "radius_range": [float(r) for r in radii]},
+    }))
+    assert cli_dispatch(["experiment", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_config_integer_past_the_str_digit_limit_exits_one(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text(
+        '{"algorithm": "firstfit", "trials": 1, "base_seed": ' + "9" * 5000
+        + ', "generator": {"kind": "levels", "zeta": 4, "seed": 2}}'
+    )
+    assert cli_dispatch(["experiment", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad config JSON: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def levels_work_stubbed(monkeypatch):
     """Building a levels instance raises _WorkStarted."""
