@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -21,6 +22,7 @@ from .geometry import (
     Shape,
     UniformGrid,
     UsageError,
+    require_finite,
     require_type,
 )
 from .online import (
@@ -116,11 +118,12 @@ class _BallIndex:
     """
 
     def __init__(self, dim: int, max_radius: float, box_side: float) -> None:
-        self.grid = UniformGrid(dim, 2.0 * max_radius + DEGENERACY_MARGIN, box_side)
+        reach = 2.0 * max_radius + DEGENERACY_MARGIN
+        self.grid = UniformGrid(reach, (0.0,) * dim, (box_side,) * dim)
         self.balls: list[Ball] = []
 
     def clear(self, a: Ball) -> bool:
-        for j in self.grid.near(self.grid.cell(a.center)):
+        for j in self.grid.near(a.center):
             b = self.balls[j]
             gap = abs(math.dist(a.center, b.center) - (a.radius + b.radius))
             if gap < DEGENERACY_MARGIN:
@@ -128,7 +131,7 @@ class _BallIndex:
         return True
 
     def add(self, ball: Ball) -> None:
-        self.grid.add(self.grid.cell(ball.center), len(self.balls))
+        self.grid.add(ball.center, len(self.balls))
         self.balls.append(ball)
 
 
@@ -159,26 +162,14 @@ class _BoxEndpoints:
 def _endpoint_near(values: list[float], x: float) -> bool:
     """True iff some v in the sorted values has abs(x - v) < DEGENERACY_MARGIN.
 
-    Every v with that property lies in [x - 2*margin, x + 2*margin] even
-    after rounding, so only that window is tested.  abs(x - v) equals
-    abs(v - x) exactly, because rounding is symmetric in sign.
+    Rounding keeps x - v monotone in v, so the nearest v below x and the
+    nearest v at or above it decide; for those, abs(x - v) is x - v and
+    v - x, equal to the bit because rounding is symmetric in sign.
     """
-    margin = DEGENERACY_MARGIN
-    start = bisect_left(values, x - 2.0 * margin)
-    stop = bisect_right(values, x + 2.0 * margin, start)
-    return any(abs(x - v) < margin for v in values[start:stop])
-
-
-def _require_finite(name: str, value: float) -> float:
-    """value as a float, refusing NaN and infinities, which pass the range
-    checks, and ints past float range, which the message does not print."""
-    try:
-        x = float(value)
-    except OverflowError:
-        raise UsageError(f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(x):
-        raise UsageError(f"{name} must be finite, got {x}")
-    return x
+    at = bisect_left(values, x)
+    return (at > 0 and x - values[at - 1] < DEGENERACY_MARGIN) or (
+        at < len(values) and values[at] - x < DEGENERACY_MARGIN
+    )
 
 
 def _require_region(n: int, dim: int, box_side: float) -> float:
@@ -187,7 +178,7 @@ def _require_region(n: int, dim: int, box_side: float) -> float:
         raise UsageError(f"n must be >= 0, got {n}")
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
-    box_side = _require_finite("box_side", box_side)
+    box_side = require_finite("box_side", box_side)
     if box_side <= 0:
         raise UsageError(f"box_side must be positive, got {box_side}")
     return box_side
@@ -225,7 +216,7 @@ def random_balls_gen(
     pair is within 1e-6 of tangency.
     """
     box_side = _require_region(n, dim, box_side)
-    lo, hi = (_require_finite("radius_range", r) for r in radius_range)
+    lo, hi = (require_finite("radius_range", r) for r in radius_range)
     if not 0 < lo <= hi:
         raise UsageError(f"bad radius range {radius_range}")
     rng = random.Random(seed)
@@ -256,16 +247,15 @@ def random_rects_gen(
     endpoints within 1e-6 on any axis.
     """
     box_side = _require_region(n, dim, box_side)
-    m = _require_finite("M", m)
+    m = require_finite("M", m)
     if m < 1:
         raise UsageError(f"M must be >= 1, got {m}")
-    rng = random.Random(seed)
+    uniform = random.Random(seed).uniform
 
     def draw() -> HyperRectangle:
-        lo = tuple(rng.uniform(0.0, box_side) for _ in range(dim))
-        sides = tuple(rng.uniform(1.0, m) for _ in range(dim))
-        hi = tuple(l + s for l, s in zip(lo, sides))
-        return HyperRectangle(lo=lo, hi=hi)
+        lo = [uniform(0.0, box_side) for _ in range(dim)]
+        sides = [uniform(1.0, m) for _ in range(dim)]
+        return HyperRectangle(lo, list(map(add, lo, sides)))
 
     objects = _place(n, draw, _BoxEndpoints(dim))
     return ArrivalSequence.from_objects(objects)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
+from operator import le, lt, sub
 from typing import Optional, Sequence
 
 from .geometry import Ball, HyperRectangle, UsageError
@@ -46,13 +47,9 @@ from .oracle import refuse_above
 
 
 def _floor_log2(x: float) -> int:
-    j = int(math.floor(math.log2(x)))
-    # repair float noise at dyadic boundaries so 2^j <= x < 2^(j+1) exactly
-    while 2.0 ** (j + 1) <= x:
-        j += 1
-    while 2.0 ** j > x:
-        j -= 1
-    return j
+    """The j with 2^j <= x < 2^(j+1) exactly: frexp writes x as f * 2^e
+    with 1/2 <= f < 1, and never overflows near the top of float range."""
+    return math.frexp(x)[1] - 1
 
 
 def class_count(m: float) -> int:
@@ -147,7 +144,8 @@ def filter_acceptance_probability(
 class _ClassFirstFit:
     """First-fit on the arrivals whose per-axis dyadic class tuple is
     chosen_classes: the forced tuple, or one uniform class per axis drawn
-    from seed when built.  Subclasses check an arrival in _classes."""
+    from seed when built.  Subclasses check an arrival and return its
+    per-axis sizes in _sizes; size s is in class j iff 2^j <= s < 2^(j+1)."""
 
     _index_name = "class index"
 
@@ -166,10 +164,14 @@ class _ClassFirstFit:
             for j in self.chosen_classes:
                 if not 0 <= j < k:
                     raise UsageError(f"{self._index_name} {j} outside 0..{k - 1}")
+        self._lows = [2.0 ** j for j in self.chosen_classes]
+        self._highs = [2.0 * low for low in self._lows]  # inf above float range
         self._greedy = FirstFit()
 
     def decide(self, event: ArrivalEvent) -> bool:
-        return self._classes(event) == self.chosen_classes and self._greedy.decide(event)
+        sizes = self._sizes(event)
+        in_class = all(map(le, self._lows, sizes)) and all(map(lt, sizes, self._highs))
+        return in_class and self._greedy.decide(event)
 
 
 class Classify(_ClassFirstFit):
@@ -183,7 +185,7 @@ class Classify(_ClassFirstFit):
     ) -> None:
         super().__init__(m, 1, seed, None if forced_class is None else (forced_class,))
 
-    def _classes(self, event: ArrivalEvent) -> tuple[int, ...]:
+    def _sizes(self, event: ArrivalEvent) -> tuple[float]:
         if event.payload is None:
             raise UsageError("Classify requires sized-object payloads")
         width = event.payload.width
@@ -193,7 +195,7 @@ class Classify(_ClassFirstFit):
                 f"arrival {event.id} has width {width} ({meaning}), outside [1, {self.m}]:"
                 " classify needs every width in [1, M]"
             )
-        return (width_class_index(width),)
+        return (width,)
 
 
 class HRClassify(_ClassFirstFit):
@@ -209,18 +211,18 @@ class HRClassify(_ClassFirstFit):
             raise UsageError(f"dim must be >= 1, got {dim}")
         super().__init__(m, dim, seed, forced_classes)
 
-    def _classes(self, event: ArrivalEvent) -> tuple[int, ...]:
+    def _sizes(self, event: ArrivalEvent) -> list[float]:
         rect = event.payload
         if not isinstance(rect, HyperRectangle):
             raise UsageError("HRClassify requires box payloads")
         dim = len(self.chosen_classes)
         if rect.dim != dim:
             raise UsageError(f"box dim {rect.dim} does not match configured dim {dim}")
-        sides = rect.sides
+        sides = list(map(sub, rect.hi, rect.lo))
         for s in sides:
             if not 1.0 <= s <= self.m:
                 raise UsageError(f"side length {s} outside [1, {self.m}]")
-        return tuple(width_class_index(s) for s in sides)
+        return sides
 
 
 ALGORITHMS = ("firstfit", "filter", "classify", "hr_classify")

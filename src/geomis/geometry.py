@@ -7,14 +7,19 @@ A Shape, a ball or a box, is an arrival's whole payload; its width,
 the radius of the largest ball it encloses, is the size the algorithms
 classify by.  Touching counts as intersecting; callers that need to
 avoid knife-edge cases keep their inputs away from exact tangency.
+
+intersection_graph joins both shapes over one UniformGrid: int cell
+keys, cells sorted on a first coordinate that boxes bisect, and a scan of
+the occupied cells, never a list of 3^d offsets, in high dimension.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, product
-from operator import add, le
+from itertools import product
+from operator import le, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
@@ -34,6 +39,18 @@ def require_type(name: str, value: object, kind: type) -> None:
     if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
         return
     raise UsageError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def require_finite(name: str, value: float) -> float:
+    """value as a float, refusing NaN and infinities, which pass the range
+    checks, and ints past float range, which the message does not print."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise UsageError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(x):
+        raise UsageError(f"{name} must be finite, got {x}")
+    return x
 
 
 def _coordinates(values: Iterable[float]) -> tuple[float, ...]:
@@ -120,73 +137,96 @@ def _boxes_meet(
 class UniformGrid:
     """Uniform grid of cubic cells for fixed-radius near-neighbour search.
 
-    Two points whose coordinates differ by at most ``reach`` on every
-    axis, and whose coordinates are at most ``extent`` in absolute
-    value, always fall in the same or adjacent cells, so every such pair
-    is found either around one point (``near``, over the 3^dim cells
-    around it) or by joining each occupied cell with its occupied
-    neighbours (``cell_pairs``) (Bentley, Stanat & Williams, IPL 1977).
-    The cell side is padded: the relative term absorbs last-ulp rounding
-    in the predicates that decide ``reach``, and the absolute term
-    absorbs the rounding of ``x / side`` at magnitude ``extent`` and
-    keeps that quotient small enough for ``floor`` never to overflow.
+    Points within ``reach`` on every axis fall in the same or adjacent
+    cells, so every such pair is found around one point (``near``) or
+    by joining each occupied cell with its occupied neighbours
+    (``cell_pairs``) (Bentley, Stanat & Williams, IPL 1977).  The side's
+    relative padding absorbs last-ulp rounding in the predicates that
+    decide ``reach``; its absolute padding absorbs the rounding of
+    ``x / side`` at the largest magnitude in ``lows`` and ``highs``,
+    between which every point lies, and keeps ``floor`` from overflow.
+    A cell key is one int: the cell's coordinates, offset so the lowest
+    is 1, as mixed-radix digits, axis 0 the most significant, with a
+    spare digit at both ends, so a neighbour's key is the key plus a
+    fixed delta.  A cell keeps its items sorted on their points' first
+    coordinates, ties in insertion order, beside a list of those.
     """
 
-    def __init__(self, dim: int, reach: float, extent: float) -> None:
-        self.side = reach * (1.0 + 1e-9) + extent * 1e-12
-        self._neighbourhood = 3**dim
-        self._offsets: Optional[tuple[tuple[int, ...], ...]] = None
-        self._cells: dict[tuple[int, ...], list[int]] = {}
+    def __init__(self, reach: float, lows: Sequence[float], highs: Sequence[float]) -> None:
+        extent = max(map(abs, (*lows, *highs)))
+        side = self.side = reach * (1.0 + 1e-9) + extent * 1e-12
+        firsts = [math.floor(lo / side) - 1 for lo in lows]
+        radices = [math.floor(hi / side) - first + 2 for hi, first in zip(highs, firsts)]
+        self._strides = [math.prod(radices[axis + 1:]) for axis in range(len(radices))]
+        self._radices, self._base = radices, -sum(map(mul, firsts, self._strides))
+        self._neighbourhood = 3 ** len(lows)
+        self._deltas: Optional[tuple[list[int], list[int]]] = None
+        self._cells: dict[int, tuple[list[int], list[float]]] = {}
+        self._digit_cache: dict[int, tuple[int, ...]] = {}
 
-    def cell(self, coords: Sequence[float]) -> tuple[int, ...]:
+    def _key(self, coords: Sequence[float]) -> int:
         side = self.side
-        return tuple([math.floor(x / side) for x in coords])
+        return self._base + sum([math.floor(x / side) * s for x, s in zip(coords, self._strides)])
 
-    def near(self, cell: tuple[int, ...]) -> Iterator[int]:
-        """Items stored in the 3^dim cells around cell, in no set order."""
-        for members in self._occupied_around(cell, later=False):
+    def add(self, coords: Sequence[float], item: int) -> None:
+        """Store item in the cell of the point coords, in order of coords[0]."""
+        members, firsts = self._cells.setdefault(self._key(coords), ([], []))
+        at = bisect_right(firsts, coords[0])
+        members.insert(at, item)
+        firsts.insert(at, coords[0])
+
+    def near(self, coords: Sequence[float]) -> Iterator[int]:
+        """Items stored in the 3^dim cells around the point coords, in no set order."""
+        cells, key = self._cells, self._key(coords)
+        if len(cells) < self._neighbourhood:
+            around = self._scan(key, later=False)
+        else:
+            around = filter(None, map(cells.get, [key + d for d in self._offsets()[0]]))
+        for members, _ in around:
             yield from members
 
-    def cell_pairs(self) -> Iterator[tuple[list[int], list[int]]]:
-        """The item lists of every two occupied cells at most one step
-        apart on every axis, each pair once: a cell with itself, then
-        with each such cell after it in lexicographic order.  Items of
-        one cell are in insertion order."""
-        for cell, members in self._cells.items():
-            yield members, members
-            for others in self._occupied_around(cell, later=True):
-                yield members, others
-
-    def _occupied_around(self, cell: tuple[int, ...], later: bool) -> Iterator[list[int]]:
-        """Item lists of the occupied cells at most one step from cell on
-        every axis, cell included; with later, only those after cell in
-        lexicographic order.
-
-        While fewer cells are occupied than a neighbourhood holds (always
-        so in high dimension), the occupied cells are scanned instead, so
-        neither time nor memory ever grows with 3^dim beyond the number
-        of occupied cells.
-        """
+    def cell_pairs(self) -> Iterator[tuple[tuple[list[int], list[float]], ...]]:
+        """Every two occupied cells at most one step apart on every axis,
+        each pair once: a cell with itself, then with each of larger key."""
         cells = self._cells
-        if len(cells) < self._neighbourhood:
-            for key, members in cells.items():
-                if (not later or key > cell) and all(
-                    -1 <= k - c <= 1 for k, c in zip(key, cell)
-                ):
-                    yield members
-            return
-        if self._offsets is None:
-            self._offsets = tuple(product((-1, 0, 1), repeat=len(cell)))
-        # product lists the offsets in lexicographic order, so the ones
-        # after the all-zero middle offset lead to the later cells.
-        start = len(self._offsets) // 2 + 1 if later else 0
-        for offset in islice(self._offsets, start, None):
-            members = cells.get(tuple(map(add, cell, offset)))
-            if members:
-                yield members
+        scan = len(cells) < self._neighbourhood
+        later = () if scan else self._offsets()[1]
+        for key, cell in cells.items():
+            yield cell, cell
+            for other in self._scan(key, later=True) if scan else ():
+                yield cell, other
+            for delta in later:
+                other = cells.get(key + delta)
+                if other:
+                    yield cell, other
 
-    def add(self, cell: tuple[int, ...], item: int) -> None:
-        self._cells.setdefault(cell, []).append(item)
+    def _scan(self, key: int, later: bool) -> list[tuple[list[int], list[float]]]:
+        """The occupied cells at most one step from the cell key on every
+        axis (with later, only those of larger key), scanned for while
+        fewer are occupied than a neighbourhood holds: no cost grows with 3^dim."""
+        digits = self._digits(key)
+        return [
+            cell for other, cell in self._cells.items()
+            if (not later or other > key)
+            and all(-1 <= a - b <= 1 for a, b in zip(self._digits(other), digits))
+        ]
+
+    def _digits(self, key: int) -> tuple[int, ...]:
+        cache = self._digit_cache
+        if key not in cache:
+            cache[key] = tuple([key // s % r for s, r in zip(self._strides, self._radices)])
+        return cache[key]
+
+    def _offsets(self) -> tuple[list[int], list[int]]:
+        """Key deltas of all 3^dim neighbour offsets, ascending as product
+        lists them, and the later ones, after the middle one, 0."""
+        if self._deltas is None:
+            deltas = [
+                sum(map(mul, offset, self._strides))
+                for offset in product((-1, 0, 1), repeat=len(self._strides))
+            ]
+            self._deltas = (deltas, deltas[len(deltas) // 2 + 1:])
+        return self._deltas
 
 
 def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
@@ -196,18 +236,20 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
     kind.  Vertex i is objects[i]; an edge means the closed shapes meet.
     This is a cell-pair join: every object is bucketed once into a
     UniformGrid keyed by ball centers (cell side twice the largest
-    radius) or box lower corners (cell side the largest box side), and
-    each candidate pair from UniformGrid.cell_pairs is decided by
-    _balls_meet or _boxes_meet.
-    That takes near-linear time when the objects have bounded size and
-    bounded density.  Each adjacency set is filled in ascending order,
-    as a pairwise scan over i < j would fill it, so set iteration order
-    is reproducible.
+    radius) or box lower corners (cell side the largest box side), in
+    the order of that point's first coordinate, and each candidate pair
+    from UniformGrid.cell_pairs is decided by _balls_meet or _boxes_meet.
+    A box i is tested only against the prefix that hi_i[0] bisects off a
+    cell (sort and sweep in a grid: Cohen, Lin, Manocha & Ponamgi,
+    I-COLLIDE 1995), in its own cell past i.  That is exact: it drops only
+    boxes j with lo_j[0] > hi_i[0], which _boxes_meet rejects by that very
+    comparison, tangency included.  Balls test whole cells.  The join
+    is near-linear at bounded size and density.  Each adjacency set is
+    filled in ascending order, as a pairwise scan over i < j fills it.
     """
     n = len(objects)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
     if n == 0:
-        return adjacency
+        return []
     first = objects[0]
     of_balls = isinstance(first, Ball)
     for i, obj in enumerate(objects):
@@ -217,32 +259,31 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
             raise UsageError(f"object {i} has dim {obj.dim}, expected {first.dim}")
         if isinstance(obj, Ball) != of_balls:
             raise UsageError("mixed ball/box intersection is not supported")
-    # meet(keys[i], extras[i], keys[j], extras[j]) decides the pair i, j.
+    # meet(keys[i], extras[i], keys[j], extras[j]) decides the pair i, j;
+    # no j with keys[j][0] > bounds[i] meets i.
     if of_balls:
         keys = [obj.center for obj in objects]
         extras = [obj.radius for obj in objects]
         reach = 2.0 * max(extras)
         meet = _balls_meet
+        bounds = [math.inf] * n
     else:
         keys = [obj.lo for obj in objects]
         extras = [obj.hi for obj in objects]
-        reach = max(max(obj.sides) for obj in objects)
+        reach = max([max(map(sub, hi, lo)) for lo, hi in zip(keys, extras)])
         meet = _boxes_meet
-    extent = max(abs(x) for key in keys for x in key)
-    grid = UniformGrid(first.dim, reach, extent)
+        bounds = [hi[0] for hi in extras]
+    grid = UniformGrid(reach, [min(a) for a in zip(*keys)], [max(a) for a in zip(*keys)])
     for i, key in enumerate(keys):
-        grid.add(grid.cell(key), i)
-    edges: list[tuple[int, int]] = []  # (j, i) with i < j
-    for members, others in grid.cell_pairs():
+        grid.add(key, i)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for (members, _), (others, firsts) in grid.cell_pairs():
         same = members is others
         for x, i in enumerate(members):
-            key, extra = keys[i], extras[i]
-            for j in others[x + 1:] if same else others:
+            key, extra, mine = keys[i], extras[i], neighbours[i]
+            stop = bisect_right(firsts, bounds[i])
+            for j in others[x + 1:stop] if same else others[:stop]:
                 if meet(key, extra, keys[j], extras[j]):
-                    edges.append((j, i) if i < j else (i, j))
-    # Inserting in (j, i) order fills every set in ascending order.
-    edges.sort()
-    for j, i in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    return adjacency
+                    mine.append(j)
+                    neighbours[j].append(i)
+    return [set(sorted(found)) for found in neighbours]

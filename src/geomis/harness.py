@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 
 from .adversaries import AdversaryConfig, generate_instance, star_adversary
 from .algorithms import ALGORITHMS, class_choices, make_algorithm
-from .geometry import UsageError, require_type
+from .geometry import UsageError, require_finite, require_type
 from .instances import load_instance
 from .lattice import check_delta
 from .online import ArrivalSequence, empirical_ratio, run_online
@@ -130,6 +130,7 @@ class ExperimentConfig:
             ("timing", self.timing, bool),
         ):
             require_type(name, value, kind)
+        require_finite("M", self.m)
         check_node_limit(self.node_limit)
         for name, value in (("instance_path", self.instance_path), ("out", self.out)):
             if value is not None:

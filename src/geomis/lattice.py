@@ -189,6 +189,8 @@ def closest_lattice_point(
     stay within D: a constant-size window for fixed dimension.  Exact
     up to float rounding; ties keep the first candidate in scan order.
     """
+    if not all(map(math.isfinite, c)):
+        raise UsageError(f"non-finite coordinate in {tuple(c)!r}")
     p0, coeffs0 = parity_rounded_point(params, c)
     bound = math.dist(p0, c) + 1e-9
     axis_ranges = []

@@ -75,6 +75,16 @@ def test_width_class_index_examples():
         width_class_index(0.0)
 
 
+def test_size_classes_reach_the_top_of_float_range():
+    assert class_count(1e308) == 1024
+    assert width_class_index(2.0**1023) == 1023
+    assert width_class_index(5e-324) == -1074
+    box = HyperRectangle((0.0, 0.0), (2.0**1023, 1.5))
+    event = ArrivalSequence.from_objects([box]).events[0]
+    assert HRClassify(1e308, 2, forced_classes=(1023, 0)).decide(event)
+    assert not HRClassify(1e308, 2, forced_classes=(1022, 0)).decide(event)
+
+
 def test_every_width_in_exactly_one_class():
     rng = random.Random(4)
     for _ in range(500):

@@ -477,6 +477,33 @@ def test_generator_integers_past_float_range_exit_one(tmp_path, capsys, monkeypa
         assert not csv.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("algorithm, mode", [
+    ("classify", "sample"), ("hr_classify", "sample"),
+    ("classify", "enumerate"), ("hr_classify", "enumerate"),
+])
+def test_top_level_m_past_float_range_exits_one(
+    tmp_path, capsys, monkeypatch, instance_builds, threads, algorithm, mode
+):
+    monkeypatch.setenv("GEOMIS_THREADS", threads)
+    instance = tmp_path / "boxes.gis"
+    save_instance(generate_instance(AdversaryConfig(
+        kind="random_rects", n=3, dim=2, m=8.0, box_side=50.0, seed=1)), instance)
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({
+        "algorithm": algorithm, "trials": 3, "base_seed": 1, "M": int("9" * 401),
+        "mode": mode, "instance_path": str(instance),
+    }))
+    csv = tmp_path / "huge.csv"
+    assert cli_dispatch(["experiment", "--config", str(config), "--out", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: M must be finite, got an integer too large for a float\n"
+    )
+    assert instance_builds == []
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("radii, shown", [(["1", "inf"], "inf"), (["nan", "1"], "nan")])
 @pytest.mark.parametrize("n", [5, 0])
 def test_non_finite_radius_range_exits_one_before_any_draw(tmp_path, capsys, radii, shown, n):

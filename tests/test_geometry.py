@@ -1,10 +1,17 @@
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geomis
 from geomis import (
     AdversaryConfig,
     Ball,
@@ -315,3 +322,65 @@ def test_intersection_graph_in_high_dimension():
     adj = assert_matches_pairwise(balls)
     edges = sum(map(len, adj)) // 2
     assert 0 < edges < n * (n - 1) // 2
+
+
+@st.composite
+def skewed_box_lists(draw):
+    """Boxes in d = 1..6 on a 1/8 grid, offset by 0, about +-1e6 or
+    +-1e15, for the sorted-cell box join:
+    - sides of 1/8 to 1, and one side of 64, so that cells are far wider
+      than a typical box and crowded;
+    - lower corners on axis 0 drawn from at most four values, so that
+      many are equal;
+    - partners whose lo[0] is another box's hi[0], overlapping it on the
+      other axes, so they touch on axis 0 alone; at offsets 0 and +-1e6 a
+      cell border lies among the corners, and many such contacts cross
+      it."""
+    dim = draw(st.integers(1, 6))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e15, -1e15]))
+    firsts = draw(st.lists(_dyadic(-80, 80), min_size=1, max_size=4))
+    objs = []
+    for _ in range(draw(st.integers(1, 30))):
+        lo = [draw(st.sampled_from(firsts))] + [draw(_dyadic(-80, 80)) for _ in range(dim - 1)]
+        lo = [offset + x for x in lo]
+        hi = [x + draw(_dyadic(1, 8)) for x in lo]
+        objs.append((lo, hi))
+        if draw(st.booleans()):
+            objs.append(([hi[0]] + lo[1:], [hi[0] + draw(_dyadic(1, 8))] + hi[1:]))
+    big = objs[draw(st.integers(0, len(objs) - 1))]
+    axis = draw(st.integers(0, dim - 1))
+    big[1][axis] = big[0][axis] + 64.0
+    boxes = [HyperRectangle(lo, hi) for lo, hi in objs]
+    return draw(st.permutations(boxes))
+
+
+@given(objs=skewed_box_lists())
+@settings(max_examples=150, deadline=None)
+def test_box_join_equals_pairwise_reference_on_skewed_sizes(objs):
+    assert_matches_pairwise(objs)
+
+
+def test_intersection_graph_in_dimension_30_lists_no_offsets():
+    # 3^30 neighbour offsets can be neither listed nor stored, so the
+    # join runs in a child with 256 MiB of address space and 15 s: a grid
+    # that listed them fails fast instead of hanging the suite.  Boxes 0
+    # and 1 touch at a corner; box 2 sits in an adjacent cell and meets
+    # neither.
+    code = textwrap.dedent("""
+        from geomis import HyperRectangle, intersection_graph
+        d = 30
+        print(intersection_graph([
+            HyperRectangle([0.0] * d, [1.0] * d),
+            HyperRectangle([1.0] * d, [2.5] * d),
+            HyperRectangle([0.5] + [2.6] * (d - 1), [0.75] + [3.0] * (d - 1)),
+        ]))
+    """)
+    src = str(Path(geomis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    limit = 1 << 28
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=15,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[{1}, {0}, set()]\n"

@@ -184,6 +184,18 @@ def test_is_covered_examples():
     assert is_covered(P3, (4.01, 0.0, 0.6))
 
 
+@pytest.mark.parametrize("query, shown", [
+    ((math.nan, 0.0, 0.0), "(nan, 0.0, 0.0)"),
+    ([0.0, math.inf, 0.0], "(0.0, inf, 0.0)"),
+    ((0.5, 0.0, -math.inf), "(0.5, 0.0, -inf)"),
+])
+def test_lattice_queries_refuse_non_finite_coordinates(query, shown):
+    for ask in (closest_lattice_point, is_covered):
+        with pytest.raises(UsageError) as info:
+            ask(P3, query)
+        assert str(info.value) == f"non-finite coordinate in {shown}"
+
+
 def test_coverage_matches_parity_distance():
     rng = random.Random(3)
     for _ in range(300):
