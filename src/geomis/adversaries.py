@@ -131,7 +131,7 @@ class _BallIndex:
         return True
 
     def add(self, ball: Ball) -> None:
-        self.grid.add(ball.center, len(self.balls))
+        self.grid.add(ball.center)
         self.balls.append(ball)
 
 

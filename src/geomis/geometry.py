@@ -9,18 +9,21 @@ classify by.  Touching counts as intersecting; callers that need to
 avoid knife-edge cases keep their inputs away from exact tangency.
 
 intersection_graph joins both shapes over one UniformGrid: int cell
-keys, cells sorted on a first coordinate that boxes bisect, and a scan of
-the occupied cells, never a list of 3^d offsets, in high dimension.
+keys on at most the first three axes, so at most 27 neighbour cells in
+any dimension, and cells sorted on a first coordinate that boxes bisect.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import product
 from operator import le, mul, sub
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
+
+
+_KEYED_AXES = 3
 
 
 class UsageError(ValueError):
@@ -137,96 +140,67 @@ def _boxes_meet(
 class UniformGrid:
     """Uniform grid of cubic cells for fixed-radius near-neighbour search.
 
-    Points within ``reach`` on every axis fall in the same or adjacent
-    cells, so every such pair is found around one point (``near``) or
-    by joining each occupied cell with its occupied neighbours
-    (``cell_pairs``) (Bentley, Stanat & Williams, IPL 1977).  The side's
-    relative padding absorbs last-ulp rounding in the predicates that
-    decide ``reach``; its absolute padding absorbs the rounding of
-    ``x / side`` at the largest magnitude in ``lows`` and ``highs``,
-    between which every point lies, and keeps ``floor`` from overflow.
-    A cell key is one int: the cell's coordinates, offset so the lowest
-    is 1, as mixed-radix digits, axis 0 the most significant, with a
-    spare digit at both ends, so a neighbour's key is the key plus a
-    fixed delta.  A cell keeps its items sorted on their points' first
-    coordinates, ties in insertion order, beside a list of those.
+    Cells are keyed on at most the first three coordinates: points within
+    ``reach`` on every axis are within it on those, so they fall in the
+    same or adjacent cells, and every such pair is found around one point
+    (``near``) or by joining each occupied cell with its occupied
+    neighbours (``cell_pairs``) (Bentley, Stanat & Williams, IPL 1977),
+    among at most 27 cells in any dimension.  The side's relative padding
+    absorbs last-ulp rounding in the predicates that decide ``reach``; its
+    absolute padding absorbs the rounding of ``x / side`` at the largest
+    magnitude in ``lows`` and ``highs``, between which every point lies,
+    and keeps ``floor`` from overflow.  A cell key is one int: the cell's
+    coordinates, offset so the lowest is 1, as mixed-radix digits, axis 0
+    the most significant, with a spare digit at both ends, so a
+    neighbour's key is the key plus a fixed delta.  Items are numbered
+    0, 1, ... as added; a cell is a list of them sorted on their points'
+    first coordinates, ``firsts[item]``, ties in insertion order.
     """
 
     def __init__(self, reach: float, lows: Sequence[float], highs: Sequence[float]) -> None:
+        lows, highs = lows[:_KEYED_AXES], highs[:_KEYED_AXES]
         extent = max(map(abs, (*lows, *highs)))
         side = self.side = reach * (1.0 + 1e-9) + extent * 1e-12
-        firsts = [math.floor(lo / side) - 1 for lo in lows]
-        radices = [math.floor(hi / side) - first + 2 for hi, first in zip(highs, firsts)]
-        self._strides = [math.prod(radices[axis + 1:]) for axis in range(len(radices))]
-        self._radices, self._base = radices, -sum(map(mul, firsts, self._strides))
-        self._neighbourhood = 3 ** len(lows)
-        self._deltas: Optional[tuple[list[int], list[int]]] = None
-        self._cells: dict[int, tuple[list[int], list[float]]] = {}
-        self._digit_cache: dict[int, tuple[int, ...]] = {}
+        lowest = [math.floor(lo / side) - 1 for lo in lows]
+        radices = [math.floor(hi / side) - low + 2 for hi, low in zip(highs, lowest)]
+        strides = self._strides = [math.prod(radices[axis + 1:]) for axis in range(len(radices))]
+        self._base = -sum(map(mul, lowest, strides))
+        # Key deltas of the 3^keyed neighbour offsets, ascending as product
+        # lists them, and the later ones, after the middle one, 0.
+        deltas = self._deltas = [
+            sum(map(mul, offset, strides)) for offset in product((-1, 0, 1), repeat=len(strides))
+        ]
+        self._later = deltas[len(deltas) // 2 + 1:]
+        self._cells: dict[int, list[int]] = {}
+        self.firsts: list[float] = []
 
     def _key(self, coords: Sequence[float]) -> int:
         side = self.side
         return self._base + sum([math.floor(x / side) * s for x, s in zip(coords, self._strides)])
 
-    def add(self, coords: Sequence[float], item: int) -> None:
-        """Store item in the cell of the point coords, in order of coords[0]."""
-        members, firsts = self._cells.setdefault(self._key(coords), ([], []))
-        at = bisect_right(firsts, coords[0])
-        members.insert(at, item)
-        firsts.insert(at, coords[0])
+    def add(self, coords: Sequence[float]) -> None:
+        """Store the next item, numbered by how many came before it, in the
+        cell of the point coords."""
+        self.firsts.append(coords[0])
+        cell = self._cells.setdefault(self._key(coords), [])
+        insort(cell, len(self.firsts) - 1, key=self.firsts.__getitem__)
 
     def near(self, coords: Sequence[float]) -> Iterator[int]:
-        """Items stored in the 3^dim cells around the point coords, in no set order."""
+        """Items stored in the cells around the point coords, in no set order."""
         cells, key = self._cells, self._key(coords)
-        if len(cells) < self._neighbourhood:
-            around = self._scan(key, later=False)
-        else:
-            around = filter(None, map(cells.get, [key + d for d in self._offsets()[0]]))
-        for members, _ in around:
+        for members in filter(None, map(cells.get, [key + d for d in self._deltas])):
             yield from members
 
-    def cell_pairs(self) -> Iterator[tuple[tuple[list[int], list[float]], ...]]:
-        """Every two occupied cells at most one step apart on every axis,
-        each pair once: a cell with itself, then with each of larger key."""
+    def cell_pairs(self) -> Iterator[tuple[list[int], list[int]]]:
+        """Every two occupied cells at most one step apart on every keyed
+        axis, each pair once: a cell with itself, then with each of larger key."""
         cells = self._cells
-        scan = len(cells) < self._neighbourhood
-        later = () if scan else self._offsets()[1]
         for key, cell in cells.items():
             yield cell, cell
-            for other in self._scan(key, later=True) if scan else ():
-                yield cell, other
-            for delta in later:
+            for delta in self._later:
                 other = cells.get(key + delta)
                 if other:
                     yield cell, other
-
-    def _scan(self, key: int, later: bool) -> list[tuple[list[int], list[float]]]:
-        """The occupied cells at most one step from the cell key on every
-        axis (with later, only those of larger key), scanned for while
-        fewer are occupied than a neighbourhood holds: no cost grows with 3^dim."""
-        digits = self._digits(key)
-        return [
-            cell for other, cell in self._cells.items()
-            if (not later or other > key)
-            and all(-1 <= a - b <= 1 for a, b in zip(self._digits(other), digits))
-        ]
-
-    def _digits(self, key: int) -> tuple[int, ...]:
-        cache = self._digit_cache
-        if key not in cache:
-            cache[key] = tuple([key // s % r for s, r in zip(self._strides, self._radices)])
-        return cache[key]
-
-    def _offsets(self) -> tuple[list[int], list[int]]:
-        """Key deltas of all 3^dim neighbour offsets, ascending as product
-        lists them, and the later ones, after the middle one, 0."""
-        if self._deltas is None:
-            deltas = [
-                sum(map(mul, offset, self._strides))
-                for offset in product((-1, 0, 1), repeat=len(self._strides))
-            ]
-            self._deltas = (deltas, deltas[len(deltas) // 2 + 1:])
-        return self._deltas
 
 
 def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
@@ -274,14 +248,15 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
         meet = _boxes_meet
         bounds = [hi[0] for hi in extras]
     grid = UniformGrid(reach, [min(a) for a in zip(*keys)], [max(a) for a in zip(*keys)])
-    for i, key in enumerate(keys):
-        grid.add(key, i)
+    for key in keys:
+        grid.add(key)
+    first = grid.firsts.__getitem__
     neighbours: list[list[int]] = [[] for _ in range(n)]
-    for (members, _), (others, firsts) in grid.cell_pairs():
+    for members, others in grid.cell_pairs():
         same = members is others
         for x, i in enumerate(members):
             key, extra, mine = keys[i], extras[i], neighbours[i]
-            stop = bisect_right(firsts, bounds[i])
+            stop = bisect_right(others, bounds[i], key=first)
             for j in others[x + 1:stop] if same else others[:stop]:
                 if meet(key, extra, keys[j], extras[j]):
                     mine.append(j)

@@ -105,7 +105,11 @@ def lattice_point(params: LatticeParams, coeffs: Sequence[int]) -> tuple[float, 
         raise UsageError(f"expected {params.dim} coefficients, got {len(coeffs)}")
     ints = []
     for a in coeffs:
-        if a != int(a):
+        try:
+            whole = a == int(a)
+        except (ValueError, OverflowError):  # NaN, infinities
+            whole = False
+        if not whole:
             raise UsageError(f"coefficients must be integers, got {a!r}")
         ints.append(int(a))
     return _coords(params, ints[0], ints[1:])

@@ -41,6 +41,8 @@ class ArrivalSequence:
     def __post_init__(self) -> None:
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
+        if self.dim is None and events and events[0].payload is not None:
+            object.__setattr__(self, "dim", events[0].payload.dim)
         payload_count = 0
         for i, ev in enumerate(events):
             if ev.id != i:
@@ -58,8 +60,6 @@ class ArrivalSequence:
                     )
         if payload_count not in (0, len(events)):
             raise UsageError("payloads must be present on every event or on none")
-        if payload_count and self.dim is None:
-            object.__setattr__(self, "dim", events[0].payload.dim)
 
     @classmethod
     def from_objects(cls, objects: Sequence[Shape]) -> "ArrivalSequence":

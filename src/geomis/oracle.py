@@ -54,12 +54,15 @@ def _adjacency_masks(graph: Graph) -> list[int]:
     n = len(graph)
     masks = [0] * n
     for v, nbrs in enumerate(graph):
-        for u in nbrs:
-            if not 0 <= u < n:
-                raise UsageError(f"vertex {v} lists out-of-range neighbor {u}")
-            if u == v:
-                raise UsageError(f"vertex {v} lists itself as a neighbor")
-            masks[v] |= 1 << u
+        try:
+            for u in nbrs:
+                if not 0 <= u < n:
+                    raise UsageError(f"vertex {v} lists out-of-range neighbor {u}")
+                if u == v:
+                    raise UsageError(f"vertex {v} lists itself as a neighbor")
+                masks[v] |= 1 << u
+        except TypeError:
+            raise UsageError(f"vertex {v} lists a non-integer neighbor in {nbrs!r}") from None
     for v in range(n):
         mm = masks[v]
         while mm:

@@ -162,14 +162,28 @@ def _objects(stream):
     return [ev.payload for ev in stream.events]
 
 
+def _assert_edges_match_pairwise(stream):
+    adj = pairwise_intersection_graph(_objects(stream))
+    assert [set(ev.neighbors) for ev in stream.events] == [
+        {j for j in adj[i] if j < i} for i in range(len(adj))
+    ]
+    return adj
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
 def test_generators_match_reference(seed):
-    for dim, box_side, radii in ((1, 40.0, (1.0, 1.0)), (2, 12.0, (0.5, 3.0)), (3, 6.0, (1.0, 1.0))):
+    # The d = 6 balls and d = 5 boxes put about five to a cell of the grid,
+    # which keys only the first three axes.
+    for dim, box_side, radii in (
+        (1, 40.0, (1.0, 1.0)), (2, 12.0, (0.5, 3.0)), (3, 6.0, (1.0, 1.0)), (6, 4.0, (1.0, 1.0))
+    ):
         stream = random_balls_gen(40, dim, box_side, seed=seed, radius_range=radii)
         assert _objects(stream) == reference_random_balls(40, dim, box_side, seed, radii)
-    for dim, m, box_side in ((1, 4.0, 30.0), (2, 8.0, 20.0), (3, 3.0, 8.0)):
+        _assert_edges_match_pairwise(stream)
+    for dim, m, box_side in ((1, 4.0, 30.0), (2, 8.0, 20.0), (3, 3.0, 8.0), (5, 3.0, 6.0)):
         stream = random_rects_gen(40, dim, m, box_side, seed=seed)
         assert _objects(stream) == reference_random_rects(40, dim, m, box_side, seed)
+        _assert_edges_match_pairwise(stream)
 
 
 def test_generators_match_reference_when_redraws_happen(monkeypatch):
@@ -203,10 +217,7 @@ def test_random_balls_in_high_dimension_match_reference():
     stream = random_balls_gen(n, dim, 1.0, seed=3)
     objects = _objects(stream)
     assert objects == reference_random_balls(n, dim, 1.0, 3)
-    adj = pairwise_intersection_graph(objects)
-    assert [set(ev.neighbors) for ev in stream.events] == [
-        {j for j in adj[i] if j < i} for i in range(n)
-    ]
+    adj = _assert_edges_match_pairwise(stream)
     assert 0 < sum(map(len, adj)) // 2 < n * (n - 1) // 2
 
 

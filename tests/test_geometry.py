@@ -308,10 +308,10 @@ def test_intersection_graph_equals_pairwise_reference(objs):
 
 
 def test_intersection_graph_in_high_dimension():
-    # 3^24 neighbour cells could never be listed; the grid scans its
-    # occupied cells instead.  A long axis per ball, one of three,
-    # spreads the balls over cells 3 wide, with touching pairs in the
-    # same cell and across cell borders.
+    # 3^24 neighbour cells could never be listed; the grid keys only the
+    # first three axes, so it lists 27.  A long axis per ball, one of
+    # those three, spreads the balls over cells 3 wide, with touching
+    # pairs in the same cell and across cell borders.
     rng = random.Random(5)
     dim, n = 24, 25
     balls = []

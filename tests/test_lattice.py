@@ -66,8 +66,9 @@ def test_lattice_point_examples():
 def test_lattice_point_input_validation():
     with pytest.raises(UsageError):
         lattice_point(P3, (0, 0))
-    with pytest.raises(UsageError):
-        lattice_point(P3, (0.5, 0, 0))
+    for bad in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError, match="^coefficients must be integers, got "):
+            lattice_point(P3, (bad, 0, 0))
 
 
 def test_basis_vectors_pairwise_far():

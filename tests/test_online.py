@@ -40,6 +40,16 @@ def test_payloads_all_or_none():
         ArrivalSequence(events=events, dim=2)
 
 
+def test_payload_dims_must_agree_with_the_first():
+    events = (
+        ArrivalEvent(id=0, neighbors=frozenset(), payload=Ball((0.0, 0.0), 1.0)),
+        ArrivalEvent(id=1, neighbors=frozenset(), payload=Ball((5.0, 0.0, 0.0), 1.0)),
+    )
+    with pytest.raises(UsageError, match="^event 1 payload dim 3 != sequence dim 2$"):
+        ArrivalSequence(events=events)
+    assert ArrivalSequence(events=events[:1]).dim == 2
+
+
 def test_from_objects_derives_adjacency():
     objs = [
         Ball((0.0, 0.0), 1.0),

@@ -112,6 +112,8 @@ def test_adjacency_validation():
             oracle([{0}])  # self loop
         with pytest.raises(UsageError):
             oracle([{5}])  # out of range
+        with pytest.raises(UsageError, match="^vertex 0 lists a non-integer neighbor in"):
+            oracle([{1.0}, {0}])
 
 
 def disconnected_graph(sizes, p, rng):
