@@ -67,12 +67,12 @@ def star_adversary(zeta: int, algorithm: OnlineAlgorithm) -> StarOutcome:
     if zeta < 1:
         raise UsageError(f"zeta must be >= 1, got {zeta}")
     events = [ArrivalEvent(id=0, neighbors=frozenset())]
-    decisions = [bool(algorithm.decide(events[0]))]
+    decisions = [algorithm.decide(events[0])]
     if decisions[0]:
         for i in range(1, zeta + 1):
             ev = ArrivalEvent(id=i, neighbors=frozenset({0}))
             events.append(ev)
-            decisions.append(bool(algorithm.decide(ev)))
+            decisions.append(algorithm.decide(ev))
         opt = zeta
     else:
         opt = 1

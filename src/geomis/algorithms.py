@@ -7,12 +7,12 @@ acceptance on the filtered subsequence.  Each ball survives with
 probability vol(unit ball) / ((4+delta) * (2*sqrt(3))^(d-1)), giving an
 expected acceptance of at least that fraction of the offline optimum;
 at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision first runs
-lattice.cross_axes_within_one, which rejects an arrival that one axis
-2..d alone keeps farther than 1 from the lattice, about two thirds of
-them at d=3; that axis's term is in the full squared distance too, so
-the early return is exact.  Only the rest are rounded, with
-lattice.parity_rounded_point.  The filter has no batch path, so its
-accepted set under any shift comes from run_online.
+lattice.cross_axis_terms, which rejects an arrival that one axis 2..d
+alone keeps farther than 1 from the lattice, about two thirds of them
+at d=3; that axis's term is in the full squared distance too, so the
+early return is exact.  The rest are rounded (parity_rounded_point);
+an occupied cell rejects, else the axis-1 term joins the returned ones.
+There is no batch path: run_online gives the accepted set of any shift.
 
 Classify handles fat objects of bounded width spread: it draws one
 dyadic width class [2^j, 2^(j+1)) uniformly and plays greedy first-fit
@@ -31,14 +31,14 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
-from operator import le, lt, sub
+from operator import add, le, lt, sub
 from typing import Optional, Sequence
 
 from .geometry import Ball, HyperRectangle, UsageError
 from .lattice import (
     CoeffVector,
     LatticeParams,
-    cross_axes_within_one,
+    cross_axis_terms,
     parity_rounded_point,
     unit_ball_volume,
 )
@@ -67,8 +67,8 @@ def width_class_index(width: float) -> int:
 
 
 class LatticeFilter:
-    """Online strategy for unit balls: accept the first ball whose
-    shifted center each lattice point covers.
+    """Online strategy for unit balls: accept the first ball whose shifted
+    center each lattice point covers, by a sum of pow squares <= 1.
 
     The shift is given, or drawn once from seed when the filter is
     built, uniformly over one lattice period per axis.  Within one run,
@@ -104,17 +104,17 @@ class LatticeFilter:
             raise UsageError(f"ball dim {len(center)} does not match lattice dim {self.params.dim}")
         if ball.radius != 1.0:
             raise UsageError(f"LatticeFilter requires unit balls, got radius {ball.radius}")
-        shifted = [x + b for x, b in zip(center, self.shift)]
+        shifted = list(map(add, center, self.shift))
         # Most arrivals fail on one axis 2..d alone; each such term is
-        # also in the sum below, so this return changes no decision.
-        if not cross_axes_within_one(shifted):
+        # also in the distance below, so this return changes no decision.
+        if (terms := cross_axis_terms(shifted)) is None:
             return False
         # The one-shot rounding finds the covering lattice point whenever
         # one exists within distance 1, so this equals the coverage test.
         coords, coeffs = parity_rounded_point(self.params, shifted)
-        if sum([(p - q) ** 2 for p, q in zip(coords, shifted)]) > 1.0:
-            return False
         if coeffs in self.occupied:
+            return False
+        if sum(terms, (coords[0] - shifted[0]) ** 2) > 1.0:
             return False
         self.occupied[coeffs] = event.id
         return True

@@ -28,15 +28,15 @@ constant-size candidate window that the rounded distance bounds.
 Queries and lattice points are plain coordinate sequences.  The
 rounding has one scalar core, parity_rounded_point; its axis-1 step is
 also the one closest-point queries use for every candidate.  Axes 2..d
-snap on their own (_cross_coeff), so cross_axes_within_one can reject
-a query on one of them before axis 1 is rounded; it computes the very
+snap on their own (_cross_coeff), so cross_axis_terms can reject a
+query on one of them before axis 1 is rounded; it returns the very
 float terms that the squared distance to the rounded point sums, so it
-rejects only uncovered queries, and LatticeFilter rounds only the
-rest.  coverage_cells is the same rounding over a numpy batch, and the
-tests check each against the other.  Only coverage_cells and the
-self-checks min_pairwise_distance and mc_volume_fraction use numpy,
-and they import it when called, so importing the package does not
-load it.
+rejects only uncovered queries, and LatticeFilter rounds only the rest
+and adds the axis-1 term.  coverage_cells is the same rounding over a
+numpy batch, and the tests check each against the other.  Only
+coverage_cells and the self-checks min_pairwise_distance and
+mc_volume_fraction use numpy, and they import it when called, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import UsageError
 
@@ -157,20 +157,20 @@ def _cross_coeff(x: float) -> int:
     return (math.floor(x / SQRT3) + 1) // 2
 
 
-def cross_axes_within_one(c: Sequence[float]) -> bool:
-    """False as soon as one axis 2..d alone puts c farther than 1 from
-    its parity-rounded point, whose axes 2..d do not depend on delta.
-
-    Each term is the very float that the squared distance to that point
-    sums, and rounded addition of non-negative floats never falls below
-    a term, so False means the distance is above 1 and, since the
-    rounding finds any covering lattice point, that c is not covered.
-    True decides nothing: axis 1 is not looked at.
+def cross_axis_terms(c: Sequence[float]) -> Optional[list[float]]:
+    """The axis 2..d terms (coords[i] - c[i]) ** 2 of the squared distance
+    from c to its parity-rounded point (they do not depend on delta), or
+    None at the first term above 1.  Rounded addition of non-negative
+    floats never falls below a term, so None means the distance is above
+    1 and, since the rounding finds any covering lattice point, that c is
+    not covered.  A list decides nothing: axis 1 is not looked at.
     """
+    terms = []
     for x in c[1:]:
-        if (2.0 * SQRT3 * _cross_coeff(x) - x) ** 2 > 1.0:
-            return False
-    return True
+        if (t := (2.0 * SQRT3 * _cross_coeff(x) - x) ** 2) > 1.0:
+            return None
+        terms.append(t)
+    return terms
 
 
 def _axis1_coeff(params: LatticeParams, x0: float, rest_sum: int) -> int:
@@ -216,7 +216,8 @@ def closest_lattice_point(
 
 
 def is_covered(params: LatticeParams, c: Sequence[float]) -> bool:
-    """True iff c lies in some closed unit ball centered at a lattice point."""
+    """True iff c lies in some closed unit ball centered at a lattice point,
+    decided by math.dist <= 1 (LatticeFilter sums pow squares instead)."""
     p, _ = closest_lattice_point(params, c)
     return math.dist(p, c) <= 1.0
 

@@ -136,9 +136,11 @@ class FirstFit:
 def finalize_run(
     events: Sequence[ArrivalEvent], decisions: Sequence[bool]
 ) -> RunResult:
-    """Assemble a RunResult and audit it against the revealed edges."""
+    """Assemble a RunResult and audit it against the revealed edges;
+    each decision counts by its truth and is stored as a bool."""
     if len(events) != len(decisions):
         raise UsageError("one decision per event is required")
+    decisions = tuple(map(bool, decisions))
     accepted: list[int] = []
     accepted_set: set[int] = set()
     independent = True
@@ -149,16 +151,13 @@ def finalize_run(
             accepted.append(ev.id)
             accepted_set.add(ev.id)
     return RunResult(
-        accepted=tuple(accepted),
-        decisions=tuple(bool(d) for d in decisions),
-        valid_independent=independent,
+        accepted=tuple(accepted), decisions=decisions, valid_independent=independent
     )
 
 
 def run_online(algorithm: OnlineAlgorithm, stream: ArrivalSequence) -> RunResult:
     """Feed the stream to the algorithm once, in order, one decision each."""
-    decisions = [bool(algorithm.decide(ev)) for ev in stream.events]
-    return finalize_run(stream.events, decisions)
+    return finalize_run(stream.events, list(map(algorithm.decide, stream.events)))
 
 
 def empirical_ratio(opt_size: int, alg_size: int) -> float:

@@ -26,7 +26,7 @@ from geomis import (
 import geomis.algorithms
 import geomis.geometry
 from geomis.algorithms import make_algorithm
-from geomis.lattice import cross_axes_within_one
+from geomis.lattice import cross_axis_terms, parity_rounded_point
 from geomis.online import ArrivalEvent
 
 from conftest import ReferenceLatticeFilter, lattice_params, lattice_queries
@@ -296,6 +296,34 @@ def test_filter_equals_literal_first_fit_over_covered():
         assert got.valid_independent
 
 
+# x ** 2 and x * x differ in the last bit for about one float in a
+# thousand, which moves these tangent centers across distance 1: the
+# first on axis 1, the second on axis 2.
+@pytest.mark.parametrize("center", [
+    (8.580134886953957, 0.8284014174402877),
+    (7.4024545482422575, 0.786535196296597),
+])
+def test_filter_squares_by_pow_not_multiplication(center):
+    params = LatticeParams(dim=2, delta=0.01)
+    result = run_online(LatticeFilter(params, shift=(0.0, 0.0)), unit_ball_stream([center]))
+    assert result.accepted == (0,)
+    coords, _ = parity_rounded_point(params, center)
+    a, b = (p - x for p, x in zip(coords, center))
+    assert a ** 2 + b ** 2 == 1.0 < a * a + b * b
+
+
+def test_filter_and_is_covered_split_on_a_tangent_center():
+    # The filter sums pow squares, is_covered takes math.dist: at this
+    # center the sum rounds to just above 1 and the distance to 1.
+    center = (8.364046709781382, 0.8680768860983207, 0.3578748123442727)
+    coords, _ = parity_rounded_point(P3, center)
+    assert sum((p - x) ** 2 for p, x in zip(coords, center)) > 1.0
+    assert math.dist(coords, center) == 1.0
+    assert is_covered(P3, center)
+    result = run_online(LatticeFilter(P3, shift=(0.0, 0.0, 0.0)), unit_ball_stream([center]))
+    assert result.accepted == ()
+
+
 def test_filter_seeded_shift_reproducible():
     rng = random.Random(99)
     stream = random_unit_ball_stream(rng, 25, 12.0)
@@ -430,7 +458,7 @@ def test_filter_rounds_only_arrivals_that_pass_the_cross_axis_pretest(monkeypatc
         [x + b for x, b in zip(ev.payload.center, fast.shift)]
         for ev in stream.events
     ]
-    assert rounded == [c for c in shifted if cross_axes_within_one(c)]
+    assert rounded == [c for c in shifted if cross_axis_terms(c) is not None]
     assert len(fast.occupied) <= len(rounded) < len(stream)
 
 

@@ -201,3 +201,39 @@ LATTICE = {
 def test_lattice_readme_output(name, capsys):
     argv, stdout = LATTICE[name]
     assert run_cli(["lattice", *argv], capsys) == f"0\0{stdout}\0"
+
+
+# The 2000-ball filter instance, config and runs of the CI step that
+# drives the console script, with the same argv and digests.
+F2K_GEN = ["gen", "--kind", "random_balls", "--n", "2000", "--dim", "3",
+           "--box-side", "30", "--seed", "5", "--out", "balls.gis"]
+F2K_CONFIG = {"algorithm": "filter", "trials": 20, "base_seed": 42,
+              "instance_path": "balls.gis", "oracle": False}
+
+
+@pytest.fixture(scope="module")
+def f2k_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("f2k")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(path)
+        assert cli_dispatch(F2K_GEN) == 0
+    (path / "filter2k.json").write_text(json.dumps(F2K_CONFIG))
+    return path
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_filter_2k_experiment_csv_digest(threads, f2k_dir, monkeypatch):
+    monkeypatch.chdir(f2k_dir)
+    monkeypatch.setenv("GEOMIS_THREADS", str(threads))
+    assert cli_dispatch(["experiment", "--config", "filter2k.json", "--out", "f2k.csv"]) == 0
+    digest = sha256((f2k_dir / "f2k.csv").read_bytes())
+    assert digest == "a70abe03eb2114d25f5fa1c83b5330ffe22f2743814067b836e641a65711286c"
+
+
+def test_filter_2k_run_output_digest(f2k_dir, monkeypatch, capsys):
+    monkeypatch.chdir(f2k_dir)
+    capsys.readouterr()
+    for seed in range(3):
+        assert cli_dispatch(["run", "--alg", "filter", "--seed", str(seed), "--in", "balls.gis"]) == 0
+    digest = sha256(capsys.readouterr().out)
+    assert digest == "56902e713f0dd4098d1e2610fbcf8295d9b41b6a20744957092d40fe0793b773"

@@ -19,7 +19,7 @@ from geomis import (
     parity_rounded_point,
     unit_ball_volume,
 )
-from geomis.lattice import MAX_DELTA, cross_axes_within_one
+from geomis.lattice import MAX_DELTA, cross_axis_terms
 
 from conftest import (
     SQRT3,
@@ -117,10 +117,14 @@ def test_cross_axis_pretest_rejects_only_uncovered_queries(data, params):
     q = data.draw(lattice_queries(params))
     coords, _ = parity_rounded_point(params, q)
     terms = [(p - x) ** 2 for p, x in zip(coords, q)]
-    passes = cross_axes_within_one(q)
+    returned = cross_axis_terms(q)
+    passes = returned is not None
     assert passes == all(t <= 1.0 for t in terms[1:])
     if not passes:
         assert sum(terms) > 1.0
+    else:
+        # The very floats the squared distance to the rounded point sums.
+        assert [t.hex() for t in returned] == [t.hex() for t in terms[1:]]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -131,9 +135,9 @@ def test_cross_axis_pretest_passes_at_distance_exactly_one(dim):
         for gap in (1.0, -1.0):
             q = list(base)
             q[axis] += gap
-            assert cross_axes_within_one(q)
+            assert cross_axis_terms(q) is not None
             q[axis] = math.nextafter(gap, 2.0 * gap)
-            assert not cross_axes_within_one(q)
+            assert cross_axis_terms(q) is None
 
 
 def test_closest_beats_parity_rounding_here():

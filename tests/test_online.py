@@ -123,6 +123,21 @@ def test_finalize_run_audits_independence(k3_stream):
     assert not bad.valid_independent
 
 
+def test_decisions_are_stored_as_bools():
+    class Truthy:
+        answers = iter([1, 0, None, 1])
+
+        def decide(self, event):
+            return next(self.answers)
+
+    stream = ArrivalSequence.from_neighbor_lists([[], [], [], [2]])
+    result = run_online(Truthy(), stream)
+    assert result.decisions == (True, False, False, True)
+    assert all(type(d) is bool for d in result.decisions)
+    assert result.accepted == (0, 3)
+    assert result.valid_independent
+
+
 def test_empirical_ratio_conventions(k3_stream):
     one = run_online(FirstFit(), k3_stream)
     assert empirical_ratio(5, one.size) == 5.0
