@@ -40,6 +40,7 @@ from .lattice import (
     LatticeParams,
     cross_axis_terms,
     parity_rounded_point,
+    period_box,
     unit_ball_volume,
 )
 from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
@@ -124,7 +125,8 @@ def filter_acceptance_probability(
     params: LatticeParams | int, delta: float = 0.01
 ) -> float:
     """Probability that a fixed unit ball survives the random shift:
-    vol(unit ball) / ((4+delta) * (2*sqrt(3))^(dim-1)).
+    vol(unit ball) over the volume of period_box(dim, delta), the box
+    product taken axis by axis as lattice --check volume takes it.
 
     Accepts either a LatticeParams or a bare dimension plus delta;
     delta=0 gives the limiting value (pi/36 at dim=3).
@@ -137,8 +139,7 @@ def filter_acceptance_probability(
         raise UsageError(f"dim must be >= 2, got {dim}")
     if not (math.isfinite(delta) and delta >= 0):
         raise UsageError(f"delta must be >= 0, got {delta}")
-    cell = (4.0 + delta) * (2.0 * math.sqrt(3.0)) ** (dim - 1)
-    return unit_ball_volume(dim) / cell
+    return unit_ball_volume(dim) / math.prod(period_box(dim, delta))
 
 
 class _ClassFirstFit:

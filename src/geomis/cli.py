@@ -21,7 +21,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .adversaries import GENERATOR_KINDS, AdversaryConfig, generate_instance, star_adversary
-from .algorithms import ALGORITHMS, make_algorithm
+from .algorithms import ALGORITHMS, filter_acceptance_probability, make_algorithm
 from .geometry import UsageError
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .instances import load_instance, read_utf8, save_instance, save_transcript
@@ -239,7 +239,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     origin = tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim))
     period_volume = math.prod(params.shift_extents())
     fraction, stderr = mc_volume_fraction(params, origin, args.samples, seed=args.seed)
-    expected = unit_ball_volume(params.dim) / period_volume
+    expected = filter_acceptance_probability(params)
     ok = abs(fraction - expected) <= 3.0 * stderr
     print(f"box_origin {origin}")
     print(f"covered_fraction {fraction!r} (stderr {stderr:.3e})")

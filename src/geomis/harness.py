@@ -23,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -162,29 +162,25 @@ class ExperimentConfig:
             raise UsageError(f"bad config JSON: {exc}") from None
         if not isinstance(data, dict):
             raise UsageError("config JSON must be an object")
-        # The JSON key for the field m is "M".
-        known = {f.name for f in fields(cls) if f.name != "m"} | {"M"}
-        unknown = set(data) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        gen = None
-        if data.get("generator") is not None:
-            if not isinstance(data["generator"], dict):
+        kwargs = _json_fields(cls, data, "config")
+        gen = kwargs.get("generator")
+        if gen is not None:
+            if not isinstance(gen, dict):
                 raise UsageError("generator must be a JSON object")
-            gen_cfg = dict(data["generator"])
-            if "M" in gen_cfg:
-                gen_cfg["m"] = gen_cfg.pop("M")
-            try:
-                gen = AdversaryConfig(**gen_cfg)
-            except TypeError as exc:
-                raise UsageError(f"bad generator config: {exc}") from None
-        kwargs = {k: v for k, v in data.items() if k not in ("generator", "M")}
-        if "M" in data:
-            kwargs["m"] = data["M"]
-        try:
-            return cls(generator=gen, **kwargs)
-        except TypeError as exc:
-            raise UsageError(f"bad config: {exc}") from None
+            kwargs["generator"] = AdversaryConfig(**_json_fields(AdversaryConfig, gen, "generator"))
+        return cls(**kwargs)
+
+
+def _json_fields(cls: type, data: dict, what: str) -> dict:
+    """Keyword arguments for dataclass cls from a JSON object, whose key for
+    the field m is "M"; one UsageError names unknown ("m" too) or missing keys."""
+    by_key = {("M" if f.name == "m" else f.name): f for f in fields(cls)}
+    unknown = sorted(set(data) - set(by_key))
+    missing = [k for k, f in by_key.items() if k not in data and f.default is MISSING]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise UsageError(f"{problem} {what} keys: {keys}")
+    return {by_key[key].name: value for key, value in data.items()}
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,7 @@ Basis in R^d (d >= 2), with a small stretch delta > 0:
 Every nonzero integer combination has length > 4, with the minimum
 sqrt((2 + delta/2)^2 + 12) barely above 4, so unit balls centered on
 distinct lattice points never meet while the lattice stays as dense as
-that constraint allows.  The module provides exact closest-point
-queries, the coverage test against the union of unit balls at lattice
-sites, and Monte Carlo volume estimation over period-aligned boxes.
+that constraint allows.
 
 Coordinates of a lattice point with coefficients (a1, ..., ad):
 
@@ -25,18 +23,17 @@ whenever one exists within distance 1, but it is not always the
 globally nearest point, so closest-point queries additionally scan the
 constant-size candidate window that the rounded distance bounds.
 
-Queries and lattice points are plain coordinate sequences.  The
-rounding has one scalar core, parity_rounded_point; its axis-1 step is
-also the one closest-point queries use for every candidate.  Axes 2..d
-snap on their own (_cross_coeff), so cross_axis_terms can reject a
-query on one of them before axis 1 is rounded; it returns the very
-float terms that the squared distance to the rounded point sums, so it
-rejects only uncovered queries, and LatticeFilter rounds only the rest
-and adds the axis-1 term.  coverage_cells is the same rounding over a
-numpy batch, and the tests check each against the other.  Only
-coverage_cells and the self-checks min_pairwise_distance and
-mc_volume_fraction use numpy, and they import it when called, so
-importing the package does not load it.
+Queries and lattice points are plain coordinate sequences.  Every
+scalar query rounds with one core, parity_rounded_point, and builds
+points with one formula, _coords: is_covered rounds once, and
+closest_lattice_point and min_pairwise_distance enumerate their windows
+through _coords.  cross_axis_terms snaps axes 2..d on their own
+(_cross_coeff) and returns the very float terms that the squared
+distance to the rounded point sums, so LatticeFilter rejects a query at
+a term above 1 before axis 1 is rounded, and adds only the axis-1 term
+for the rest.  coverage_cells is the same rounding over a numpy batch,
+which mc_volume_fraction draws over a period_box; only these two use
+numpy, and they import it when called.
 """
 
 from __future__ import annotations
@@ -44,7 +41,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .geometry import UsageError
@@ -95,8 +93,14 @@ class LatticeParams:
         return 4.0 * SQRT3
 
     def shift_extents(self) -> tuple[float, ...]:
-        """Per-axis ranges a random shift is drawn from."""
-        return (self.axis1_period,) + (2.0 * SQRT3,) * (self.dim - 1)
+        """Per-axis ranges a random shift is drawn from: period_box."""
+        return period_box(self.dim, self.delta)
+
+
+def period_box(dim: int, delta: float) -> tuple[float, ...]:
+    """Sides of a box that holds one lattice point per translate; delta
+    may be 0, the limit."""
+    return (4.0 + delta,) + (2.0 * SQRT3,) * (dim - 1)
 
 
 def lattice_point(params: LatticeParams, coeffs: Sequence[int]) -> tuple[float, ...]:
@@ -116,8 +120,8 @@ def lattice_point(params: LatticeParams, coeffs: Sequence[int]) -> tuple[float, 
 
 
 def _coords(params: LatticeParams, a1: int, rest: Sequence[int]) -> tuple[float, ...]:
-    """Coordinates of the lattice point (a1, *rest); lattice_point and
-    parity_rounded_point share it so their floats agree to the bit."""
+    """Coordinates of the lattice point (a1, *rest); every scalar query
+    builds points with it, so their floats agree to the bit."""
     x1 = params.axis1_period * a1 - params.axis1_unit * sum(rest)
     return (x1, *[2.0 * SQRT3 * a for a in rest])
 
@@ -195,30 +199,27 @@ def closest_lattice_point(
     """
     if not all(map(math.isfinite, c)):
         raise UsageError(f"non-finite coordinate in {tuple(c)!r}")
-    p0, coeffs0 = parity_rounded_point(params, c)
+    p0, _ = parity_rounded_point(params, c)
     bound = math.dist(p0, c) + 1e-9
-    axis_ranges = []
-    for x in c[1:]:
-        step = 2.0 * SQRT3
-        lo = math.ceil((x - bound) / step)
-        hi = math.floor((x + bound) / step)
-        axis_ranges.append(range(lo, hi + 1))
-    best_d2 = float("inf")
-    best = (p0, coeffs0)
+    step = 2.0 * SQRT3
+    axis_ranges = [
+        range(math.ceil((x - bound) / step), math.floor((x + bound) / step) + 1)
+        for x in c[1:]
+    ]
+    candidates = []
     for combo in itertools.product(*axis_ranges):
-        coeffs = (_axis1_coeff(params, c[0], sum(combo)),) + combo
-        p = lattice_point(params, coeffs)
-        d2 = sum((a - b) ** 2 for a, b in zip(p, c))
-        if d2 < best_d2:
-            best_d2 = d2
-            best = (p, coeffs)
-    return best
+        a1 = _axis1_coeff(params, c[0], sum(combo))
+        candidates.append((_coords(params, a1, combo), (a1, *combo)))
+    return min(candidates, key=lambda cand: sum((a - b) ** 2 for a, b in zip(cand[0], c)))
 
 
 def is_covered(params: LatticeParams, c: Sequence[float]) -> bool:
-    """True iff c lies in some closed unit ball centered at a lattice point,
-    decided by math.dist <= 1 (LatticeFilter sums pow squares instead)."""
-    p, _ = closest_lattice_point(params, c)
+    """True iff c lies in some closed unit ball centered at a lattice point:
+    rounds c once and decides by math.dist <= 1 to the rounded point, the
+    covering point whenever there is one (LatticeFilter sums pow squares)."""
+    if not all(map(math.isfinite, c)):
+        raise UsageError(f"non-finite coordinate in {tuple(c)!r}")
+    p, _ = parity_rounded_point(params, c)
     return math.dist(p, c) <= 1.0
 
 
@@ -258,27 +259,19 @@ def min_pairwise_distance(params: LatticeParams, window: int = 3) -> float:
 
     Pairwise differences of such points are exactly the lattice points
     with coefficients in [-2*window, 2*window]^dim, so the minimum over
-    pairs equals the minimum norm over that difference window.
+    pairs equals the minimum norm over that difference window.  Squares
+    are products, and axes 2..d add up by a left fold, as a short numpy
+    row sums (sum() compensates from Python 3.12 on), before x1*x1.
     """
-    import numpy as np
-
     if window < 1:
         raise UsageError(f"window must be >= 1, got {window}")
-    w2 = 2 * window
-    d = params.dim
-    span = np.arange(-w2, w2 + 1, dtype=np.int64)
-    rest_grids = np.meshgrid(*([span] * (d - 1)), indexing="ij")
-    rest = np.stack([g.ravel() for g in rest_grids], axis=1)  # ((4w+1)^(d-1), d-1)
-    rest_sq = ((rest.astype(np.float64) * (2.0 * SQRT3)) ** 2).sum(axis=1)
-    rest_sum = rest.sum(axis=1).astype(np.float64)
+    span = range(-2 * window, 2 * window + 1)
     best = math.inf
-    for a1 in span:
-        x1 = params.axis1_period * float(a1) - params.axis1_unit * rest_sum
-        d2 = x1 * x1 + rest_sq
-        if a1 == 0:
-            origin = int(np.flatnonzero((rest == 0).all(axis=1))[0])
-            d2[origin] = np.inf
-        best = min(best, float(d2.min()))
+    for a1, *rest in itertools.product(span, repeat=params.dim):
+        if a1 == 0 and not any(rest):
+            continue
+        x1, *xs = _coords(params, a1, rest)
+        best = min(best, x1 * x1 + reduce(add, map(mul, xs, xs)))
     return math.sqrt(best)
 
 

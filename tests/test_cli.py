@@ -11,7 +11,9 @@ from geomis import (
     ExperimentConfig,
     FirstFit,
     HyperRectangle,
+    LatticeParams,
     OracleRefusal,
+    filter_acceptance_probability,
     generate_instance,
     load_instance,
     run_online,
@@ -237,6 +239,15 @@ def test_lattice_volume_check(capsys):
     assert out.rstrip().endswith("pass")
 
 
+@pytest.mark.parametrize("dim", range(2, 12))
+def test_volume_check_expects_the_filter_acceptance_probability(dim, capsys):
+    for delta in (0.001, 0.01, 0.07, 0.1, 0.3, 0.5, 1.0):
+        argv = ["--check", "volume", "--dim", str(dim), "--delta", str(delta), "--samples", "1"]
+        cli_dispatch(["lattice", *argv])
+        expected = filter_acceptance_probability(LatticeParams(dim, delta))
+        assert f"\nexpected_fraction {expected!r}\n" in capsys.readouterr().out
+
+
 def experiment_config(tmp_path, **extra):
     cfg = {
         "algorithm": "filter",
@@ -380,6 +391,24 @@ def test_malformed_config_exits_one_without_traceback(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("drop, generator, message", [
+    (None, {"kind": "random_rects", "m": 4.0, "M": 8.0}, "unknown generator keys: ['m']"),
+    (None, {"kind": "random_rects", "m": 4.0}, "unknown generator keys: ['m']"),
+    (None, {"kind": "levels", "bogus": 1}, "unknown generator keys: ['bogus']"),
+    (None, {"zeta": 4}, "missing generator keys: ['kind']"),
+    ("trials", {"kind": "levels", "zeta": 4}, "missing config keys: ['trials']"),
+])
+def test_config_keys_named_in_one_error_line(tmp_path, capsys, drop, generator, message):
+    config = {"algorithm": "firstfit", "trials": 2, "base_seed": 1, "generator": generator}
+    config.pop(drop, None)
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(config))
+    assert cli_dispatch(["experiment", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_help_exits_zero(capsys):

@@ -237,3 +237,49 @@ def test_filter_2k_run_output_digest(f2k_dir, monkeypatch, capsys):
         assert cli_dispatch(["run", "--alg", "filter", "--seed", str(seed), "--in", "balls.gis"]) == 0
     digest = sha256(capsys.readouterr().out)
     assert digest == "56902e713f0dd4098d1e2610fbcf8295d9b41b6a20744957092d40fe0793b773"
+
+
+# Two more CI steps that drive the console script, in process with the
+# same argv: each writes its files in a fresh directory, and the text the
+# step diffs is the stdout of the commands it redirects.
+def test_readme_ball_oracle_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(["gen", "--kind", "random_balls", "--n", "80", "--dim", "3",
+                         "--box-side", "8", "--seed", "5", "--out", "balls80.gis"]) == 0
+    capsys.readouterr()
+    for what in ("mis", "ikn"):
+        assert cli_dispatch(["oracle", "--what", what, "--in", "balls80.gis",
+                             "--node-limit", "100"]) == 0
+    assert cli_dispatch(["oracle", "--what", "ratio", "--alg", "firstfit", "--in", "balls80.gis",
+                         "--node-limit", "100"]) == 0
+    assert capsys.readouterr().out == (
+        "34\n"
+        "4\n"
+        "opt 34\n"
+        "alg 31\n"
+        "ratio 1.096774193548387\n"
+        "zeta 4\n"
+        "bound_satisfied true\n"
+    )
+
+
+def test_readme_level_graph_tour_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(["gen", "--kind", "levels", "--zeta", "4", "--seed", "7",
+                         "--out", "levels.gis"]) == 0
+    assert cli_dispatch(["run", "--alg", "firstfit", "--in", "levels.gis"]) == 0
+    assert cli_dispatch(["oracle", "--what", "ratio", "--in", "levels.gis",
+                         "--alg", "firstfit"]) == 0
+    assert capsys.readouterr().out == (
+        "wrote levels.gis (8 arrivals)\n"
+        "algorithm firstfit\n"
+        "arrivals 8\n"
+        "accepted 2: 0 1\n"
+        "valid_independent true\n"
+        "valid_irrevocable true\n"
+        "opt 5\n"
+        "alg 2\n"
+        "ratio 2.5\n"
+        "zeta 4\n"
+        "bound_satisfied true\n"
+    )

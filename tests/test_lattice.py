@@ -248,6 +248,51 @@ def test_min_pairwise_distance_grows_with_delta():
     assert loose == pytest.approx(math.sqrt(2.25**2 + 12.0), abs=1e-12)
 
 
+def _numpy_min_pairwise_distance(params, window):
+    """The difference-window minimum as one numpy meshgrid per axis-1
+    coefficient, the reference min_pairwise_distance must match to the bit."""
+    span = np.arange(-2 * window, 2 * window + 1, dtype=np.int64)
+    grids = np.meshgrid(*([span] * (params.dim - 1)), indexing="ij")
+    rest = np.stack([g.ravel() for g in grids], axis=1)
+    rest_sq = ((rest.astype(np.float64) * (2.0 * SQRT3)) ** 2).sum(axis=1)
+    rest_sum = rest.sum(axis=1).astype(np.float64)
+    best = math.inf
+    for a1 in span:
+        x1 = params.axis1_period * float(a1) - params.axis1_unit * rest_sum
+        d2 = x1 * x1 + rest_sq
+        if a1 == 0:
+            d2[int(np.flatnonzero((rest == 0).all(axis=1))[0])] = np.inf
+        best = min(best, float(d2.min()))
+    return math.sqrt(best)
+
+
+# Every window the mindist check accepts ((4w+1)^dim <= 10^6) up to dim 6;
+# the two largest at the default delta only.
+@pytest.mark.parametrize("dim, window, delta", [
+    (dim, window, delta) for dim in range(2, 7) for window in (1, 2, 3)
+    for delta in (0.001, 0.01, 0.3, 1.0)
+    if (4 * window + 1) ** dim <= 10**5 or (4 * window + 1) ** dim <= 10**6 and delta == 0.01
+])
+def test_min_pairwise_distance_matches_numpy_reference_to_the_bit(dim, window, delta):
+    params = LatticeParams(dim=dim, delta=delta)
+    assert min_pairwise_distance(params, window) == _numpy_min_pairwise_distance(params, window)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("delta", [0.01, 0.5, 1.0])
+def test_is_covered_decides_as_the_closest_point_at_distance_one(dim, delta):
+    params = LatticeParams(dim=dim, delta=delta)
+    rng = random.Random(dim * 100 + int(delta * 10))
+    for _ in range(300):
+        center = lattice_point(params, [rng.randint(-4, 4) for _ in range(dim)])
+        u = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        norm = math.hypot(*u)
+        for r in (1.0, 1.0 - 1e-15, 1.0 + 1e-15):
+            q = tuple(x + r * ui / norm for x, ui in zip(center, u))
+            closest, _ = closest_lattice_point(params, q)
+            assert is_covered(params, q) == (math.dist(closest, q) <= 1.0)
+
+
 def test_period_box_extents():
     assert P3.shift_extents() == pytest.approx((4.01, 2 * SQRT3, 2 * SQRT3))
     assert math.prod(P3.shift_extents()) == pytest.approx(4.01 * 12.0)

@@ -37,8 +37,9 @@ def test_importing_the_cli_does_not_load_numpy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
-    # Generating random instances, building their graphs and filtering
-    # unit balls through the lattice stay numpy-free too.
+    # Generating random instances, building their graphs, filtering unit
+    # balls through the lattice and the scalar lattice self-checks stay
+    # numpy-free too.
     code = f"""
 import sys
 from geomis.cli import cli_dispatch
@@ -48,6 +49,8 @@ for kind in ("random_rects", "random_balls"):
                          "--box-side", "20", "--seed", "5", "--out", path]) == 0
     assert cli_dispatch(["run", "--alg", "firstfit", "--in", path]) == 0
 assert cli_dispatch(["run", "--alg", "filter", "--in", path]) == 0
+assert cli_dispatch(["lattice", "--check", "mindist"]) == 0
+assert cli_dispatch(["lattice", "--check", "closest", "--samples", "200"]) == 0
 print({NUMPY_MODULES})
 """
     done = subprocess.run(
