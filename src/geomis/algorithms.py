@@ -6,12 +6,12 @@ lattice point), so keeping the first ball per lattice cell is greedy
 acceptance on the filtered subsequence.  Each ball survives with
 probability vol(unit ball) / ((4+delta) * (2*sqrt(3))^(d-1)), giving an
 expected acceptance of at least that fraction of the offline optimum;
-at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision first runs
-lattice.cross_axis_terms, which rejects an arrival that one axis 2..d
-alone keeps farther than 1 from the lattice, about two thirds of them
-at d=3; that axis's term is in the full squared distance too, so the
-early return is exact.  The rest are rounded (parity_rounded_point);
-an occupied cell rejects, else the axis-1 term joins the returned ones.
+at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision makes one
+pass, lattice.rounded_distance_sq, which stops at an axis 2..d that
+alone keeps the arrival farther than 1 from the lattice (about two
+thirds of them at d=3) and else gives the squared distance to the
+rounded point.  Only a covered arrival, at most 1 away, is rounded
+again by parity_rounded_point to name its cell; an occupied one rejects.
 There is no batch path: run_online gives the accepted set of any shift.
 
 Classify handles fat objects of bounded width spread: it draws one
@@ -38,9 +38,9 @@ from .geometry import Ball, HyperRectangle, UsageError
 from .lattice import (
     CoeffVector,
     LatticeParams,
-    cross_axis_terms,
     parity_rounded_point,
     period_box,
+    rounded_distance_sq,
     unit_ball_volume,
 )
 from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
@@ -69,7 +69,7 @@ def width_class_index(width: float) -> int:
 
 class LatticeFilter:
     """Online strategy for unit balls: accept the first ball whose shifted
-    center each lattice point covers, by a sum of pow squares <= 1.
+    center each lattice point covers, by rounded_distance_sq <= 1.
 
     The shift is given, or drawn once from seed when the filter is
     built, uniformly over one lattice period per axis.  Within one run,
@@ -105,17 +105,12 @@ class LatticeFilter:
             raise UsageError(f"ball dim {len(center)} does not match lattice dim {self.params.dim}")
         if ball.radius != 1.0:
             raise UsageError(f"LatticeFilter requires unit balls, got radius {ball.radius}")
-        shifted = list(map(add, center, self.shift))
-        # Most arrivals fail on one axis 2..d alone; each such term is
-        # also in the distance below, so this return changes no decision.
-        if (terms := cross_axis_terms(shifted)) is None:
+        # The rounded point covers whenever any lattice point does, so the
+        # distance decides coverage; only covered arrivals name their cell.
+        if (d2 := rounded_distance_sq(self.params, center, self.shift)) is None or d2 > 1.0:
             return False
-        # The one-shot rounding finds the covering lattice point whenever
-        # one exists within distance 1, so this equals the coverage test.
-        coords, coeffs = parity_rounded_point(self.params, shifted)
+        _, coeffs = parity_rounded_point(self.params, list(map(add, center, self.shift)))
         if coeffs in self.occupied:
-            return False
-        if sum(terms, (coords[0] - shifted[0]) ** 2) > 1.0:
             return False
         self.occupied[coeffs] = event.id
         return True

@@ -32,6 +32,7 @@ from .lattice import (
     lattice_point,
     min_pairwise_distance,
     mc_volume_fraction,
+    parity_rounded_point,
     unit_ball_volume,
 )
 from .online import ArrivalSequence, FirstFit, RunResult, run_online
@@ -102,7 +103,8 @@ def _build_parser() -> _Parser:
                          choices=["mindist", "closest", "volume"])
     lattice.add_argument("--dim", type=int, default=3)
     lattice.add_argument("--delta", type=float, default=0.01)
-    lattice.add_argument("--window", type=int, default=3)
+    lattice.add_argument("--window", type=int, default=3, help="mindist: coefficients in"
+                         " [-w, w]^dim; closest: within w of each query's rounded point")
     lattice.add_argument("--samples", type=int, default=10000)
     lattice.add_argument("--seed", type=int, default=0)
     lattice.set_defaults(func=_cmd_lattice)
@@ -185,9 +187,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) -> float:
-    """Exhaustive nearest-lattice-point distance over a coefficient window."""
+    """Exhaustive nearest-lattice-point distance over the coefficients
+    within window of c's parity-rounded ones on every axis."""
+    _, rounded = parity_rounded_point(params, c)
     best = math.inf
-    for coeffs in product(range(-window, window + 1), repeat=params.dim):
+    for coeffs in product(*[range(a - window, a + window + 1) for a in rounded]):
         best = min(best, math.dist(lattice_point(params, coeffs), c))
     return best
 

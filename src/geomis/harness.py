@@ -24,6 +24,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -203,13 +205,14 @@ def summarize(records: Sequence[TrialRecord], *, oracle: bool = True) -> Experim
     sizes = [r.alg_size for r in records]
     n = len(sizes)
     mean = sum(sizes) / n
+    # Float sums fold left: sum() compensates from Python 3.12 on.
     if n > 1:
-        var = sum((s - mean) ** 2 for s in sizes) / (n - 1)
+        var = reduce(add, [(s - mean) ** 2 for s in sizes]) / (n - 1)
         stderr = math.sqrt(var / n)
     else:
         stderr = 0.0
     ratios = [r.ratio for r in records if r.ratio is not None]
-    mean_ratio = sum(ratios) / len(ratios) if ratios else None
+    mean_ratio = reduce(add, ratios) / len(ratios) if ratios else None
     refusals = sum(1 for r in records if r.opt_size is None) if oracle else 0
     return ExperimentSummary(
         trials=n,

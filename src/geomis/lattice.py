@@ -27,13 +27,13 @@ Queries and lattice points are plain coordinate sequences.  Every
 scalar query rounds with one core, parity_rounded_point, and builds
 points with one formula, _coords: is_covered rounds once, and
 closest_lattice_point and min_pairwise_distance enumerate their windows
-through _coords.  cross_axis_terms snaps axes 2..d on their own
-(_cross_coeff) and returns the very float terms that the squared
-distance to the rounded point sums, so LatticeFilter rejects a query at
-a term above 1 before axis 1 is rounded, and adds only the axis-1 term
-for the rest.  coverage_cells is the same rounding over a numpy batch,
-which mc_volume_fraction draws over a period_box; only these two use
-numpy, and they import it when called.
+through _coords.  rounded_distance_sq is LatticeFilter's one pass: it
+snaps axes 2..d on their own (_cross_coeff), stops at a term above 1,
+else gives the squared distance to the rounded point, to the bit, so the
+filter names a cell only for the queries it finds covered.
+coverage_cells is the same rounding over a numpy batch, which
+mc_volume_fraction draws over a period_box; only these two use numpy,
+and they import it when called.
 """
 
 from __future__ import annotations
@@ -161,20 +161,25 @@ def _cross_coeff(x: float) -> int:
     return (math.floor(x / SQRT3) + 1) // 2
 
 
-def cross_axis_terms(c: Sequence[float]) -> Optional[list[float]]:
-    """The axis 2..d terms (coords[i] - c[i]) ** 2 of the squared distance
-    from c to its parity-rounded point (they do not depend on delta), or
-    None at the first term above 1.  Rounded addition of non-negative
-    floats never falls below a term, so None means the distance is above
-    1 and, since the rounding finds any covering lattice point, that c is
-    not covered.  A list decides nothing: axis 1 is not looked at.
-    """
+def rounded_distance_sq(
+    params: LatticeParams, center: Sequence[float], shift: Sequence[float]
+) -> Optional[float]:
+    """Squared distance from c = center + shift to its parity-rounded
+    point, in one pass that computes each coefficient and pow square once
+    and folds left from the axis-1 term: bit for bit the sum over
+    parity_rounded_point's coordinates.  None at the first axis 2..d term
+    above 1: a sum of non-negative floats never falls below a term, and
+    the rounding finds any covering lattice point, so c is not covered."""
+    x0, *rest = map(add, center, shift)
     terms = []
-    for x in c[1:]:
-        if (t := (2.0 * SQRT3 * _cross_coeff(x) - x) ** 2) > 1.0:
+    k = 0
+    for x in rest:
+        if (t := (2.0 * SQRT3 * (a := _cross_coeff(x)) - x) ** 2) > 1.0:
             return None
         terms.append(t)
-    return terms
+        k += a
+    x1 = params.axis1_period * _axis1_coeff(params, x0, k) - params.axis1_unit * k
+    return reduce(add, terms, (x1 - x0) ** 2)
 
 
 def _axis1_coeff(params: LatticeParams, x0: float, rest_sum: int) -> int:
@@ -210,7 +215,7 @@ def closest_lattice_point(
     for combo in itertools.product(*axis_ranges):
         a1 = _axis1_coeff(params, c[0], sum(combo))
         candidates.append((_coords(params, a1, combo), (a1, *combo)))
-    return min(candidates, key=lambda cand: sum((a - b) ** 2 for a, b in zip(cand[0], c)))
+    return min(candidates, key=lambda cand: reduce(add, [(a - b) ** 2 for a, b in zip(cand[0], c)]))
 
 
 def is_covered(params: LatticeParams, c: Sequence[float]) -> bool:

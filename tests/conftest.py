@@ -10,6 +10,8 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import add
 from typing import AbstractSet, Sequence
 
 import numpy as np
@@ -509,7 +511,9 @@ class ReferenceLatticeFilter(LatticeFilter):
             raise UsageError("reference filter needs unit balls of the lattice dimension")
         shifted = tuple(x + b for x, b in zip(ball.center, self.shift))
         p, coeffs = reference_parity_rounded_point(self.params, shifted)
-        if sum((a - b) ** 2 for a, b in zip(p, shifted)) > 1.0:
+        # Folded left from axis 1, as LatticeFilter adds (sum() compensates
+        # from Python 3.12 on).
+        if reduce(add, [(a - b) ** 2 for a, b in zip(p, shifted)]) > 1.0:
             return False
         if coeffs in self.occupied:
             return False

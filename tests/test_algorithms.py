@@ -1,5 +1,7 @@
 import math
 import random
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from geomis import (
 import geomis.algorithms
 import geomis.geometry
 from geomis.algorithms import make_algorithm
-from geomis.lattice import cross_axis_terms, parity_rounded_point
+from geomis.lattice import parity_rounded_point
 from geomis.online import ArrivalEvent
 
 from conftest import ReferenceLatticeFilter, lattice_params, lattice_queries
@@ -317,7 +319,7 @@ def test_filter_and_is_covered_split_on_a_tangent_center():
     # center the sum rounds to just above 1 and the distance to 1.
     center = (8.364046709781382, 0.8680768860983207, 0.3578748123442727)
     coords, _ = parity_rounded_point(P3, center)
-    assert sum((p - x) ** 2 for p, x in zip(coords, center)) > 1.0
+    assert reduce(add, [(p - x) ** 2 for p, x in zip(coords, center)]) > 1.0
     assert math.dist(coords, center) == 1.0
     assert is_covered(P3, center)
     result = run_online(LatticeFilter(P3, shift=(0.0, 0.0, 0.0)), unit_ball_stream([center]))
@@ -438,7 +440,7 @@ def test_filter_builds_no_point_per_arrival(monkeypatch):
     assert built == [(0.0, 0.0, 0.0)]
 
 
-def test_filter_rounds_only_arrivals_that_pass_the_cross_axis_pretest(monkeypatch):
+def test_filter_rounds_exactly_the_covered_arrivals(monkeypatch):
     stream = random_unit_ball_stream(random.Random(3), 200, 12.0)
     rounded = []
     real = geomis.algorithms.parity_rounded_point
@@ -454,12 +456,15 @@ def test_filter_rounds_only_arrivals_that_pass_the_cross_axis_pretest(monkeypatc
     ]
     assert fast.occupied == ref.occupied
     assert fast.shift == ref.shift
-    shifted = [
+    # Covered, as the reference judges it: a filter with no cell taken
+    # yet accepts the arrival.
+    covered = [
         [x + b for x, b in zip(ev.payload.center, fast.shift)]
         for ev in stream.events
+        if ReferenceLatticeFilter(P3, shift=fast.shift).decide(ev)
     ]
-    assert rounded == [c for c in shifted if cross_axis_terms(c) is not None]
-    assert len(fast.occupied) <= len(rounded) < len(stream)
+    assert rounded == covered
+    assert len(fast.occupied) < len(rounded) < len(stream)
 
 
 def test_filter_acceptance_probability_closed_forms():

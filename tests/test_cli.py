@@ -164,6 +164,20 @@ def test_lattice_closest_check(capsys):
     assert out.rstrip().endswith("pass")
 
 
+# Queries whose nearest lattice point has coefficients outside
+# [-w, w]^dim: the brute-force window is taken around the rounded point.
+@pytest.mark.parametrize("argv, queries", [
+    (["--dim", "4", "--samples", "100", "--window", "2", "--seed", "2"], 100),
+    (["--dim", "2", "--window", "1", "--seed", "3"], 10000),
+])
+def test_lattice_closest_window_follows_the_query(argv, queries, capsys):
+    rc = cli_dispatch(["lattice", "--check", "closest", *argv])
+    assert capsys.readouterr().out == (
+        f"queries {queries}\nmax_distance_deviation 0.0\ncoverage_mismatches 0\npass\n"
+    )
+    assert rc == 0
+
+
 @pytest.mark.parametrize("flag, value", [("samples", 0), ("samples", -5), ("window", 0)])
 def test_lattice_closest_rejects_counts_below_one(flag, value, capsys):
     rc = cli_dispatch(["lattice", "--check", "closest", f"--{flag}", str(value)])

@@ -283,3 +283,43 @@ def test_readme_level_graph_tour_output(tmp_path, monkeypatch, capsys):
         "zeta 4\n"
         "bound_satisfied true\n"
     )
+
+
+# The filter outside d = 3: run --alg filter at seeds 0, 1, 2 on one
+# instance each of d = 2 and d = 4 (26 accepted at seed 0), digest of the
+# three runs' stdout.
+FILTER_DIMS = {
+    2: (["--box-side", "40"],
+        "ecb55b289d910775626b91a09933f693a3e46888e9ceddd66c0ce892d85effcb"),
+    4: (["--box-side", "12"],
+        "bfb615903082e7d18572b50ab27f3a953eade071f0722bd9b959e5019e15dba4"),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(FILTER_DIMS))
+def test_filter_generic_dim_run_output_digest(dim, tmp_path, monkeypatch, capsys):
+    flags, expected = FILTER_DIMS[dim]
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(["gen", "--kind", "random_balls", "--n", "1000", "--dim", str(dim),
+                         *flags, "--seed", "1", "--out", "balls.gis"]) == 0
+    capsys.readouterr()
+    for seed in range(3):
+        assert cli_dispatch(["run", "--alg", "filter", "--seed", str(seed), "--in", "balls.gis"]) == 0
+    assert sha256(capsys.readouterr().out) == expected
+
+
+# The CI step "High-dimension random instances through the console
+# script", same argv and digest of the whole stdout.
+def test_high_dimension_instances_output_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen", "--kind", "random_balls", "--n", "1000", "--dim", "7", "--box-side", "8",
+         "--seed", "1", "--out", "b7.gis"],
+        ["run", "--alg", "firstfit", "--in", "b7.gis"],
+        ["gen", "--kind", "random_rects", "--n", "500", "--dim", "5", "--M", "4",
+         "--box-side", "20", "--seed", "1", "--out", "r5.gis"],
+        ["run", "--alg", "firstfit", "--in", "r5.gis"],
+    ):
+        assert cli_dispatch(argv) == 0
+    digest = sha256(capsys.readouterr().out)
+    assert digest == "c0e70a326ecf4e9918595b2c3539457a7bdacac7ca2e38e7b7b83acf154fdf50"

@@ -1,5 +1,7 @@
 import json
 import math
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -442,6 +444,26 @@ def test_summarize_known_values():
     assert summary.oracle_refusals == 3
     with pytest.raises(UsageError):
         summarize([])
+
+
+def test_summarize_folds_float_sums_left():
+    # math.fsum, like sum() from Python 3.12 on, rounds both the ratio
+    # sum and the squared deviations of these trials differently from a
+    # left fold, so the printed summary would depend on the interpreter.
+    opt_alg = [(36, 27), (35, 25), (35, 18)]
+    records = [
+        TrialRecord(i, 0, "firstfit", 40, a, o, o / a, 0.0) for i, (o, a) in enumerate(opt_alg)
+    ]
+    ratios = [o / a for o, a in opt_alg]
+    squares = [(a - 70 / 3) ** 2 for _, a in opt_alg]
+    assert reduce(add, ratios) != math.fsum(ratios)
+    assert reduce(add, squares) != math.fsum(squares)
+    summary = summarize(records)
+    assert summary.mean_alg_size == 70 / 3
+    assert summary.mean_ratio == reduce(add, ratios) / 3
+    assert summary.stderr_alg_size == math.sqrt(reduce(add, squares) / 2 / 3)
+    assert summary.mean_ratio != math.fsum(ratios) / 3
+    assert summary.stderr_alg_size != math.sqrt(math.fsum(squares) / 2 / 3)
 
 
 def test_summary_recomputable_from_records(tmp_path, monkeypatch):

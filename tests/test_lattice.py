@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from geomis import (
     parity_rounded_point,
     unit_ball_volume,
 )
-from geomis.lattice import MAX_DELTA, cross_axis_terms
+from geomis.lattice import MAX_DELTA, rounded_distance_sq
 
 from conftest import (
     SQRT3,
@@ -111,33 +113,49 @@ def test_parity_rounding_rejects_a_dimension_mismatch():
             parity_rounded_point(P3, query)
 
 
-@given(data=st.data(), params=lattice_params)
+@given(
+    data=st.data(),
+    params=st.builds(LatticeParams, dim=st.integers(2, 5), delta=st.sampled_from([0.01, 0.3, 1.0])),
+)
 @settings(max_examples=400, deadline=None)
 def test_cross_axis_pretest_rejects_only_uncovered_queries(data, params):
+    # rounded_distance_sq under a zero or a drawn shift, against the pow
+    # squares of parity_rounded_point's coordinates folded from axis 1.
     q = data.draw(lattice_queries(params))
-    coords, _ = parity_rounded_point(params, q)
-    terms = [(p - x) ** 2 for p, x in zip(coords, q)]
-    returned = cross_axis_terms(q)
-    passes = returned is not None
-    assert passes == all(t <= 1.0 for t in terms[1:])
-    if not passes:
-        assert sum(terms) > 1.0
+    shift = data.draw(st.just((0.0,) * params.dim) | st.tuples(
+        *[st.floats(0.0, e, exclude_max=True) for e in params.shift_extents()]
+    ))
+    c = [x + b for x, b in zip(q, shift)]
+    coords, _ = parity_rounded_point(params, c)
+    terms = [(p - x) ** 2 for p, x in zip(coords, c)]
+    got = rounded_distance_sq(params, q, shift)
+    # None exactly when an axis 2..d term is above 1, and only for
+    # uncovered queries.
+    assert (got is None) == any(t > 1.0 for t in terms[1:])
+    expected = reduce(add, terms)
+    if got is None:
+        assert expected > 1.0
     else:
-        # The very floats the squared distance to the rounded point sums.
-        assert [t.hex() for t in returned] == [t.hex() for t in terms[1:]]
+        assert got.hex() == expected.hex()
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_cross_axis_pretest_passes_at_distance_exactly_one(dim):
-    params = LatticeParams(dim=dim, delta=0.01)
-    base = lattice_point(params, (2,) + (0,) * (dim - 1))
-    for axis in range(1, dim):
-        for gap in (1.0, -1.0):
-            q = list(base)
-            q[axis] += gap
-            assert cross_axis_terms(q) is not None
-            q[axis] = math.nextafter(gap, 2.0 * gap)
-            assert cross_axis_terms(q) is None
+    zero = (0.0,) * dim
+    for delta in (0.01, 0.5):
+        params = LatticeParams(dim=dim, delta=delta)
+        base = lattice_point(params, (2,) + (0,) * (dim - 1))
+        for axis in range(dim):
+            for gap in (1.0, -1.0):
+                q = list(base)
+                q[axis] += gap
+                assert rounded_distance_sq(params, q, zero) == 1.0
+                q[axis] = math.nextafter(q[axis], gap * math.inf)
+                beyond = rounded_distance_sq(params, q, zero)
+                if axis == 0:
+                    assert beyond > 1.0
+                else:
+                    assert beyond is None
 
 
 def test_closest_beats_parity_rounding_here():
