@@ -27,9 +27,9 @@ from .harness import ExperimentConfig, render_csv, run_experiment
 from .instances import load_instance, read_utf8, save_instance, save_transcript
 from .lattice import (
     LatticeParams,
+    _coords,
     closest_lattice_point,
     is_covered,
-    lattice_point,
     min_pairwise_distance,
     mc_volume_fraction,
     parity_rounded_point,
@@ -188,11 +188,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) -> float:
     """Exhaustive nearest-lattice-point distance over the coefficients
-    within window of c's parity-rounded ones on every axis."""
+    within window of c's parity-rounded ones on every axis.  The
+    coefficients come from range, so each point is built by _coords,
+    the formula lattice_point ends in, without its integer check."""
     _, rounded = parity_rounded_point(params, c)
     best = math.inf
-    for coeffs in product(*[range(a - window, a + window + 1) for a in rounded]):
-        best = min(best, math.dist(lattice_point(params, coeffs), c))
+    for a1, *rest in product(*[range(a - window, a + window + 1) for a in rounded]):
+        best = min(best, math.dist(_coords(params, a1, rest), c))
     return best
 
 

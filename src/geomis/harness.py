@@ -10,8 +10,8 @@ algorithm with algorithms.make_algorithm.  A fixed instance is shipped
 to each pool worker once, and the oracle solves it once, after the
 trials, so a config that no trial can run fails before the oracle
 starts; only the star adversary and instance_per_trial build and solve
-a graph per trial.  Every ratio, in a record's check and in scoring,
-is online.empirical_ratio.
+a graph per trial.  A record stores opt_size only; its ratio is
+derived from it by online.empirical_ratio.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def derive_seed(base_seed: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's outcome; opt_size and ratio are absent when the
-    oracle was skipped or refused."""
+    """One trial's outcome; opt_size, and with it ratio, is absent when
+    the oracle was skipped or refused."""
 
     trial: int
     seed: int
@@ -76,20 +76,13 @@ class TrialRecord:
     n: int
     alg_size: int
     opt_size: Optional[int]
-    ratio: Optional[float]
     wall_time_ms: float
 
-    def __post_init__(self) -> None:
-        if (self.opt_size is None) != (self.ratio is None):
-            raise UsageError("opt_size and ratio must be absent together")
-        if self.ratio is not None:
-            expected = empirical_ratio(self.opt_size, self.alg_size)
-            if expected != self.ratio and not math.isclose(
-                expected, self.ratio, rel_tol=1e-12
-            ):
-                raise UsageError(
-                    f"ratio {self.ratio} inconsistent with opt {self.opt_size} / alg {self.alg_size}"
-                )
+    @property
+    def ratio(self) -> Optional[float]:
+        if self.opt_size is None:
+            return None
+        return empirical_ratio(self.opt_size, self.alg_size)
 
 
 @dataclass(frozen=True)
@@ -249,12 +242,6 @@ def _solve_opt(config: ExperimentConfig, stream: ArrivalSequence) -> Optional[in
         return None
 
 
-def _scored(record: TrialRecord, opt: Optional[int]) -> TrialRecord:
-    if opt is None:
-        return record
-    return replace(record, opt_size=opt, ratio=empirical_ratio(opt, record.alg_size))
-
-
 def _run_trial(
     config: ExperimentConfig,
     stream: Optional[ArrivalSequence],
@@ -279,17 +266,15 @@ def _run_trial(
     else:
         run = run_online(algorithm, stream)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    record = TrialRecord(
+    return TrialRecord(
         trial=trial_index,
         seed=seed,
         algorithm=config.algorithm,
         n=len(stream),
         alg_size=run.size,
-        opt_size=None,
-        ratio=None,
+        opt_size=None if fixed else _solve_opt(config, stream),
         wall_time_ms=elapsed_ms,
     )
-    return record if fixed else _scored(record, _solve_opt(config, stream))
 
 
 # A pool worker's (config, stream), set once per worker by _init_worker.
@@ -341,7 +326,7 @@ def run_experiment(
         records = [_run_trial(config, stream, *job) for job in jobs]
     if stream is not None:
         opt = _solve_opt(config, stream)
-        records = [_scored(r, opt) for r in records]
+        records = [replace(r, opt_size=opt) for r in records]
     summary = summarize(records, oracle=config.oracle)
     if config.out is not None:
         write_csv(records, config.out, timing=config.timing)

@@ -401,8 +401,9 @@ def _reference_algorithm(config, stream, seed, forced):
     return HRClassify(config.m, stream.dim, seed=seed)
 
 
-def reference_experiment_records(config) -> list[TrialRecord]:
-    """run_experiment's records by the serial solve-every-trial loop.
+def reference_experiment_records(config) -> tuple[list[TrialRecord], list]:
+    """run_experiment's records by the serial solve-every-trial loop,
+    and each trial's ratio as computed here.
 
     Every trial loads or builds its own instance, runs the algorithm on
     it and then calls exact_mis on that trial's graph.  Wall times are 0.
@@ -422,7 +423,7 @@ def reference_experiment_records(config) -> list[TrialRecord]:
         classes = list(itertools.product(range(k), repeat=repeat))
     else:
         classes = [None] * config.trials
-    records = []
+    records, ratios = [], []
     for i, forced in enumerate(classes):
         seed = derive_seed(config.base_seed, i)
         if star:
@@ -439,10 +440,9 @@ def reference_experiment_records(config) -> list[TrialRecord]:
                 ratio = empirical_ratio(opt, run.size)
             except OracleRefusal:
                 pass
-        records.append(
-            TrialRecord(i, seed, config.algorithm, len(stream), run.size, opt, ratio, 0.0)
-        )
-    return records
+        records.append(TrialRecord(i, seed, config.algorithm, len(stream), run.size, opt, 0.0))
+        ratios.append(ratio)
+    return records, ratios
 
 
 def reference_lattice_point(params: LatticeParams, coeffs) -> tuple[float, ...]:

@@ -532,19 +532,21 @@ def test_top_level_m_past_float_range_exits_one(
     instance = tmp_path / "boxes.gis"
     save_instance(generate_instance(AdversaryConfig(
         kind="random_rects", n=3, dim=2, m=8.0, box_side=50.0, seed=1)), instance)
-    config = tmp_path / "huge.json"
-    config.write_text(json.dumps({
-        "algorithm": algorithm, "trials": 3, "base_seed": 1, "M": int("9" * 401),
-        "mode": mode, "instance_path": str(instance),
-    }))
-    csv = tmp_path / "huge.csv"
-    assert cli_dispatch(["experiment", "--config", str(config), "--out", str(csv)]) == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
-        "", "error: M must be finite, got an integer too large for a float\n"
-    )
-    assert instance_builds == []
-    assert not csv.exists()
+    rects = {"kind": "random_rects", "n": 3, "dim": 2, "M": 8, "box_side": 50.0, "seed": 2}
+    for source in ({"instance_path": str(instance)}, {"generator": rects}):
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "algorithm": algorithm, "trials": 3, "base_seed": 1, "M": int("9" * 401),
+            "mode": mode, **source,
+        }))
+        csv = tmp_path / "huge.csv"
+        assert cli_dispatch(["experiment", "--config", str(config), "--out", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: M must be finite, got an integer too large for a float\n"
+        )
+        assert instance_builds == []
+        assert not csv.exists()
 
 
 @pytest.mark.parametrize("radii, shown", [(["1", "inf"], "inf"), (["nan", "1"], "nan")])

@@ -3,13 +3,21 @@
 The digests pin how seeds, delta, M, forced classes and generator
 parameters reach each algorithm and instance source, so a refactor that
 changes any of them fails here even when two runs of one commit agree.
+Each golden output is held here once, with the argv that prints it; the
+command-line tours run in process through cli_dispatch, and one test
+starts `python -m geomis` to pin the exit codes of a real process.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geomis
 from geomis import ExperimentConfig, render_csv, run_experiment
 from geomis.cli import cli_dispatch
 
@@ -59,6 +67,11 @@ EXPERIMENTS = {
         "algorithm": "firstfit", "trials": 4, "base_seed": 6,
         "generator": {"kind": "star", "zeta": 5},
     },
+    "hr_classify-boxes-per-trial": {
+        "algorithm": "hr_classify", "M": 8, "trials": 4, "base_seed": 42,
+        "generator": {"kind": "random_rects", "n": 1000, "dim": 2, "M": 8, "box_side": 100.0},
+        "instance_per_trial": True, "oracle": False,
+    },
 }
 
 EXPERIMENT_DIGESTS = {
@@ -68,6 +81,7 @@ EXPERIMENT_DIGESTS = {
     "firstfit-balls-per-trial": "dac8854e48b655252d95ca0cdac1e97a00ba1dedb630f9a98ffcfef4bc3dc889",
     "firstfit-levels": "c3a9ec9ce5f8e6ae0abad5f5080396cd893ae617f3b3a27ec36a1af406812fc5",
     "firstfit-star": "9213d4e59350f87d075e61a8fbe6dfd28aa109485ec1907e7e1e27f52674575f",
+    "hr_classify-boxes-per-trial": "5c190155f1a76e532e43c7824a973051bf73e384622ba113c405e927918f35b6",
     "hr_classify-enumerate": "675b00cf1013bbff44a035062c641833c5e4ae776409a27a710917816273fbf8",
     "hr_classify-sample": "9ec5587d96b6f3485abff35f64676ad5c98f426fc45901758d52a2180c302915",
     "readme-filter": "1d75fb02140fb7c5ecc35b2c5e6feb970add0fae7eebce6def3d2681655b6b5f",
@@ -178,12 +192,14 @@ def test_run_and_oracle_output_digest(command, case, instances, capsys):
     assert sha256(printed) == RUN_DIGESTS[f"{command}/{case}"]
 
 
-# The README's lattice self-checks, argv after "lattice" -> exact stdout
+# The README's lattice self-checks, argv after "lattice" -> (exact
+# stdout, its digest)
 LATTICE = {
     "mindist": (
         ["--check", "mindist"],
         "min_pairwise_distance 4.002502342285386\n"
         "required > 4: pass\n",
+        "9abf21c12b8d0eb099a4da59285ecdf480d8af15a14dbbad94f8a84370098685",
     ),
     "volume": (
         ["--check", "volume", "--dim", "3", "--samples", "200000", "--seed", "1"],
@@ -193,18 +209,20 @@ LATTICE = {
         "volume_estimate 4.201116599999999\n"
         "expected_volume 4.1887902047863905\n"
         "pass\n",
+        "0b53cd8a0d55cb822a8c10ad81e7a5035024e05633c9d12a152fcc050bce61bb",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE))
 def test_lattice_readme_output(name, capsys):
-    argv, stdout = LATTICE[name]
+    argv, stdout, digest = LATTICE[name]
     assert run_cli(["lattice", *argv], capsys) == f"0\0{stdout}\0"
+    assert sha256(stdout) == digest
 
 
-# The 2000-ball filter instance, config and runs of the CI step that
-# drives the console script, with the same argv and digests.
+# The filter on the 2000-ball instance: the experiment CSV, serial and
+# pooled, and three runs, each written by relative path in one directory.
 F2K_GEN = ["gen", "--kind", "random_balls", "--n", "2000", "--dim", "3",
            "--box-side", "30", "--seed", "5", "--out", "balls.gis"]
 F2K_CONFIG = {"algorithm": "filter", "trials": 20, "base_seed": 42,
@@ -239,9 +257,9 @@ def test_filter_2k_run_output_digest(f2k_dir, monkeypatch, capsys):
     assert digest == "56902e713f0dd4098d1e2610fbcf8295d9b41b6a20744957092d40fe0793b773"
 
 
-# Two more CI steps that drive the console script, in process with the
-# same argv: each writes its files in a fresh directory, and the text the
-# step diffs is the stdout of the commands it redirects.
+# The README's ball-oracle and level-graph tours: each writes its files
+# in a fresh directory, and the pinned text is the stdout of all its
+# commands.
 def test_readme_ball_oracle_output(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli_dispatch(["gen", "--kind", "random_balls", "--n", "80", "--dim", "3",
@@ -308,8 +326,8 @@ def test_filter_generic_dim_run_output_digest(dim, tmp_path, monkeypatch, capsys
     assert sha256(capsys.readouterr().out) == expected
 
 
-# The CI step "High-dimension random instances through the console
-# script", same argv and digest of the whole stdout.
+# Random instances in d = 7 (balls) and d = 5 (boxes) through gen and
+# run --alg firstfit, digest of the whole stdout.
 def test_high_dimension_instances_output_digest(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in (
@@ -323,3 +341,45 @@ def test_high_dimension_instances_output_digest(tmp_path, monkeypatch, capsys):
         assert cli_dispatch(argv) == 0
     digest = sha256(capsys.readouterr().out)
     assert digest == "c0e70a326ecf4e9918595b2c3539457a7bdacac7ca2e38e7b7b83acf154fdf50"
+
+
+# The workload-sized instances, 1000 boxes and 2000 unit balls, through
+# gen and run --alg firstfit, digest of the whole stdout.
+def test_workload_sized_instances_output_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        "gen --kind random_rects --n 1000 --dim 2 --M 8 --box-side 100 --seed 5 --out rects.gis",
+        "run --alg firstfit --in rects.gis",
+        "gen --kind random_balls --n 2000 --dim 3 --box-side 30 --seed 5 --out balls.gis",
+        "run --alg firstfit --in balls.gis",
+    ):
+        assert cli_dispatch(argv.split()) == 0
+    digest = sha256(capsys.readouterr().out)
+    assert digest == "820c086f9296d39479e7d6745febeb7f6ae2b51cfa19e73b315858d2c293484e"
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """`python -m geomis` in its own process: main() exits with
+    cli_dispatch's code, and a refused or invalid command prints one
+    line to stderr and no traceback."""
+    src = str(Path(geomis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(argv):
+        done = subprocess.run([sys.executable, "-m", "geomis", *argv.split()],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert "Traceback" not in done.stderr
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("lattice --check mindist") == (0, LATTICE["mindist"][1], "")
+    assert run("gen --kind random_balls --n 3 --dim 2 --box-side nan --seed 1 --out x.gis") == (
+        1, "", "error: box_side must be finite, got nan\n"
+    )
+    assert not (tmp_path / "x.gis").exists()
+    (tmp_path / "many.json").write_text(
+        '{"algorithm": "firstfit", "trials": 100000000000000000000, "base_seed": 1,'
+        ' "generator": {"kind": "levels", "zeta": 4, "seed": 2}}'
+    )
+    assert run("experiment --config many.json") == (
+        2, "", "refused: trials 100000000000000000000 exceeds the limit 1000000\n"
+    )

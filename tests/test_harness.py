@@ -46,16 +46,11 @@ def test_derive_seed_handles_odd_bases():
 
 
 def test_trial_record_validation():
-    TrialRecord(0, 1, "firstfit", 5, 2, 4, 2.0, 0.0)
-    TrialRecord(0, 1, "firstfit", 5, 0, 3, math.inf, 0.0)
-    TrialRecord(0, 1, "firstfit", 0, 0, 0, 1.0, 0.0)
-    TrialRecord(0, 1, "firstfit", 5, 2, None, None, 0.0)
-    with pytest.raises(UsageError):
-        TrialRecord(0, 1, "firstfit", 5, 2, 4, 3.0, 0.0)
-    with pytest.raises(UsageError):
-        TrialRecord(0, 1, "firstfit", 5, 2, None, 2.0, 0.0)
-    with pytest.raises(UsageError):
-        TrialRecord(0, 1, "firstfit", 5, 2, 4, None, 0.0)
+    # The ratio is derived from opt_size and alg_size, never stored.
+    assert TrialRecord(0, 1, "firstfit", 5, 2, 4, 0.0).ratio == 2.0
+    assert TrialRecord(0, 1, "firstfit", 5, 0, 3, 0.0).ratio == math.inf
+    assert TrialRecord(0, 1, "firstfit", 0, 0, 0, 0.0).ratio == 1.0
+    assert TrialRecord(0, 1, "firstfit", 5, 2, None, 0.0).ratio is None
 
 
 def test_config_json_roundtrip():
@@ -341,7 +336,9 @@ def test_oracle_solved_once_per_instance(name, tmp_path, monkeypatch, oracle_cal
     config = build(tmp_path)
     records, summary = run_experiment(config)
     assert len(oracle_calls) == expected_calls
-    assert render_csv(records) == render_csv(reference_experiment_records(config))
+    expected, ratios = reference_experiment_records(config)
+    assert render_csv(records) == render_csv(expected)
+    assert [r.ratio for r in records] == ratios
     if name.startswith("refusal"):
         assert all(r.opt_size is None and r.ratio is None for r in records)
         assert summary.oracle_refusals == len(records)
@@ -390,7 +387,9 @@ def test_pooled_records_match_per_trial_reference(name, tmp_path, monkeypatch):
     monkeypatch.setenv("GEOMIS_THREADS", "2")
     config = ORACLE_CASES[name][0](tmp_path)
     records, _ = run_experiment(config)
-    assert render_csv(records) == render_csv(reference_experiment_records(config))
+    expected, ratios = reference_experiment_records(config)
+    assert render_csv(records) == render_csv(expected)
+    assert [r.ratio for r in records] == ratios
 
 
 def test_pool_ships_the_instance_once_per_worker(tmp_path, monkeypatch):
@@ -432,7 +431,7 @@ def test_oracle_refusal_recorded_not_raised(monkeypatch, tmp_path):
 
 def test_summarize_known_values():
     records = [
-        TrialRecord(i, 0, "firstfit", 4, s, None, None, 0.0)
+        TrialRecord(i, 0, "firstfit", 4, s, None, 0.0)
         for i, s in enumerate([1, 2, 3])
     ]
     summary = summarize(records)
@@ -452,7 +451,7 @@ def test_summarize_folds_float_sums_left():
     # left fold, so the printed summary would depend on the interpreter.
     opt_alg = [(36, 27), (35, 25), (35, 18)]
     records = [
-        TrialRecord(i, 0, "firstfit", 40, a, o, o / a, 0.0) for i, (o, a) in enumerate(opt_alg)
+        TrialRecord(i, 0, "firstfit", 40, a, o, 0.0) for i, (o, a) in enumerate(opt_alg)
     ]
     ratios = [o / a for o, a in opt_alg]
     squares = [(a - 70 / 3) ** 2 for _, a in opt_alg]
@@ -475,9 +474,9 @@ def test_summary_recomputable_from_records(tmp_path, monkeypatch):
 
 def test_render_csv_layout():
     records = [
-        TrialRecord(0, 11, "filter", 9, 3, 6, 2.0, 1.25),
-        TrialRecord(1, 12, "filter", 9, 0, 6, math.inf, 2.5),
-        TrialRecord(2, 13, "filter", 9, 4, None, None, 0.5),
+        TrialRecord(0, 11, "filter", 9, 3, 6, 1.25),
+        TrialRecord(1, 12, "filter", 9, 0, 6, 2.5),
+        TrialRecord(2, 13, "filter", 9, 4, None, 0.5),
     ]
     text = render_csv(records)
     lines = text.splitlines()
