@@ -22,7 +22,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import reduce
 from operator import add
@@ -315,6 +314,10 @@ def run_experiment(
 
     workers = _worker_count(len(jobs))
     if workers > 1:
+        # Imported here: the pool machinery (concurrent.futures.process
+        # and multiprocessing) costs a serial run 25-35 ms to import.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(jobs) // (workers * 4))
         # Each worker gets config and stream once (inherited under fork),
         # so a job is only its trial index and forced class.

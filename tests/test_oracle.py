@@ -116,6 +116,58 @@ def test_adjacency_validation():
             oracle([{1.0}, {0}])
 
 
+@pytest.mark.parametrize("oracle", [exact_mis, independent_kissing_number])
+@pytest.mark.parametrize(
+    "graph, text",
+    [
+        ([{1}], "vertex 0 lists out-of-range neighbor 1"),
+        ([set(), {0, 2}], "vertex 1 lists out-of-range neighbor 2"),
+        ([{-1}], "vertex 0 lists out-of-range neighbor -1"),
+        ([set(), {1}], "vertex 1 lists itself as a neighbor"),
+        ([set(), {True}], "vertex 1 lists itself as a neighbor"),
+        ([{1}, set()], "edge 0-1 is not symmetric"),
+        ([set(), {2}, {0, 1}], "edge 2-0 is not symmetric"),
+        # A repeated neighbor counts once, whatever the container.
+        ([[1, 1], [], [0]], "edge 0-1 is not symmetric"),
+        # Range and self loops are checked on every vertex before symmetry.
+        ([{1}, set(), {5}], "vertex 2 lists out-of-range neighbor 5"),
+        ([{1}, set(), {2}], "vertex 2 lists itself as a neighbor"),
+        ([{1.0}, {0}], "vertex 0 lists a non-integer neighbor in {1.0}"),
+        ([set(), {"a"}], "vertex 1 lists a non-integer neighbor in {'a'}"),
+        ([{1}, None], "vertex 1 lists a non-integer neighbor in None"),
+    ],
+)
+def test_adjacency_validation_names_the_first_offence(oracle, graph, text):
+    with pytest.raises(UsageError) as caught:
+        oracle(graph)
+    assert str(caught.value) == text
+
+
+def test_adjacency_validation_takes_true_repeats_and_iterators():
+    for graph in ([{True}, {0}], [[1, 1], [0]]):
+        assert exact_mis(graph) == MisResult(1, (0,))
+        ikn = independent_kissing_number(graph)
+        assert (ikn.zeta, ikn.witness_center, ikn.witness_set) == (1, 0, (1,))
+    # Neighbors listed by one-shot iterators are read once.
+    assert exact_mis([iter([1, 2]), iter([0]), iter([0])]) == MisResult(2, (1, 2))
+
+
+def test_node_limit_zero():
+    assert exact_mis([], node_limit=0) == MisResult(0, ())
+    with pytest.raises(
+        OracleRefusal, match="^graph has 1 vertices, above the exact-search limit 0$"
+    ):
+        exact_mis([set()], node_limit=0)
+    assert independent_kissing_number([set(), set()], node_limit=0).zeta == 0
+    with pytest.raises(
+        OracleRefusal, match="^neighborhood of vertex 0 has 1 vertices, above 0$"
+    ):
+        independent_kissing_number(star(1), node_limit=0)
+    for oracle in (exact_mis, independent_kissing_number):
+        with pytest.raises(UsageError, match="^node_limit must be >= 0, got -1$"):
+            oracle([], node_limit=-1)
+
+
 def disconnected_graph(sizes, p, rng):
     """Union of connected G(n, p) pieces of the given sizes, each made
     connected by a random spanning tree, with the vertex labels shuffled
@@ -134,14 +186,71 @@ def disconnected_graph(sizes, p, rng):
     return adj
 
 
+def relabelled(adj, rng):
+    """adj with its vertex labels shuffled."""
+    labels = list(range(len(adj)))
+    rng.shuffle(labels)
+    out = [set() for _ in adj]
+    for v, nbrs in enumerate(adj):
+        out[labels[v]] = {labels[u] for u in nbrs}
+    return out
+
+
+def twins_graph(n, p, rng):
+    """G(n - n // 2, p) with each of its first n // 2 vertices doubled
+    into true twins: two adjacent vertices with one closed neighborhood."""
+    base = gnp_stream(n - n // 2, p, rng).adjacency()
+    owner = list(range(len(base))) + list(range(n // 2))
+    adj = [
+        {u for u in range(n) if u != v and (owner[u] == owner[v] or owner[u] in base[owner[v]])}
+        for v in range(n)
+    ]
+    return relabelled(adj, rng)
+
+
+def clique_pendants_graph(n, p, rng):
+    """A G(n // 3, p) core, then cliques of 1 to 7 vertices up to n
+    vertices in all.  One hinge vertex of each clique is joined to 0 to
+    2 earlier vertices, so the clique's other vertices are simplicial,
+    of degree 0 to 6."""
+    adj = [set(nbrs) for nbrs in gnp_stream(max(n // 3, 1), p, rng).adjacency()]
+    while len(adj) < n:
+        start = len(adj)
+        members = range(start, min(start + rng.randint(1, 7), n))
+        adj.extend(set(members) - {v} for v in members)
+        for u in rng.sample(range(start), min(rng.randint(0, 2), start)):
+            adj[start].add(u)
+            adj[u].add(start)
+    return relabelled(adj, rng)
+
+
+def multipartite_graph(n, parts, keep, rng):
+    """Complete multipartite graph on n vertices in up to `parts` parts,
+    each edge between parts kept with probability keep."""
+    part = [rng.randrange(parts) for _ in range(n)]
+    adj = [set() for _ in range(n)]
+    for v in range(n):
+        for u in range(v):
+            if part[u] != part[v] and rng.random() < keep:
+                adj[v].add(u)
+                adj[u].add(v)
+    return adj
+
+
 @st.composite
 def oracle_graphs(draw):
-    """Graphs of 18 to 40 vertices: G(n, p), unit or mixed balls, boxes,
-    disjoint 4-cycles with sparse random chords, and unions of 2 to 5
-    connected components whose vertices interleave."""
+    """Graphs of 18 to 40 vertices: G(n, p), unit or mixed balls, unit
+    balls crowded into a small box, boxes, disjoint 4-cycles with sparse
+    random chords, unions of 2 to 5 connected components whose vertices
+    interleave, and graphs where the engine's reductions fire or nearly
+    fire: true twins, cliques with simplicial vertices of degree 0 to 6,
+    and complete multipartite graphs with a few edges dropped."""
     n = draw(st.integers(18, 40))
     seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(["gnp", "four_cycles", "balls", "boxes", "disconnected"]))
+    kind = draw(st.sampled_from([
+        "gnp", "four_cycles", "balls", "small_box_balls", "boxes", "disconnected",
+        "twins", "clique_pendants", "multipartite",
+    ]))
     if kind == "gnp":
         p = draw(st.floats(0.05, 0.9))
         return gnp_stream(n, p, random.Random(seed)).adjacency()
@@ -157,7 +266,18 @@ def oracle_graphs(draw):
         cuts = sorted(rng.sample(range(1, n), draw(st.integers(2, 5)) - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
         return disconnected_graph(sizes, draw(st.floats(0.05, 0.6)), rng)
+    if kind == "twins":
+        return twins_graph(n, draw(st.floats(0.05, 0.6)), random.Random(seed))
+    if kind == "clique_pendants":
+        return clique_pendants_graph(n, draw(st.floats(0.05, 0.5)), random.Random(seed))
+    if kind == "multipartite":
+        parts = draw(st.integers(2, 8))
+        keep = draw(st.sampled_from([1.0, 0.95, 0.8]))
+        return multipartite_graph(n, parts, keep, random.Random(seed))
     dim = draw(st.integers(2, 3))
+    if kind == "small_box_balls":
+        box_side = draw(st.floats(2.0, 5.0)) if dim == 2 else draw(st.floats(2.0, 4.0))
+        return random_balls_gen(n, dim, box_side, seed).adjacency()
     box_side = draw(st.floats(6.0, 14.0)) if dim == 2 else draw(st.floats(5.0, 9.0))
     if kind == "balls":
         radius_range = draw(st.sampled_from([(1.0, 1.0), (0.5, 2.0)]))
@@ -178,6 +298,28 @@ def components(adj):
                     stack.append(u)
             found.append(comp)
     return found
+
+
+def simplicial_degrees(adj):
+    return {
+        len(nbrs) for nbrs in adj
+        if all(nbrs - {u} <= adj[u] for u in nbrs)
+    }
+
+
+def test_reduction_graphs_have_their_shape():
+    rng = random.Random(5)
+    adj = twins_graph(21, 0.3, rng)
+    closed = [frozenset(nbrs | {v}) for v, nbrs in enumerate(adj)]
+    assert sum(closed.count(c) >= 2 for c in closed) >= 20
+    degrees = set()
+    for _ in range(20):
+        degrees |= simplicial_degrees(clique_pendants_graph(40, 0.2, rng))
+    assert degrees >= set(range(7))
+    adj = multipartite_graph(30, 4, 1.0, rng)
+    # Non-adjacency is an equivalence: the parts.
+    parts = {frozenset(set(range(30)) - nbrs) for nbrs in adj}
+    assert sum(map(len, parts)) == 30 and len(parts) <= 4
 
 
 def test_disconnected_graphs_interleave_their_components():
@@ -247,6 +389,23 @@ def test_scoring_builds_no_witness(tmp_path, monkeypatch, capsys, witness_builds
     assert cli_dispatch(argv) == 0
     assert capsys.readouterr().out == "34\n"
     assert witness_builds == []
+
+
+def test_readme_balls_solve_in_few_branches(monkeypatch):
+    branched = []
+    real = oracle_module._MisEngine._branch
+
+    def counting(self, m):
+        branched.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(oracle_module._MisEngine, "_branch", counting)
+    graph = generate_instance(AdversaryConfig(**README_BALLS)).adjacency()
+    result = exact_mis(graph, node_limit=100)
+    # Peeling simplicial vertices leaves little to branch on (the
+    # degree-0/1 peel alone branched 68 times here).
+    assert result.size == 34 and len(branched) <= 10
+    assert result == reference_exact_mis(graph, node_limit=100)
 
 
 def test_kissing_number_builds_one_witness_and_ratio_none(witness_builds):

@@ -27,16 +27,21 @@ def test_readme_quick_start_prints_what_its_comments_say():
 
 
 NUMPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
+POOL_MODULES = (
+    "sorted(m for m in sys.modules"
+    " if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process')"
+)
 
 
 def test_importing_the_cli_does_not_load_numpy(tmp_path):
     src = str(Path(geomis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, geomis.cli; print({NUMPY_MODULES})"
+    code = f"import sys, geomis.cli; print({NUMPY_MODULES}); print({POOL_MODULES})"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    # The process pool is imported only by a pooled experiment.
+    assert done.stdout.splitlines() == ["[]", "[]"]
     # Generating random instances, building their graphs, filtering unit
     # balls through the lattice and the scalar lattice self-checks stay
     # numpy-free too.
