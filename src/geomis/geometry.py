@@ -10,16 +10,18 @@ avoid knife-edge cases keep their inputs away from exact tangency.
 
 intersection_graph joins both shapes over one UniformGrid: int cell
 keys on at most the first three axes, so at most 27 neighbour cells in
-any dimension, and cells sorted on a first coordinate that boxes bisect.
+any dimension, and cells sorted once, before the join, on a first
+coordinate that boxes bisect.  The box predicate tests the last axis
+and axis 0 before the rest.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from operator import le, mul, sub
+from operator import le, lt, mul, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 
@@ -102,6 +104,8 @@ class HyperRectangle:
             raise UsageError("corner dimension mismatch")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        if all(map(lt, lo, hi)):
+            return
         for axis, (l, u) in enumerate(zip(lo, hi)):
             if not l < u:
                 raise UsageError(
@@ -133,8 +137,17 @@ def _balls_meet(ca: Sequence[float], ra: float, cb: Sequence[float], rb: float) 
 def _boxes_meet(
     alo: Sequence[float], ahi: Sequence[float], blo: Sequence[float], bhi: Sequence[float]
 ) -> bool:
-    """Closed contact: the intervals overlap on every axis."""
-    return all(map(le, alo, bhi)) and all(map(le, blo, ahi))
+    """Closed contact: the intervals overlap on every axis.
+
+    The last axis and axis 0 are compared first, plainly: the box join's
+    bisect on axis 0 leaves the last axis to reject most candidates.
+    Boxes of more than two axes then compare all of them.
+    """
+    return (
+        alo[-1] <= bhi[-1] and blo[-1] <= ahi[-1]
+        and alo[0] <= bhi[0] and blo[0] <= ahi[0]
+        and (len(alo) < 3 or (all(map(le, alo, bhi)) and all(map(le, blo, ahi))))
+    )
 
 
 class UniformGrid:
@@ -153,8 +166,9 @@ class UniformGrid:
     coordinates, offset so the lowest is 1, as mixed-radix digits, axis 0
     the most significant, with a spare digit at both ends, so a
     neighbour's key is the key plus a fixed delta.  Items are numbered
-    0, 1, ... as added; a cell is a list of them sorted on their points'
-    first coordinates, ``firsts[item]``, ties in insertion order.
+    0, 1, ... as added, and a cell lists them in that order until
+    ``cell_pairs`` sorts each cell once on their points' first
+    coordinates, ``firsts[item]``, ties in insertion order.
     """
 
     def __init__(self, reach: float, lows: Sequence[float], highs: Sequence[float]) -> None:
@@ -181,9 +195,8 @@ class UniformGrid:
     def add(self, coords: Sequence[float]) -> None:
         """Store the next item, numbered by how many came before it, in the
         cell of the point coords."""
+        self._cells.setdefault(self._key(coords), []).append(len(self.firsts))
         self.firsts.append(coords[0])
-        cell = self._cells.setdefault(self._key(coords), [])
-        insort(cell, len(self.firsts) - 1, key=self.firsts.__getitem__)
 
     def near(self, coords: Sequence[float]) -> Iterator[int]:
         """Items stored in the cells around the point coords, in no set order."""
@@ -193,8 +206,11 @@ class UniformGrid:
 
     def cell_pairs(self) -> Iterator[tuple[list[int], list[int]]]:
         """Every two occupied cells at most one step apart on every keyed
-        axis, each pair once: a cell with itself, then with each of larger key."""
-        cells = self._cells
+        axis, each pair once: a cell with itself, then with each of larger
+        key.  Each cell is first sorted on ``firsts``, stably."""
+        cells, first = self._cells, self.firsts.__getitem__
+        for cell in cells.values():
+            cell.sort(key=first)
         for key, cell in cells.items():
             yield cell, cell
             for delta in self._later:
@@ -210,9 +226,10 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
     kind.  Vertex i is objects[i]; an edge means the closed shapes meet.
     This is a cell-pair join: every object is bucketed once into a
     UniformGrid keyed by ball centers (cell side twice the largest
-    radius) or box lower corners (cell side the largest box side), in
-    the order of that point's first coordinate, and each candidate pair
-    from UniformGrid.cell_pairs is decided by _balls_meet or _boxes_meet.
+    radius) or box lower corners (cell side the largest box side), each
+    cell is sorted once on that point's first coordinate, and each
+    candidate pair from UniformGrid.cell_pairs is decided by _balls_meet
+    or _boxes_meet, which tests a box pair's last axis and axis 0 first.
     A box i is tested only against the prefix that hi_i[0] bisects off a
     cell (sort and sweep in a grid: Cohen, Lin, Manocha & Ponamgi,
     I-COLLIDE 1995), in its own cell past i.  That is exact: it drops only

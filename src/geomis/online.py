@@ -69,7 +69,7 @@ class ArrivalSequence:
         events = tuple(
             ArrivalEvent(
                 id=i,
-                neighbors=frozenset([j for j in adjacency[i] if j < i]),
+                neighbors=frozenset(filter(i.__gt__, adjacency[i])),
                 payload=obj,
             )
             for i, obj in enumerate(objects)

@@ -17,7 +17,7 @@ from geomis import (
     run_online,
     star_adversary,
 )
-from geomis.adversaries import LEVELS_ZETA_LIMIT
+from geomis.adversaries import LEVELS_ZETA_LIMIT, _require_region
 from geomis.oracle import OracleRefusal
 
 from conftest import (
@@ -139,6 +139,30 @@ def test_generator_input_validation():
         random_rects_gen(5, dim=2, m=0.5, box_side=10.0)
     with pytest.raises(UsageError):
         random_rects_gen(5, dim=2, m=5.0, box_side=-1.0)
+
+
+def test_random_rects_at_m_one_draw_unit_sides():
+    # Every drawn side is exactly 1.0, so hi is lo + 1.0 to the bit;
+    # hi - lo only rounds back to within a few ulps of 1.
+    stream = random_rects_gen(40, dim=3, m=1.0, box_side=20.0, seed=3)
+    assert len(stream) == 40
+    for ev in stream.events:
+        box = ev.payload
+        assert box.hi == tuple(l + 1.0 for l in box.lo)
+        assert all(abs(s - 1.0) < 1e-14 for s in box.sides)
+
+
+def test_region_refuses_box_side_zero():
+    with pytest.raises(UsageError) as excinfo:
+        _require_region(5, 2, 0)
+    assert str(excinfo.value) == "box_side must be positive, got 0.0"
+    for make in (
+        lambda: random_rects_gen(5, dim=2, m=5.0, box_side=0.0),
+        lambda: random_balls_gen(5, dim=2, box_side=0.0),
+    ):
+        with pytest.raises(UsageError, match=r"^box_side must be positive, got 0\.0$"):
+            make()
+    assert _require_region(0, 1, 5e-324) == 5e-324
 
 
 def test_generate_instance_dispatch():

@@ -239,6 +239,34 @@ def test_hr_classify_validation():
         run_online(HRClassify(5.0, dim=3, forced_classes=(0, 0, 0)), ball)
 
 
+@pytest.mark.parametrize("m", [6.0, 8.0])
+def test_hr_classify_sides_exactly_one_and_m(m):
+    # Both ends of [1, M] are in range: side 1 is in class 0 and side M
+    # in the top class, whether or not M is a power of two.
+    k = class_count(m)
+    stream = rect_stream([((0.0, 0.0), (1.0, m))])
+    for first in range(k):
+        for second in range(k):
+            alg = HRClassify(m, dim=2, forced_classes=(first, second))
+            expected = (0,) if (first, second) == (0, k - 1) else ()
+            assert run_online(alg, stream).accepted == expected
+    over = rect_stream([((0.0, 0.0), (1.0, math.nextafter(m, 2 * m)))])
+    with pytest.raises(UsageError):
+        run_online(HRClassify(m, dim=2, forced_classes=(0, k - 1)), over)
+
+
+def test_hr_classify_in_dimension_one():
+    # Intervals of lengths 2.5, 2.5, 1 and 2.5: class 1 keeps the first,
+    # drops the second that meets it, skips the class-0 one, keeps the last.
+    stream = rect_stream([((0.0,), (2.5,)), ((2.0,), (4.5,)), ((5.0,), (6.0,)), ((4.5,), (7.0,))])
+    assert run_online(HRClassify(5.0, dim=1, forced_classes=(1,)), stream).accepted == (0, 3)
+    assert run_online(HRClassify(5.0, dim=1, forced_classes=(0,)), stream).accepted == (2,)
+    assert HRClassify(5.0, dim=1, seed=3).chosen_classes[0] in range(class_count(5.0))
+    with pytest.raises(UsageError) as excinfo:
+        HRClassify(5.0, dim=0)
+    assert str(excinfo.value) == "dim must be >= 1, got 0"
+
+
 def test_hr_classify_helper_needs_geometry(k3_stream):
     with pytest.raises(UsageError):
         make_algorithm("hr_classify", k3_stream.dim, seed=0, delta=0.01, m=5.0)

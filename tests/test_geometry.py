@@ -22,6 +22,7 @@ from geomis import (
     intersection_graph,
     save_instance,
 )
+from geomis.geometry import _boxes_meet
 
 from conftest import _closed_shapes_meet, pairwise_intersection_graph
 
@@ -98,6 +99,39 @@ def test_rect_requires_strictly_increasing_bounds():
         HyperRectangle((0.0, 0.0), (1.0, 0.0))
     r = HyperRectangle((0.0, 0.0), (2.0, 1.0))
     assert r.sides == (2.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    # A middle axis is the first bad one; the last is bad too.
+    ((0.0, 0.0, 0.0), (1.0, 0.0, -1.0), "degenerate box: lo[1]=0.0 must be < hi[1]=0.0"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, -1.5), "degenerate box: lo[2]=0.0 must be < hi[2]=-1.5"),
+    ((2.0, 0.0), (1.0, 0.0), "degenerate box: lo[0]=2.0 must be < hi[0]=1.0"),
+])
+def test_degenerate_box_names_its_first_bad_axis(lo, hi, message):
+    with pytest.raises(UsageError) as excinfo:
+        HyperRectangle(lo, hi)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("b_first", [False, True])
+def test_boxes_touching_on_one_axis_meet(dim, b_first):
+    # a and b overlap strictly on every axis but one, where lo_b == hi_a;
+    # each axis, first, middle or last, is the touching one in turn, and
+    # either box may come first in the list.
+    a = HyperRectangle((0.0,) * dim, (1.0,) * dim)
+    for axis in range(dim):
+        for lo_b, expected in ((1.0, [{1}, {0}]), (math.nextafter(1.0, 2.0), [set(), set()])):
+            lo = [0.5] * dim
+            hi = [1.5] * dim
+            lo[axis], hi[axis] = lo_b, 2.0
+            b = HyperRectangle(lo, hi)
+            pair = [b, a] if b_first else [a, b]
+            assert intersection_graph(pair) == expected, (axis, lo_b)
+            assert pairwise_intersection_graph(pair) == expected, (axis, lo_b)
+            # The join decides this pair in one argument order only.
+            p, q = pair
+            assert _boxes_meet(p.lo, p.hi, q.lo, q.hi) == (expected[0] == {1}), (axis, lo_b)
 
 
 def test_tangent_balls_intersect():

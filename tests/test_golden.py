@@ -8,9 +8,12 @@ command-line tours run in process through cli_dispatch, and one test
 starts `python -m geomis` to pin the exit codes of a real process.
 """
 
+import builtins
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +98,29 @@ EXPERIMENT_DIGESTS = {
 ])
 def test_experiment_csv_digest(name, threads, monkeypatch):
     monkeypatch.setenv("GEOMIS_THREADS", str(threads))
+    records, _ = run_experiment(ExperimentConfig.from_json(json.dumps(EXPERIMENTS[name])))
+    assert sha256(render_csv(records)) == EXPERIMENT_DIGESTS[name]
+
+
+def _int_only_sum(iterable, start=0):
+    """builtins.sum, refusing float items: sum() compensates float sums
+    from Python 3.12 on, so a float sum could change the bytes."""
+    items = list(iterable)
+    for item in (start, *items):
+        if isinstance(item, float):
+            raise AssertionError(f"sum() over the float {item!r}")
+    return builtins.sum(items, start)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_sums_no_floats(name, monkeypatch):
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    modules = [geomis] + [
+        importlib.import_module(f"geomis.{info.name}")
+        for info in pkgutil.iter_modules(geomis.__path__) if info.name != "__main__"
+    ]
+    for module in modules:
+        monkeypatch.setattr(module, "sum", _int_only_sum, raising=False)
     records, _ = run_experiment(ExperimentConfig.from_json(json.dumps(EXPERIMENTS[name])))
     assert sha256(render_csv(records)) == EXPERIMENT_DIGESTS[name]
 

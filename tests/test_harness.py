@@ -445,6 +445,19 @@ def test_summarize_known_values():
         summarize([])
 
 
+def test_one_trial_experiment_has_a_zero_width_interval(tmp_path, monkeypatch):
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    records, summary = run_experiment(fixed_instance_config(tmp_path, trials=1))
+    assert len(records) == 1 and summary.trials == 1
+    assert summary.mean_alg_size == records[0].alg_size
+    assert summary.stderr_alg_size == 0.0
+    assert summary.ci3_low == summary.ci3_high == summary.mean_alg_size
+    assert summary.mean_ratio == records[0].ratio
+    with pytest.raises(UsageError) as excinfo:
+        fixed_instance_config(tmp_path, trials=0)
+    assert str(excinfo.value) == "trials must be >= 1, got 0"
+
+
 def test_summarize_folds_float_sums_left():
     # math.fsum, like sum() from Python 3.12 on, rounds both the ratio
     # sum and the squared deviations of these trials differently from a
