@@ -6,12 +6,12 @@ lattice point), so keeping the first ball per lattice cell is greedy
 acceptance on the filtered subsequence.  Each ball survives with
 probability vol(unit ball) / ((4+delta) * (2*sqrt(3))^(d-1)), giving an
 expected acceptance of at least that fraction of the offline optimum;
-at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision makes one
-pass, lattice.rounded_distance_sq, which stops at an axis 2..d that
-alone keeps the arrival farther than 1 from the lattice (about two
-thirds of them at d=3) and else gives the squared distance to the
-rounded point.  Only a covered arrival, at most 1 away, is rounded
-again by parity_rounded_point to name its cell; an occupied one rejects.
+at d=3 the reciprocal is (36 + 9*delta)/pi.  Each decision is one frame
+that snaps axes 2..d first and rejects at one that alone keeps the
+arrival farther than 1 from the lattice (about two thirds of them at
+d=3), and else gives the squared distance to the rounded point.  Only a
+covered arrival, at most 1 away, is rounded again by
+parity_rounded_point to name its cell; an occupied one rejects.
 There is no batch path: run_online gives the accepted set of any shift.
 
 Classify handles fat objects of bounded width spread: it draws one
@@ -30,17 +30,20 @@ from __future__ import annotations
 
 import math
 import random
+from functools import reduce
 from itertools import product
+from math import floor
 from operator import add, le, lt, sub
 from typing import Optional, Sequence
 
 from .geometry import Ball, HyperRectangle, UsageError
 from .lattice import (
+    SQRT3,
+    TWO_SQRT3,
     CoeffVector,
     LatticeParams,
     parity_rounded_point,
     period_box,
-    rounded_distance_sq,
     unit_ball_volume,
 )
 from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
@@ -69,7 +72,7 @@ def width_class_index(width: float) -> int:
 
 class LatticeFilter:
     """Online strategy for unit balls: accept the first ball whose shifted
-    center each lattice point covers, by rounded_distance_sq <= 1.
+    center each lattice point covers, within distance 1.
 
     The shift is given, or drawn once from seed when the filter is
     built, uniformly over one lattice period per axis.  Within one run,
@@ -95,19 +98,38 @@ class LatticeFilter:
                 if not 0.0 <= x < e:
                     raise UsageError(f"shift coordinate {x} outside [0, {e})")
         self.occupied: dict[CoeffVector, int] = {}
+        self._dim = params.dim
+        self._unit = params.axis1_unit
+        self._period = params.axis1_period
+        self._shift0, self._cross_shift = self.shift[0], self.shift[1:]
 
     def decide(self, event: ArrivalEvent) -> bool:
         ball = event.payload
         if not isinstance(ball, Ball):
             raise UsageError("LatticeFilter requires unit-ball payloads")
         center = ball.center
-        if len(center) != self.params.dim:
-            raise UsageError(f"ball dim {len(center)} does not match lattice dim {self.params.dim}")
+        if len(center) != self._dim:
+            raise UsageError(f"ball dim {len(center)} does not match lattice dim {self._dim}")
         if ball.radius != 1.0:
             raise UsageError(f"LatticeFilter requires unit balls, got radius {ball.radius}")
-        # The rounded point covers whenever any lattice point does, so the
-        # distance decides coverage; only covered arrivals name their cell.
-        if (d2 := rounded_distance_sq(self.params, center, self.shift)) is None or d2 > 1.0:
+        # Axes 2..d snap on their own first; one square above 1 rejects,
+        # as a sum of non-negative floats is never below a term.
+        terms = []
+        k = 0
+        for x in map(add, center[1:], self._cross_shift):
+            a = (floor(x / SQRT3) + 1) // 2
+            if (t := (TWO_SQRT3 * a - x) ** 2) > 1.0:
+                return False
+            terms.append(t)
+            k += a
+        # Then axis 1 rounds under k's parity and the squares fold left from
+        # its term, to the bit parity_rounded_point's distance.  The rounded
+        # point covers whenever any lattice point does, so this decides.
+        x0 = center[0] + self._shift0
+        z1 = floor(x0 / self._unit)
+        m = z1 if z1 % 2 == k % 2 else z1 + 1
+        x1 = self._period * ((m + k) // 2) - self._unit * k
+        if reduce(add, terms, (x1 - x0) ** 2) > 1.0:
             return False
         _, coeffs = parity_rounded_point(self.params, list(map(add, center, self.shift)))
         if coeffs in self.occupied:

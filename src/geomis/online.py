@@ -10,6 +10,7 @@ the shape itself, a Ball or HyperRectangle that the algorithms read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .geometry import Shape, UsageError, intersection_graph
@@ -144,12 +145,11 @@ def finalize_run(
     accepted: list[int] = []
     accepted_set: set[int] = set()
     independent = True
-    for ev, dec in zip(events, decisions):
-        if dec:
-            if ev.neighbors & accepted_set:
-                independent = False
-            accepted.append(ev.id)
-            accepted_set.add(ev.id)
+    for ev in compress(events, decisions):
+        if ev.neighbors & accepted_set:
+            independent = False
+        accepted.append(ev.id)
+        accepted_set.add(ev.id)
     return RunResult(
         accepted=tuple(accepted), decisions=decisions, valid_independent=independent
     )

@@ -19,9 +19,12 @@ from geomis import (
     LatticeParams,
     UsageError,
     class_count,
+    empirical_ratio,
+    exact_mis,
     filter_acceptance_probability,
     is_covered,
     lattice_point,
+    random_balls_gen,
     run_online,
     width_class_index,
 )
@@ -31,7 +34,12 @@ from geomis.algorithms import make_algorithm
 from geomis.lattice import parity_rounded_point
 from geomis.online import ArrivalEvent
 
-from conftest import ReferenceLatticeFilter, lattice_params, lattice_queries
+from conftest import (
+    ReferenceLatticeFilter,
+    lattice_params,
+    lattice_queries,
+    reference_parity_rounded_point,
+)
 
 P3 = LatticeParams(dim=3, delta=0.01)
 
@@ -148,6 +156,23 @@ def test_classify_width_out_of_range():
     high = ArrivalSequence.from_objects([Ball((0.0,), 9.0)])
     with pytest.raises(UsageError):
         run_online(Classify(8.0, forced_class=0), high)
+
+
+@pytest.mark.parametrize("m", [6.0, 8.0])
+def test_classify_width_exactly_m(m):
+    # Width M is in range, in the top class; one ulp above is refused.
+    top = class_count(m) - 1
+    at_m = ArrivalSequence.from_objects([Ball((0.0,), m)])
+    assert run_online(Classify(m, forced_class=top), at_m).accepted == (0,)
+    assert run_online(Classify(m, forced_class=top - 1), at_m).accepted == ()
+    over = math.nextafter(m, 2 * m)
+    above = ArrivalSequence.from_objects([Ball((0.0,), over)])
+    with pytest.raises(UsageError) as excinfo:
+        run_online(Classify(m, forced_class=top), above)
+    assert str(excinfo.value) == (
+        f"arrival 0 has width {over} (its radius), outside [1, {m}]:"
+        " classify needs every width in [1, M]"
+    )
 
 
 def test_classify_requires_payload(k3_stream):
@@ -429,24 +454,31 @@ def test_filter_decisions_match_point_reference(data, params):
     assert fast.shift == ref.shift
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_filter_accepts_at_distance_exactly_one(dim):
     # Lattice points whose coordinates, plus or minus 1 on any axis, are
-    # exact in binary, so the squared distance is exactly 1.0.
-    cases = [(0.01, 0), (0.5, 0), (0.5, 3), (0.5, -7)]
+    # exact in binary, so the reference fold is exactly 1.0 and both
+    # filters accept; one ulp further out it is above 1 and both reject.
+    cases = [(0.01, 0), (0.01, 2), (0.5, 0), (0.5, 2), (0.5, 3), (0.5, -7)]
     for delta, a1 in cases:
         params = LatticeParams(dim=dim, delta=delta)
-        base = lattice_point(params, (a1,) + (0,) * (dim - 1))
+        cell = (a1,) + (0,) * (dim - 1)
+        base = lattice_point(params, cell)
         for axis in range(dim):
             for sign in (1.0, -1.0):
                 centre = list(base)
                 centre[axis] += sign
-                assert sum((a - b) ** 2 for a, b in zip(centre, base)) == 1.0
-                ball = Ball(tuple(centre), 1.0)
-                for alg in (LatticeFilter, ReferenceLatticeFilter):
-                    filt = alg(params, shift=(0.0,) * dim)
-                    assert filt.decide(ArrivalEvent(0, frozenset(), ball))
-                    assert filt.occupied == {(a1,) + (0,) * (dim - 1): 0}
+                for covered in (True, False):
+                    p, coeffs = reference_parity_rounded_point(params, centre)
+                    assert coeffs == cell
+                    d2 = reduce(add, [(a - b) ** 2 for a, b in zip(p, centre)])
+                    assert d2 == 1.0 if covered else d2 > 1.0
+                    ball = Ball(tuple(centre), 1.0)
+                    for alg in (LatticeFilter, ReferenceLatticeFilter):
+                        filt = alg(params, shift=(0.0,) * dim)
+                        assert filt.decide(ArrivalEvent(0, frozenset(), ball)) is covered
+                        assert filt.occupied == ({cell: 0} if covered else {})
+                    centre[axis] = math.nextafter(centre[axis], sign * math.inf)
 
 
 def test_filter_builds_no_point_per_arrival(monkeypatch):
@@ -527,6 +559,36 @@ def test_filter_acceptance_frequency_quick():
     p = filter_acceptance_probability(P3)
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(covered.mean() - p) <= 4 * sigma
+
+
+def test_filter_mean_ratio_on_2000_balls_beats_zeta():
+    # The paper's R^3 claim on the 2000-ball instance: the filter's mean
+    # ratio stays below 1/p (about 11.49), itself below zeta = 12.
+    stream = random_balls_gen(2000, 3, 30.0, seed=5)
+    adjacency = stream.adjacency()
+    opt = exact_mis(adjacency, node_limit=2000).size
+    assert opt == 1039
+    ratios = []
+    for seed in range(50):
+        filt = LatticeFilter(P3, seed=seed)
+        run = run_online(filt, stream)
+        assert run.valid_independent
+        accepted = set(run.accepted)
+        assert not any(adjacency[v] & accepted for v in accepted)
+        # Covered arrivals, by the reference rounding and fold, grouped by
+        # cell: each group is a clique and the filter keeps its first.
+        cells: dict[tuple, list[int]] = {}
+        for ev in stream.events:
+            shifted = [x + b for x, b in zip(ev.payload.center, filt.shift)]
+            p, cell = reference_parity_rounded_point(P3, shifted)
+            if reduce(add, [(a - b) ** 2 for a, b in zip(p, shifted)]) <= 1.0:
+                cells.setdefault(cell, []).append(ev.id)
+        for members in cells.values():
+            for i, a in enumerate(members):
+                assert adjacency[a].issuperset(members[i + 1:])
+        assert filt.occupied == {cell: members[0] for cell, members in cells.items()}
+        ratios.append(empirical_ratio(opt, run.size))
+    assert reduce(add, ratios) / len(ratios) < 1.0 / filter_acceptance_probability(3, 0.01) < 12.0
 
 
 def test_first_fit_baseline_on_ball_stream():

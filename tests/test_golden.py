@@ -102,6 +102,32 @@ def test_experiment_csv_digest(name, threads, monkeypatch):
     assert sha256(render_csv(records)) == EXPERIMENT_DIGESTS[name]
 
 
+# Under spawn and forkserver a worker imports geomis afresh and gets the
+# config and stream pickled, where fork inherits them; the bytes must
+# not depend on it.  The start method is process-wide, so each run is a
+# process of its own.
+POOLED_DIGEST = """\
+import hashlib, json, multiprocessing, sys
+from geomis import ExperimentConfig, render_csv, run_experiment
+multiprocessing.set_start_method(sys.argv[1])
+records, _ = run_experiment(ExperimentConfig.from_json(sys.argv[2]))
+print(hashlib.sha256(render_csv(records).encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pooled_readme_digest_under_start_method(method, tmp_path):
+    src = str(Path(geomis.__file__).resolve().parents[1])
+    env = dict(os.environ, GEOMIS_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", POOLED_DIGEST, method, json.dumps(EXPERIMENTS["readme-filter"])],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == EXPERIMENT_DIGESTS["readme-filter"] + "\n"
+
+
 def _int_only_sum(iterable, start=0):
     """builtins.sum, refusing float items: sum() compensates float sums
     from Python 3.12 on, so a float sum could change the bytes."""

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomis import (
+    Ball,
+    LatticeFilter,
     LatticeParams,
     UsageError,
     closest_lattice_point,
@@ -21,7 +23,8 @@ from geomis import (
     parity_rounded_point,
     unit_ball_volume,
 )
-from geomis.lattice import MAX_DELTA, rounded_distance_sq
+from geomis.lattice import MAX_DELTA
+from geomis.online import ArrivalEvent
 
 from conftest import (
     SQRT3,
@@ -119,43 +122,48 @@ def test_parity_rounding_rejects_a_dimension_mismatch():
 )
 @settings(max_examples=400, deadline=None)
 def test_cross_axis_pretest_rejects_only_uncovered_queries(data, params):
-    # rounded_distance_sq under a zero or a drawn shift, against the pow
+    # LatticeFilter.decide under a zero or a drawn shift, against the pow
     # squares of parity_rounded_point's coordinates folded from axis 1.
     q = data.draw(lattice_queries(params))
     shift = data.draw(st.just((0.0,) * params.dim) | st.tuples(
         *[st.floats(0.0, e, exclude_max=True) for e in params.shift_extents()]
     ))
     c = [x + b for x, b in zip(q, shift)]
-    coords, _ = parity_rounded_point(params, c)
+    coords, coeffs = parity_rounded_point(params, c)
     terms = [(p - x) ** 2 for p, x in zip(coords, c)]
-    got = rounded_distance_sq(params, q, shift)
-    # None exactly when an axis 2..d term is above 1, and only for
-    # uncovered queries.
-    assert (got is None) == any(t > 1.0 for t in terms[1:])
-    expected = reduce(add, terms)
-    if got is None:
-        assert expected > 1.0
-    else:
-        assert got.hex() == expected.hex()
+    filt = LatticeFilter(params, shift=shift)
+    accepted = filt.decide(ArrivalEvent(0, frozenset(), Ball(tuple(q), 1.0)))
+    # An axis 2..d term above 1 rejects, and only uncovered queries.
+    if any(t > 1.0 for t in terms[1:]):
+        assert not accepted
+    assert accepted == (reduce(add, terms) <= 1.0)
+    assert filt.occupied == ({coeffs: 0} if accepted else {})
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_cross_axis_pretest_passes_at_distance_exactly_one(dim):
-    zero = (0.0,) * dim
+    # parity_rounded_point, the rounding LatticeFilter.decide is checked
+    # against, at distance exactly 1 and one ulp beyond: the cell stays,
+    # the fold goes from 1.0 to above 1, and beyond on an axis 2..d that
+    # axis's square alone is above 1, where decide rejects first.
+    # test_filter_accepts_at_distance_exactly_one runs these queries
+    # through decide.
     for delta in (0.01, 0.5):
         params = LatticeParams(dim=dim, delta=delta)
-        base = lattice_point(params, (2,) + (0,) * (dim - 1))
+        cell = (2,) + (0,) * (dim - 1)
+        base = lattice_point(params, cell)
         for axis in range(dim):
             for gap in (1.0, -1.0):
                 q = list(base)
                 q[axis] += gap
-                assert rounded_distance_sq(params, q, zero) == 1.0
-                q[axis] = math.nextafter(q[axis], gap * math.inf)
-                beyond = rounded_distance_sq(params, q, zero)
-                if axis == 0:
-                    assert beyond > 1.0
-                else:
-                    assert beyond is None
+                for covered in (True, False):
+                    coords, coeffs = parity_rounded_point(params, q)
+                    assert coeffs == cell
+                    terms = [(p - x) ** 2 for p, x in zip(coords, q)]
+                    d2 = reduce(add, terms)
+                    assert d2 == 1.0 if covered else d2 > 1.0
+                    assert any(t > 1.0 for t in terms[1:]) is (not covered and axis > 0)
+                    q[axis] = math.nextafter(q[axis], gap * math.inf)
 
 
 def test_closest_beats_parity_rounding_here():
@@ -238,6 +246,28 @@ def test_coverage_cells_matches_scalar_path():
         assert bool(flag) == is_covered(P3, q)
         _, coeffs = parity_rounded_point(P3, q)
         assert tuple(int(c) for c in cell) == coeffs
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_coverage_at_distance_exactly_one_on_every_axis(dim):
+    # Lattice points whose coordinates plus or minus 1 on any axis are
+    # exact in binary, (1, 0, 0) at d = 3 among the queries: both paths
+    # cover a query at distance exactly 1 in the point's cell, and
+    # neither covers it one ulp further out.
+    for delta, cell in ((0.01, (0,) * dim), (0.5, (0,) * dim), (0.5, (2,) + (0,) * (dim - 1))):
+        params = LatticeParams(dim=dim, delta=delta)
+        base = lattice_point(params, cell)
+        for axis in range(dim):
+            for gap in (1.0, -1.0):
+                q = list(base)
+                q[axis] += gap
+                for covered in (True, False):
+                    assert (math.dist(base, q) == 1.0) is covered
+                    assert is_covered(params, q) is covered
+                    flags, cells = coverage_cells(params, np.array([q]))
+                    assert flags.tolist() == [covered]
+                    assert tuple(cells[0].tolist()) == cell
+                    q[axis] = math.nextafter(q[axis], gap * math.inf)
 
 
 def test_min_pairwise_distance_closed_form():

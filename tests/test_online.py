@@ -121,6 +121,10 @@ def test_finalize_run_audits_independence(k3_stream):
     assert ok.valid_independent
     bad = finalize_run(k3_stream.events, (True, True, False))
     assert not bad.valid_independent
+    assert bad.accepted == (0, 1)
+    with pytest.raises(UsageError) as excinfo:
+        finalize_run(k3_stream.events, (True, False))
+    assert str(excinfo.value) == "one decision per event is required"
 
 
 def test_decisions_are_stored_as_bools():
