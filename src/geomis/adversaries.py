@@ -94,19 +94,11 @@ def level_graph_gen(zeta: int, seed: Optional[int] = None) -> ArrivalSequence:
     if zeta < 1:
         raise UsageError(f"zeta must be >= 1, got {zeta}")
     rng = random.Random(seed)
-    events: list[ArrivalEvent] = [
-        ArrivalEvent(id=0, neighbors=frozenset()),
-        ArrivalEvent(id=1, neighbors=frozenset()),
-    ]
-    reach: dict[int, frozenset[int]] = {0: frozenset(), 1: frozenset()}
+    neighbors: list[frozenset[int]] = [frozenset(), frozenset()]
     for level in range(2, zeta + 1):
-        left = 2 * (level - 1)
         parent = 2 * (level - 2) + rng.randrange(2)
-        ancestors = frozenset({parent}) | reach[parent]
-        for vid in (left, left + 1):
-            events.append(ArrivalEvent(id=vid, neighbors=ancestors))
-            reach[vid] = ancestors
-    return ArrivalSequence(events=tuple(events))
+        neighbors += [neighbors[parent] | {parent}] * 2
+    return ArrivalSequence.from_neighbor_lists(neighbors)
 
 
 class _BallIndex:

@@ -23,7 +23,10 @@ shift or the classes, from its seed when it is built; decide draws none.
 
 ALGORITHMS names the strategies, together with FirstFit; make_algorithm
 builds any of them from a name, and the harness and the CLI build them
-only through it.
+only through it.  check_parameters holds each strategy's rules on its
+parameters (filter's delta, classify's and hr_classify's M, which of
+them enumerate mode applies to), so an experiment config refuses a bad
+one before it builds an instance.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .lattice import (
     TWO_SQRT3,
     CoeffVector,
     LatticeParams,
+    check_delta,
     parity_rounded_point,
-    period_box,
     unit_ball_volume,
 )
 from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
@@ -138,25 +141,14 @@ class LatticeFilter:
         return True
 
 
-def filter_acceptance_probability(
-    params: LatticeParams | int, delta: float = 0.01
-) -> float:
+def filter_acceptance_probability(params: LatticeParams) -> float:
     """Probability that a fixed unit ball survives the random shift:
-    vol(unit ball) over the volume of period_box(dim, delta), the box
-    product taken axis by axis as lattice --check volume takes it.
-
-    Accepts either a LatticeParams or a bare dimension plus delta;
-    delta=0 gives the limiting value (pi/36 at dim=3).
+    vol(unit ball) over the volume of params.shift_extents(), the box
+    product taken axis by axis as lattice --check volume takes it.  The
+    delta -> 0 limit (pi/36 at dim=3) is the same quotient over
+    period_box(dim, 0.0).
     """
-    if isinstance(params, LatticeParams):
-        dim, delta = params.dim, params.delta
-    else:
-        dim = params
-    if dim < 2:
-        raise UsageError(f"dim must be >= 2, got {dim}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise UsageError(f"delta must be >= 0, got {delta}")
-    return unit_ball_volume(dim) / math.prod(period_box(dim, delta))
+    return unit_ball_volume(params.dim) / math.prod(params.shift_extents())
 
 
 class _ClassFirstFit:
@@ -246,10 +238,29 @@ class HRClassify(_ClassFirstFit):
 ALGORITHMS = ("firstfit", "filter", "classify", "hr_classify")
 
 
+def _require_known(name: str) -> None:
+    if name not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+
+
 def _require_dim(name: str, dim: Optional[int]) -> int:
     if dim is None:
         raise UsageError(f"{name} needs a geometric instance")
     return dim
+
+
+def check_parameters(name: str, delta: float, m: float, enumerate: bool) -> None:
+    """Refuse parameters the named strategy cannot run with, in this
+    order: an unknown name, filter's delta, the M of classify and
+    hr_classify, and enumerate mode for a strategy that draws no class.
+    Cheap, so an experiment config calls it before any instance is built."""
+    _require_known(name)
+    if name == "filter":
+        check_delta(delta)
+    if name in ("classify", "hr_classify"):
+        class_count(m)
+    elif enumerate:
+        raise UsageError("enumerate mode applies to classify / hr_classify only")
 
 
 def make_algorithm(
@@ -264,8 +275,7 @@ def make_algorithm(
     """Build the named strategy for a stream of dimension dim (None for
     an abstract stream).  forced, one entry of class_choices, fixes the
     class that classify / hr_classify would otherwise draw from seed."""
-    if name not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    _require_known(name)
     if name == "firstfit":
         return FirstFit()
     if name == "classify":

@@ -262,12 +262,10 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(read_utf8(args.config))
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    if args.trials is not None:
-        config = replace(config, trials=args.trials)
-    if args.timing:
-        config = replace(config, timing=True)
+    overrides = {"out": args.out, "trials": args.trials, "timing": args.timing or None}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if overrides:
+        config = replace(config, **overrides)
     records, summary = run_experiment(config)
     csv_to_stdout = config.out is None
     report = sys.stderr if csv_to_stdout else sys.stdout

@@ -5,12 +5,14 @@ source (file or generator), a trial count, and a base seed.  Per-trial
 seeds come from a fixed 64-bit mix of (base_seed, trial_index), so runs
 are reproducible to the byte across platforms and across any degree of
 parallelism.  Trials are independent; GEOMIS_THREADS caps the worker
-processes that run them (default: one per CPU).  Each trial builds its
-algorithm with algorithms.make_algorithm.  A fixed instance is shipped
-to each pool worker once, and the oracle solves it once, after the
-trials, so a config that no trial can run fails before the oracle
-starts; only the star adversary and instance_per_trial build and solve
-a graph per trial.  A record stores opt_size only; its ratio is
+processes that run them (default: one per CPU).  A config checks its
+algorithm's parameters with algorithms.check_parameters when it is
+built, before any instance is, and each trial builds its algorithm
+with algorithms.make_algorithm.  A fixed instance is shipped to each
+pool worker once, and the oracle solves it once, after the trials, so
+a config that no trial can run fails before the oracle starts; only
+the star adversary and instance_per_trial build and solve a graph per
+trial.  A record stores opt_size only; its ratio is
 derived from it by online.empirical_ratio.
 """
 
@@ -29,10 +31,9 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .adversaries import AdversaryConfig, generate_instance, star_adversary
-from .algorithms import ALGORITHMS, class_choices, make_algorithm
+from .algorithms import check_parameters, class_choices, make_algorithm
 from .geometry import UsageError, require_finite, require_type
 from .instances import load_instance
-from .lattice import check_delta
 from .online import ArrivalSequence, empirical_ratio, run_online
 from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, check_node_limit, exact_mis
 
@@ -92,8 +93,9 @@ class ExperimentConfig:
     Exactly one of instance_path / generator supplies the instance.  A
     generator builds the instance once from its own seed; set
     instance_per_trial to rebuild per trial from the trial seed.  mode
-    "enumerate" replaces sampled class draws with one trial per class
-    (classify / hr_classify only), each class weighted equally.  timing
+    "enumerate" replaces sampled class draws with one trial per class of
+    a fixed instance, each class weighted equally, for the strategies
+    that draw a class.  timing
     controls whether measured wall time is written to the CSV; it is
     off by default so repeated runs produce byte-identical output.
     """
@@ -129,24 +131,25 @@ class ExperimentConfig:
         for name, value in (("instance_path", self.instance_path), ("out", self.out)):
             if value is not None:
                 require_type(name, value, str)
-        if self.algorithm not in ALGORITHMS:
-            raise UsageError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if self.algorithm == "filter":
-            check_delta(self.delta)
+        check_parameters(self.algorithm, self.delta, float(self.m), self.mode == "enumerate")
         if (self.instance_path is None) == (self.generator is None):
             raise UsageError("exactly one of instance_path or generator is required")
         if self.mode not in ("sample", "enumerate"):
             raise UsageError(f"mode must be 'sample' or 'enumerate', got {self.mode!r}")
-        if self.mode == "enumerate" and self.algorithm not in ("classify", "hr_classify"):
-            raise UsageError("enumerate mode applies to classify / hr_classify only")
         if self.mode == "sample" and self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
         if self.mode == "sample" and self.trials > TRIAL_LIMIT:
             raise OracleRefusal(f"trials {self.trials} exceeds the limit {TRIAL_LIMIT}")
         if self.instance_per_trial and self.generator is None:
             raise UsageError("instance_per_trial requires a generator source")
+        if self.mode == "enumerate" and (self.instance_per_trial or self.adaptive):
+            raise UsageError("enumerate mode needs a fixed instance")
+
+    @property
+    def adaptive(self) -> bool:
+        """Whether the generator is the star adversary, which builds each
+        trial's instance from the algorithm's own answers."""
+        return self.generator is not None and self.generator.kind == "star"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -251,15 +254,14 @@ def _run_trial(
     stream, on this trial's own instance, scored after the timed region."""
     seed = derive_seed(config.base_seed, trial_index)
     fixed = stream is not None
-    star = config.generator is not None and config.generator.kind == "star"
     start = time.perf_counter()
-    if not (fixed or star):
+    if not (fixed or config.adaptive):
         stream = generate_instance(replace(config.generator, seed=seed))
     algorithm = make_algorithm(
-        config.algorithm, None if star else stream.dim,
+        config.algorithm, None if config.adaptive else stream.dim,
         seed=seed, delta=config.delta, m=config.m, forced=forced,
     )
-    if star:
+    if config.adaptive:
         outcome = star_adversary(config.generator.zeta, algorithm)
         stream, run = outcome.stream, outcome.result
     else:
@@ -298,15 +300,12 @@ def run_experiment(
     on scheduling.
     """
     stream: Optional[ArrivalSequence] = None
-    adaptive = config.generator is not None and config.generator.kind == "star"
     if config.instance_path is not None:
         stream = load_instance(config.instance_path)
-    elif not adaptive and not config.instance_per_trial:
+    elif not config.adaptive and not config.instance_per_trial:
         stream = generate_instance(config.generator)
 
     if config.mode == "enumerate":
-        if stream is None:
-            raise UsageError("enumerate mode needs a fixed instance")
         classes = class_choices(config.algorithm, stream.dim, config.m, TRIAL_LIMIT)
     else:
         classes = [None] * config.trials

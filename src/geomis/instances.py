@@ -15,7 +15,8 @@ Arrival lines are one of
 A file holds one kind of line only.  Geometric files derive adjacency
 from the closed intersection predicates on load; abstract files carry
 it explicitly.  Floats are written with full round-trip precision, so
-save followed by load reproduces the sequence exactly.
+save followed by load reproduces the sequence exactly.  A malformed
+file raises InstanceFormatError, which names the offending line.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def _effective_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_float(token: str, line_no: int) -> float:
+def _parse_float(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise InstanceFormatError(line_no, f"expected a number, got {token!r}") from None
+        raise UsageError(f"expected a number, got {token!r}") from None
 
 
 def read_utf8(path: Union[str, Path]) -> str:
@@ -62,105 +63,97 @@ def read_utf8(path: Union[str, Path]) -> str:
         raise UsageError(f"{path}: {exc}") from None
 
 
+def _parse_dim(line: str) -> Optional[int]:
+    """The dimension a dim line gives; None for "dim -"."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise UsageError("dim line needs exactly one value")
+    if parts[1] == "-":
+        return None
+    try:
+        dim = int(parts[1])
+    except ValueError:
+        raise UsageError(f"bad dimension {parts[1]!r}") from None
+    if dim < 1:
+        raise UsageError(f"dimension must be >= 1, got {dim}")
+    return dim
+
+
+def _parse_shape(tag: str, fields: list[str], dim: Optional[int]) -> Shape:
+    """The Ball or HyperRectangle of a ball or rect line's fields."""
+    if dim is None:
+        raise UsageError(f"{tag} lines require a numeric dim")
+    values = [_parse_float(t) for t in fields]
+    if tag == "ball":
+        if len(values) != dim + 1:
+            raise UsageError(f"ball line needs {dim} coordinates plus a radius")
+        return Ball(center=values[:dim], radius=values[dim])
+    if len(values) != 2 * dim:
+        raise UsageError(f"rect line needs {2 * dim} values (lo/hi per axis)")
+    return HyperRectangle(lo=values[0::2], hi=values[1::2])
+
+
+def _parse_vertex(fields: list[str], dim: Optional[int], expected: int) -> frozenset[int]:
+    """The earlier neighbours a vertex line gives the vertex expected."""
+    if dim is not None:
+        raise UsageError("vertex lines require 'dim -'")
+    if len(fields) != 2:
+        raise UsageError("vertex line needs an id and a neighbor list (or -)")
+    try:
+        vid = int(fields[0])
+    except ValueError:
+        raise UsageError(f"bad vertex id {fields[0]!r}") from None
+    if vid != expected:
+        raise UsageError(f"vertex id {vid} out of order; expected {expected}")
+    if fields[1] == "-":
+        return frozenset()
+    try:
+        nbrs = frozenset(int(t) for t in fields[1].split(","))
+    except ValueError:
+        raise UsageError(f"bad neighbor list {fields[1]!r}") from None
+    for nb in nbrs:
+        if not 0 <= nb < vid:
+            raise UsageError(f"neighbor {nb} has not arrived before vertex {vid}")
+    return nbrs
+
+
 def load_instance(path: Union[str, Path]) -> ArrivalSequence:
-    """Parse an instance file into an ArrivalSequence."""
-    text = read_utf8(path)
-    lines = _effective_lines(text)
+    """Parse an instance file into an ArrivalSequence.
+
+    The magic line and the presence of a dim line are checked here;
+    the dim line and every arrival line go to their parser, and the
+    UsageError a parser raises is tagged with its line number.
+    """
+    lines = _effective_lines(read_utf8(path))
     if not lines or lines[0][1] != MAGIC:
-        line_no = lines[0][0] if lines else 1
-        raise InstanceFormatError(line_no, f"first line must be {MAGIC!r}")
+        raise InstanceFormatError(lines[0][0] if lines else 1, f"first line must be {MAGIC!r}")
     if len(lines) < 2 or not lines[1][1].startswith("dim"):
         raise InstanceFormatError(
             lines[1][0] if len(lines) > 1 else lines[0][0], "second line must be 'dim <d>' or 'dim -'"
         )
-    dim_no, dim_line = lines[1]
-    parts = dim_line.split()
-    if len(parts) != 2:
-        raise InstanceFormatError(dim_no, "dim line needs exactly one value")
-    dim: Optional[int]
-    if parts[1] == "-":
-        dim = None
-    else:
-        try:
-            dim = int(parts[1])
-        except ValueError:
-            raise InstanceFormatError(dim_no, f"bad dimension {parts[1]!r}") from None
-        if dim < 1:
-            raise InstanceFormatError(dim_no, f"dimension must be >= 1, got {dim}")
-
-    objects: list[Shape] = []
-    neighbor_lists: list[frozenset[int]] = []
+    line_no, line = lines[1]
+    items: list = []
     kind: Optional[str] = None
-    for line_no, line in lines[2:]:
-        tokens = line.split()
-        tag = tokens[0]
-        if tag not in ("ball", "rect", "vertex"):
-            raise InstanceFormatError(line_no, f"unknown line tag {tag!r}")
-        if kind is None:
-            kind = tag
-        elif tag != kind:
-            raise InstanceFormatError(
-                line_no, f"mixed {kind!r} and {tag!r} lines in one file"
-            )
-        if tag == "vertex":
-            if dim is not None:
-                raise InstanceFormatError(
-                    line_no, "vertex lines require 'dim -'"
-                )
-            if len(tokens) != 3:
-                raise InstanceFormatError(
-                    line_no, "vertex line needs an id and a neighbor list (or -)"
-                )
-            try:
-                vid = int(tokens[1])
-            except ValueError:
-                raise InstanceFormatError(line_no, f"bad vertex id {tokens[1]!r}") from None
-            if vid != len(neighbor_lists):
-                raise InstanceFormatError(
-                    line_no, f"vertex id {vid} out of order; expected {len(neighbor_lists)}"
-                )
-            if tokens[2] == "-":
-                nbrs: frozenset[int] = frozenset()
+    try:
+        dim = _parse_dim(line)
+        for line_no, line in lines[2:]:
+            tag, *fields = line.split()
+            if tag not in ("ball", "rect", "vertex"):
+                raise UsageError(f"unknown line tag {tag!r}")
+            if kind is None:
+                kind = tag
+            elif tag != kind:
+                raise UsageError(f"mixed {kind!r} and {tag!r} lines in one file")
+            if tag == "vertex":
+                items.append(_parse_vertex(fields, dim, len(items)))
             else:
-                try:
-                    nbrs = frozenset(int(t) for t in tokens[2].split(","))
-                except ValueError:
-                    raise InstanceFormatError(
-                        line_no, f"bad neighbor list {tokens[2]!r}"
-                    ) from None
-                for nb in nbrs:
-                    if not 0 <= nb < vid:
-                        raise InstanceFormatError(
-                            line_no, f"neighbor {nb} has not arrived before vertex {vid}"
-                        )
-            neighbor_lists.append(nbrs)
-            continue
-        if dim is None:
-            raise InstanceFormatError(line_no, f"{tag} lines require a numeric dim")
-        values = [_parse_float(t, line_no) for t in tokens[1:]]
-        if tag == "ball":
-            if len(values) != dim + 1:
-                raise InstanceFormatError(
-                    line_no, f"ball line needs {dim} coordinates plus a radius"
-                )
-            try:
-                objects.append(Ball(center=values[:dim], radius=values[dim]))
-            except UsageError as exc:
-                raise InstanceFormatError(line_no, str(exc)) from None
-        else:
-            if len(values) != 2 * dim:
-                raise InstanceFormatError(
-                    line_no, f"rect line needs {2 * dim} values (lo/hi per axis)"
-                )
-            try:
-                objects.append(HyperRectangle(lo=values[0::2], hi=values[1::2]))
-            except UsageError as exc:
-                raise InstanceFormatError(line_no, str(exc)) from None
-
-    if kind == "vertex" or dim is None:
-        return ArrivalSequence.from_neighbor_lists(neighbor_lists)
-    if objects:
-        return ArrivalSequence.from_objects(objects)
+                items.append(_parse_shape(tag, fields, dim))
+    except UsageError as exc:
+        raise InstanceFormatError(line_no, str(exc)) from None
+    if dim is None:
+        return ArrivalSequence.from_neighbor_lists(items)
+    if items:
+        return ArrivalSequence.from_objects(items)
     return ArrivalSequence(events=(), dim=dim)
 
 

@@ -6,9 +6,7 @@ simplicial vertices (those whose remaining neighborhood is a clique,
 degree-0 and degree-1 vertices among them), splits what is left into
 connected components solved (and memoized) one by one, and branches on
 a highest-degree vertex of a connected remainder, skipping the take
-branch when a neighbor dominates that vertex.  On the README's 80-ball
-graph this branches 3 times where a degree-0/1 peel branched 68 times.
-The kissing number solves every neighborhood as a mask of the graph's
+branch when a neighbor dominates that vertex.  The kissing number solves every neighborhood as a mask of the graph's
 own adjacency.
 Witnesses are built component by component too, and exact_mis builds
 its witness only when it is first read, so a caller that wants the

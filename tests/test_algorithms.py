@@ -31,7 +31,7 @@ from geomis import (
 import geomis.algorithms
 import geomis.geometry
 from geomis.algorithms import make_algorithm
-from geomis.lattice import parity_rounded_point
+from geomis.lattice import parity_rounded_point, period_box, unit_ball_volume
 from geomis.online import ArrivalEvent
 
 from conftest import (
@@ -528,21 +528,19 @@ def test_filter_rounds_exactly_the_covered_arrivals(monkeypatch):
 
 
 def test_filter_acceptance_probability_closed_forms():
-    p = filter_acceptance_probability(3, 0.01)
+    p = filter_acceptance_probability(P3)
     assert p == pytest.approx((4.0 * math.pi / 3.0) / 48.12, rel=1e-14)
     assert abs(p - 0.087049) < 1e-6
-    assert filter_acceptance_probability(P3) == p
-    limit = filter_acceptance_probability(3, 0.0)
+    # The delta -> 0 limit: the same quotient over period_box at delta = 0.
+    limit = unit_ball_volume(3) / math.prod(period_box(3, 0.0))
+    near_limit = filter_acceptance_probability(LatticeParams(3, 1e-12))
+    assert near_limit == pytest.approx(limit, rel=1e-12)
     assert limit == pytest.approx(math.pi / 36.0, rel=1e-14)
     assert 1.0 / limit == pytest.approx(36.0 / math.pi, rel=1e-14)
     assert 1.0 / limit == pytest.approx(11.459, abs=5e-4)
-    recip4 = 1.0 / filter_acceptance_probability(4, 0.0)
+    recip4 = math.prod(period_box(4, 0.0)) / unit_ball_volume(4)
     assert recip4 == pytest.approx(192.0 * math.sqrt(3.0) / math.pi**2, rel=1e-12)
     assert abs(recip4 - 33.8) < 0.15
-    with pytest.raises(UsageError):
-        filter_acceptance_probability(1, 0.01)
-    with pytest.raises(UsageError):
-        filter_acceptance_probability(3, -0.2)
 
 
 def test_filter_acceptance_frequency_quick():
@@ -588,7 +586,7 @@ def test_filter_mean_ratio_on_2000_balls_beats_zeta():
                 assert adjacency[a].issuperset(members[i + 1:])
         assert filt.occupied == {cell: members[0] for cell, members in cells.items()}
         ratios.append(empirical_ratio(opt, run.size))
-    assert reduce(add, ratios) / len(ratios) < 1.0 / filter_acceptance_probability(3, 0.01) < 12.0
+    assert reduce(add, ratios) / len(ratios) < 1.0 / filter_acceptance_probability(P3) < 12.0
 
 
 def test_first_fit_baseline_on_ball_stream():

@@ -549,6 +549,27 @@ def test_top_level_m_past_float_range_exits_one(
         assert not csv.exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("algorithm", ["classify", "hr_classify"])
+def test_config_without_m_exits_one_before_any_instance(
+    tmp_path, capsys, monkeypatch, instance_builds, threads, algorithm
+):
+    monkeypatch.setenv("GEOMIS_THREADS", threads)
+    instance = tmp_path / "boxes.gis"
+    save_instance(generate_instance(AdversaryConfig(
+        kind="random_rects", n=3, dim=2, m=8.0, box_side=50.0, seed=1)), instance)
+    rects = {"kind": "random_rects", "n": 3, "dim": 2, "M": 8, "box_side": 50.0, "seed": 2}
+    for source in ({"instance_path": str(instance)}, {"generator": rects}):
+        config = tmp_path / "no_m.json"
+        config.write_text(json.dumps({
+            "algorithm": algorithm, "trials": 3, "base_seed": 1, **source,
+        }))
+        assert cli_dispatch(["experiment", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: M must be finite and > 2, got 0.0\n")
+        assert instance_builds == []
+
+
 @pytest.mark.parametrize("radii, shown", [(["1", "inf"], "inf"), (["nan", "1"], "nan")])
 @pytest.mark.parametrize("n", [5, 0])
 def test_non_finite_radius_range_exits_one_before_any_draw(tmp_path, capsys, radii, shown, n):

@@ -187,6 +187,46 @@ def test_parallel_and_serial_agree(tmp_path, monkeypatch):
     assert render_csv(serial) == render_csv(parallel)
 
 
+STAR = AdversaryConfig(kind="star", zeta=3)
+RECTS_PER_TRIAL = {"generator": AdversaryConfig(kind="random_rects", n=4, dim=2, m=4.0),
+                   "instance_per_trial": True}
+
+
+# The instance path names no file: each config is refused when built,
+# before anything could load it.
+@pytest.mark.parametrize("fields, message", [
+    ({"algorithm": "mystery"},
+     "unknown algorithm 'mystery'; expected one of"
+     " ('firstfit', 'filter', 'classify', 'hr_classify')"),
+    ({"algorithm": "filter", "delta": 0.0}, "delta must be in (0, 1.0], got 0.0"),
+    ({"algorithm": "classify"}, "M must be finite and > 2, got 0.0"),
+    ({"algorithm": "hr_classify", "m": 2}, "M must be finite and > 2, got 2.0"),
+    ({"algorithm": "classify", "m": 2.0, "mode": "enumerate"}, "M must be finite and > 2, got 2.0"),
+    ({"algorithm": "firstfit", "mode": "enumerate"},
+     "enumerate mode applies to classify / hr_classify only"),
+    ({"algorithm": "filter", "mode": "enumerate"},
+     "enumerate mode applies to classify / hr_classify only"),
+    ({"algorithm": "classify", "m": 8.0, "mode": "enumerate", "instance_path": None,
+      "generator": STAR}, "enumerate mode needs a fixed instance"),
+    ({"algorithm": "hr_classify", "m": 8.0, "mode": "enumerate", "instance_path": None,
+      **RECTS_PER_TRIAL}, "enumerate mode needs a fixed instance"),
+])
+def test_algorithm_parameters_refused_when_the_config_is_built(fields, message):
+    with pytest.raises(UsageError) as err:
+        ExperimentConfig(**{"trials": 2, "base_seed": 0, "instance_path": "missing.gis", **fields})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fields", [
+    {"algorithm": "firstfit", "delta": 5.0},
+    {"algorithm": "classify", "m": 2.0000000000000004, "delta": 5.0},
+    {"algorithm": "hr_classify", "m": 8.0, "mode": "enumerate"},
+    {"algorithm": "filter", "delta": 1.0},
+])
+def test_config_accepts_parameters_in_range_or_unread(fields):
+    ExperimentConfig(**{"trials": 2, "base_seed": 0, "instance_path": "missing.gis", **fields})
+
+
 def test_bad_thread_env(monkeypatch, tmp_path):
     config = fixed_instance_config(tmp_path)
     monkeypatch.setenv("GEOMIS_THREADS", "zero")
@@ -346,27 +386,46 @@ def test_oracle_solved_once_per_instance(name, tmp_path, monkeypatch, oracle_cal
         assert summary.oracle_refusals == 0
 
 
-# Configs that no trial can run: no dimension for the algorithm, no M,
+# Configs that no trial can run, with the error each is refused with: no
+# dimension for the algorithm, no M (refused when the config is built),
 # or a payload that the algorithm refuses when it arrives.
 UNRUNNABLE = {
-    "filter-abstract-file": lambda tmp: fixed_instance_config(tmp, algorithm="filter"),
+    "filter-abstract-file": (
+        lambda tmp: fixed_instance_config(tmp, algorithm="filter"),
+        "filter needs a geometric instance",
+    ),
     "hr_classify-abstract-file": (
-        lambda tmp: fixed_instance_config(tmp, algorithm="hr_classify", m=4.0)
+        lambda tmp: fixed_instance_config(tmp, algorithm="hr_classify", m=4.0),
+        "hr_classify needs a geometric instance",
     ),
-    "classify-without-M": lambda tmp: ExperimentConfig(
-        algorithm="classify", trials=3, base_seed=1, instance_path=balls_file(tmp)
-    ),
-    "hr_classify-without-M": lambda tmp: ExperimentConfig(
-        algorithm="hr_classify", trials=3, base_seed=1, generator=RECTS
-    ),
-    "filter-non-unit-balls": lambda tmp: ExperimentConfig(
-        algorithm="filter", trials=3, base_seed=1,
-        generator=AdversaryConfig(
-            kind="random_balls", n=30, dim=3, box_side=20.0, seed=0, radius_range=(1.0, 3.0)
+    "classify-without-M": (
+        lambda tmp: ExperimentConfig(
+            algorithm="classify", trials=3, base_seed=1, instance_path=balls_file(tmp)
         ),
+        "M must be finite and > 2, got 0.0",
     ),
-    "classify-width-outside-M": lambda tmp: ExperimentConfig(
-        algorithm="classify", trials=3, base_seed=1, m=4.0, instance_path=balls_file(tmp)
+    "hr_classify-without-M": (
+        lambda tmp: ExperimentConfig(
+            algorithm="hr_classify", trials=3, base_seed=1, generator=RECTS
+        ),
+        "M must be finite and > 2, got 0.0",
+    ),
+    "filter-non-unit-balls": (
+        lambda tmp: ExperimentConfig(
+            algorithm="filter", trials=3, base_seed=1,
+            generator=AdversaryConfig(
+                kind="random_balls", n=30, dim=3, box_side=20.0, seed=0,
+                radius_range=(1.0, 3.0),
+            ),
+        ),
+        "LatticeFilter requires unit balls, got radius 1.5178335005859267",
+    ),
+    "classify-width-outside-M": (
+        lambda tmp: ExperimentConfig(
+            algorithm="classify", trials=3, base_seed=1, m=4.0, instance_path=balls_file(tmp)
+        ),
+        "arrival 0 has width 5.444999582833044 (its radius), outside [1, 4.0]:"
+        " classify needs every width in [1, M]",
     ),
 }
 
@@ -376,9 +435,10 @@ def test_unrunnable_config_rejected_before_the_oracle(
     name, tmp_path, monkeypatch, oracle_calls
 ):
     monkeypatch.setenv("GEOMIS_THREADS", "1")
-    config = UNRUNNABLE[name](tmp_path)
-    with pytest.raises(UsageError):
-        run_experiment(config)
+    build, message = UNRUNNABLE[name]
+    with pytest.raises(UsageError) as err:
+        run_experiment(build(tmp_path))
+    assert str(err.value) == message
     assert oracle_calls == []
 
 

@@ -64,6 +64,14 @@ def test_parse_comments_and_blanks(tmp_path):
     assert stream.adjacency() == [{1, 2}, {0, 2}, {0, 1}]
 
 
+def test_dimension_one_loads(tmp_path):
+    path = tmp_path / "line.txt"
+    path.write_text("geomis-instance v1\ndim 1\nball 0 1\nball 1.5 1\nball 4 1\n")
+    stream = load_instance(path)
+    assert stream.dim == 1
+    assert stream.adjacency() == [{1}, {0}, set()]
+
+
 def test_missing_magic_line():
     import tempfile, pathlib
 
@@ -73,32 +81,56 @@ def test_missing_magic_line():
         with pytest.raises(InstanceFormatError) as err:
             load_instance(p)
         assert err.value.line_no == 1
+        assert str(err.value) == "line 1: first line must be 'geomis-instance v1'"
 
 
 @pytest.mark.parametrize(
-    "body,bad_line",
+    "body,message",
     [
-        ("dim x\n", 2),
-        ("dim 3\nsphere 0 0 0 1\n", 3),
-        ("dim 3\nball 0 0 1\n", 3),
-        ("dim 3\nball 0 0 zero 1\n", 3),
-        ("dim 3\nball 0 0 0 -1\n", 3),
-        ("dim 3\nrect 0 1 0\n", 3),
-        ("dim 3\nrect 0 1 0 1 1 0\n", 3),
-        ("dim -\nvertex 1 -\n", 3),
-        ("dim -\nvertex 0 -\nvertex 1 2\n", 4),
-        ("dim -\nvertex 0 -\nvertex 1 1\n", 4),
-        ("dim 2\nvertex 0 -\n", 3),
-        ("dim -\nball 0 0 1\n", 3),
-        ("dim 2\nball 0 0 1\nrect 0 1 0 1\n", 4),
+        ("", "line 1: second line must be 'dim <d>' or 'dim -'"),
+        ("ball 0 0 1\n", "line 2: second line must be 'dim <d>' or 'dim -'"),
+        ("dim x\n", "line 2: bad dimension 'x'"),
+        ("dim 0\n", "line 2: dimension must be >= 1, got 0"),
+        ("dim 3 4\n", "line 2: dim line needs exactly one value"),
+        ("dim 3\nsphere 0 0 0 1\n", "line 3: unknown line tag 'sphere'"),
+        ("dim 3\nball 0 0 1\n", "line 3: ball line needs 3 coordinates plus a radius"),
+        ("dim 3\nball 0 0 zero 1\n", "line 3: expected a number, got 'zero'"),
+        ("dim 3\nball 0 0 0 -1\n", "line 3: ball radius must be positive, got -1.0"),
+        ("dim 2\nball 0 inf 1\n", "line 3: non-finite coordinate in (0.0, inf)"),
+        ("dim 3\nrect 0 1 0\n", "line 3: rect line needs 6 values (lo/hi per axis)"),
+        ("dim 2\nrect 0 1 zero 1\n", "line 3: expected a number, got 'zero'"),
+        (
+            "dim 3\nrect 0 1 0 1 1 0\n",
+            "line 3: degenerate box: lo[2]=1.0 must be < hi[2]=0.0",
+        ),
+        ("dim -\nvertex 1 -\n", "line 3: vertex id 1 out of order; expected 0"),
+        ("dim -\nvertex x -\n", "line 3: bad vertex id 'x'"),
+        ("dim -\nvertex 0\n", "line 3: vertex line needs an id and a neighbor list (or -)"),
+        (
+            "dim -\nvertex 0 -\nvertex 1 2\n",
+            "line 4: neighbor 2 has not arrived before vertex 1",
+        ),
+        (
+            "dim -\nvertex 0 -\nvertex 1 1\n",
+            "line 4: neighbor 1 has not arrived before vertex 1",
+        ),
+        ("dim -\nvertex 0 -\nvertex 1 0,a\n", "line 4: bad neighbor list '0,a'"),
+        ("dim 2\nvertex 0 -\n", "line 3: vertex lines require 'dim -'"),
+        ("dim -\nball 0 0 1\n", "line 3: ball lines require a numeric dim"),
+        ("dim -\nrect 0 1 0 1\n", "line 3: rect lines require a numeric dim"),
+        (
+            "dim 2\nball 0 0 1\nrect 0 1 0 1\n",
+            "line 4: mixed 'ball' and 'rect' lines in one file",
+        ),
     ],
 )
-def test_malformed_files_carry_line_numbers(tmp_path, body, bad_line):
+def test_malformed_files_carry_line_numbers(tmp_path, body, message):
     path = tmp_path / "bad.txt"
     path.write_text("geomis-instance v1\n" + body)
     with pytest.raises(InstanceFormatError) as err:
         load_instance(path)
-    assert err.value.line_no == bad_line
+    assert str(err.value) == message
+    assert message.startswith(f"line {err.value.line_no}: ")
 
 
 def test_vertex_line_id_mismatch(tmp_path):
@@ -107,6 +139,7 @@ def test_vertex_line_id_mismatch(tmp_path):
     with pytest.raises(InstanceFormatError) as err:
         load_instance(path)
     assert err.value.line_no == 4
+    assert str(err.value) == "line 4: vertex id 5 out of order; expected 1"
 
 
 def test_transcript_is_loadable_and_replayable(tmp_path):
