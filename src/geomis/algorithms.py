@@ -12,7 +12,13 @@ arrival farther than 1 from the lattice (about two thirds of them at
 d=3), and else gives the squared distance to the rounded point.  Only a
 covered arrival, at most 1 away, is rounded again by
 parity_rounded_point to name its cell; an occupied one rejects.
-There is no batch path: run_online gives the accepted set of any shift.
+run_online takes the filter's stream path, decide_stream.  A stream's
+first filter run calls decide on every arrival.  From its second run
+on, the stream's lattice.CrossResidues, sorted once per stream, names
+the arrivals whose axes 2..d all lie in this shift's bands, and only
+those reach decide; every other arrival is one decide would reject on
+such an axis, and is rejected without a call.  decide stays the one
+decision rule and the one check of the payloads.
 
 Classify handles fat objects of bounded width spread: it draws one
 dyadic width class [2^j, 2^(j+1)) uniformly and plays greedy first-fit
@@ -49,7 +55,7 @@ from .lattice import (
     parity_rounded_point,
     unit_ball_volume,
 )
-from .online import ArrivalEvent, FirstFit, OnlineAlgorithm
+from .online import ArrivalEvent, ArrivalSequence, FirstFit, OnlineAlgorithm
 from .oracle import refuse_above
 
 
@@ -139,6 +145,27 @@ class LatticeFilter:
             return False
         self.occupied[coeffs] = event.id
         return True
+
+    def decide_stream(self, stream: ArrivalSequence) -> list[bool]:
+        """decide on every arrival of the stream, in order, with the
+        decisions and occupied that gives.  The stream's first filter
+        run of this dim calls decide on every arrival, which so checks
+        every payload, and a run without a refusal passes the stream's
+        cross_residues.  From then on only its candidates under this
+        shift reach decide; every other arrival decide would reject on
+        an axis 2..d without touching occupied, so it is False here."""
+        events = stream.events
+        index = stream.cross_residues
+        candidates = index.candidates(self._dim, self._cross_shift)
+        if candidates is None:
+            decisions = list(map(self.decide, events))
+            index.passed(self._dim)
+            return decisions
+        decisions = [False] * len(events)
+        decide = self.decide
+        for i in candidates:
+            decisions[i] = decide(events[i])
+        return decisions
 
 
 def filter_acceptance_probability(params: LatticeParams) -> float:

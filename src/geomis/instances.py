@@ -127,7 +127,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
     lines = _effective_lines(read_utf8(path))
     if not lines or lines[0][1] != MAGIC:
         raise InstanceFormatError(lines[0][0] if lines else 1, f"first line must be {MAGIC!r}")
-    if len(lines) < 2 or not lines[1][1].startswith("dim"):
+    if len(lines) < 2 or lines[1][1].split()[0] != "dim":
         raise InstanceFormatError(
             lines[1][0] if len(lines) > 1 else lines[0][0], "second line must be 'dim <d>' or 'dim -'"
         )

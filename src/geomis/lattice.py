@@ -29,21 +29,29 @@ points with one formula, _coords: is_covered rounds once, and
 closest_lattice_point and min_pairwise_distance enumerate their windows
 through _coords.  LatticeFilter.decide writes the rounding's arithmetic
 out in its own frame, axes 2..d first, and is checked against
-parity_rounded_point; a change to the rounding is made in both.  (One
-call into this module per arrival cost the filter about 6% of its
-throughput on 2 vCPUs under CPython 3.11.)  coverage_cells is the same
-rounding over a numpy batch, which mc_volume_fraction draws over a
-period_box; only these two use numpy, and they import it when called.
+parity_rounded_point.  (One call into this module per arrival cost the
+filter about 6% of its throughput on 2 vCPUs under CPython 3.11.)
+decide calls parity_rounded_point itself only to name a covered
+arrival's cell.  CrossResidues sorts a stream once on its axes 2..d
+modulo their period, so the filter sends decide only the arrivals whose
+axes 2..d can pass under its shift; it decides nothing itself.  A
+change to the rounding is made in three places: parity_rounded_point,
+decide, and CrossResidues' band, which is the axes 2..d test of both
+written as a residue interval.
+coverage_cells is the same rounding over a numpy batch, which
+mc_volume_fraction draws over a period_box; only these two use numpy,
+and they import it when called.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import UsageError
 
@@ -166,6 +174,71 @@ def _axis1_coeff(params: LatticeParams, x0: float, rest_sum: int) -> int:
     z1 = math.floor(x0 / params.axis1_unit)
     m = z1 if z1 % 2 == rest_sum % 2 else z1 + 1
     return (m + rest_sum) // 2
+
+
+class CrossResidues:
+    """One stream's arrival ids sorted, on each axis 2..d, by their
+    center's residue modulo TWO_SQRT3, the period of that axis's
+    coverage test.
+
+    Under a shift s, an axis-i coordinate c lies within 1 of an even
+    multiple of sqrt(3) exactly when c % TWO_SQRT3 lies in the cyclic
+    band [-s_i - 1, -s_i + 1]; every other arrival LatticeFilter.decide
+    rejects on that axis, before it looks at axis 1 or at a cell.  The
+    period does not depend on delta or on the shift, so one sort serves
+    every filter on the stream, and candidates finds each band with two
+    bisects.  The keys hold every residue twice, r and r + TWO_SQRT3, so
+    a band that wraps past the period is one slice.
+
+    decide alone checks the payloads.  The index sorts a stream only
+    once a filter of some dim has decided every arrival of it without a
+    refusal (passed), so only unit balls of that dim are sorted, and only
+    from the stream's second filter run on: a stream run once would pay
+    a sort that costs more than one run saves.
+    """
+
+    def __init__(self, events: Sequence) -> None:
+        self._events = events
+        # The dim at which decide passed the whole stream, and its sort.
+        self._dim: Optional[int] = None
+        self._keys: Optional[list[list[float]]] = None
+
+    def passed(self, dim: int) -> None:
+        """Record that a filter of dim decided every arrival without a refusal."""
+        self._dim, self._keys = dim, None
+
+    def candidates(self, dim: int, cross_shift: Sequence[float]) -> Optional[list[int]]:
+        """Ids, in arrival order, of the arrivals inside the band of
+        every axis 2..d under the shift's axes 2..d: a superset of the
+        arrivals decide does not reject on one of those axes.  None
+        until the stream has passed at dim."""
+        if dim != self._dim:
+            return None
+        if self._keys is None:
+            self._sort(dim)
+        windows = []
+        for keys, ids, s in zip(self._keys, self._ids, cross_shift):
+            lo = (-s - self._half) % TWO_SQRT3
+            windows.append(ids[bisect_left(keys, lo):bisect_right(keys, lo + self._width)])
+        return sorted(set(windows[0]).intersection(*windows[1:]))
+
+    def _sort(self, dim: int) -> None:
+        axes = [[ev.payload.center[i] for ev in self._events] for i in range(1, dim)]
+        # The band is widened by slack, far above the few ulps of the
+        # largest coordinate by which the residue arithmetic here and
+        # decide's floor and pow can disagree.  Once the band spans a
+        # period, every arrival is a candidate.
+        largest = max(map(abs, itertools.chain.from_iterable(axes)), default=0.0)
+        slack = 1e-9 + largest * 2.0 ** -40
+        self._half = 1.0 + slack
+        self._width = 2.0 * self._half
+        self._keys, self._ids = [], []
+        for xs in axes:
+            residues = [x % TWO_SQRT3 for x in xs]
+            order = sorted(range(len(xs)), key=residues.__getitem__)
+            keys = list(map(residues.__getitem__, order))
+            self._keys.append(keys + [r + TWO_SQRT3 for r in keys])
+            self._ids.append(order + order)
 
 
 def closest_lattice_point(

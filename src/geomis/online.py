@@ -10,10 +10,12 @@ the shape itself, a Ball or HyperRectangle that the algorithms read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .geometry import Shape, UsageError, intersection_graph
+from .lattice import CrossResidues
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,12 @@ class ArrivalSequence:
         )
         return cls(events=events, dim=None)
 
+    @cached_property
+    def cross_residues(self) -> CrossResidues:
+        """The lattice filter's index of this stream, kept for every
+        later filter run on it."""
+        return CrossResidues(self.events)
+
     def adjacency(self) -> list[set[int]]:
         """Symmetric adjacency lists of the full revealed graph."""
         adj: list[set[int]] = [set() for _ in self.events]
@@ -156,8 +164,16 @@ def finalize_run(
 
 
 def run_online(algorithm: OnlineAlgorithm, stream: ArrivalSequence) -> RunResult:
-    """Feed the stream to the algorithm once, in order, one decision each."""
-    return finalize_run(stream.events, list(map(algorithm.decide, stream.events)))
+    """Feed the stream to the algorithm once, in order.  An algorithm
+    with a decide_stream (LatticeFilter) decides the whole stream in one
+    call, equal to one decide per arrival; any other gets one decide
+    per arrival."""
+    decide_stream = getattr(algorithm, "decide_stream", None)
+    if decide_stream is None:
+        decisions = list(map(algorithm.decide, stream.events))
+    else:
+        decisions = decide_stream(stream)
+    return finalize_run(stream.events, decisions)
 
 
 def empirical_ratio(opt_size: int, alg_size: int) -> float:

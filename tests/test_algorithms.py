@@ -19,6 +19,7 @@ from geomis import (
     LatticeParams,
     UsageError,
     class_count,
+    derive_seed,
     empirical_ratio,
     exact_mis,
     filter_acceptance_probability,
@@ -31,8 +32,14 @@ from geomis import (
 import geomis.algorithms
 import geomis.geometry
 from geomis.algorithms import make_algorithm
-from geomis.lattice import parity_rounded_point, period_box, unit_ball_volume
-from geomis.online import ArrivalEvent
+from geomis.lattice import (
+    TWO_SQRT3,
+    CrossResidues,
+    parity_rounded_point,
+    period_box,
+    unit_ball_volume,
+)
+from geomis.online import ArrivalEvent, finalize_run
 
 from conftest import (
     ReferenceLatticeFilter,
@@ -525,6 +532,238 @@ def test_filter_rounds_exactly_the_covered_arrivals(monkeypatch):
     ]
     assert rounded == covered
     assert len(fast.occupied) < len(rounded) < len(stream)
+
+
+# --- LatticeFilter's stream path --------------------------------------------
+
+
+class _SeenFilter(LatticeFilter):
+    """LatticeFilter recording the id of every arrival decide sees."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.seen: list[int] = []
+
+    def decide(self, event) -> bool:
+        self.seen.append(event.id)
+        return super().decide(event)
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except UsageError as exc:
+        return None, str(exc)
+
+
+def assert_stream_path_is_decide(params, stream, **how):
+    """run_online, which takes the filter's stream path, against decide
+    on every arrival of a twin filter: the same decisions and occupied,
+    or the same refusal at the same arrival.  A fresh stream runs twice,
+    so it is checked both on its first run, which sends decide every
+    arrival, and on a later one, which sends decide only the index's
+    candidates.  Returns the ids the last run sent to decide."""
+    fresh = "cross_residues" not in vars(stream)
+    for _ in range(2 if fresh else 1):
+        fast, ref = _SeenFilter(params, **how), _SeenFilter(params, **how)
+        got, got_error = _outcome(lambda: run_online(fast, stream))
+        want, want_error = _outcome(
+            lambda: finalize_run(stream.events, [ref.decide(ev) for ev in stream.events])
+        )
+        assert got == want
+        assert got_error == want_error
+        if want_error is not None or fresh:
+            assert fast.seen == ref.seen
+        fresh = False
+        assert fast.occupied == ref.occupied
+        assert fast.seen == sorted(set(fast.seen))
+    return fast.seen
+
+
+def _passes_cross_axes(params, center, shift):
+    """Whether every axis 2..d of the shifted center lies within 1 of
+    its nearest even multiple of sqrt(3), by the reference rounding."""
+    shifted = [x + b for x, b in zip(center, shift)]
+    p, _ = reference_parity_rounded_point(params, shifted)
+    return all((a - x) ** 2 <= 1.0 for a, x in zip(p[1:], shifted[1:]))
+
+
+def _unlinked_stream(centers, radius=1.0):
+    """Balls at centers with no edges; decide reads no edge."""
+    return ArrivalSequence(tuple(
+        ArrivalEvent(i, frozenset(), Ball(tuple(c), radius)) for i, c in enumerate(centers)
+    ))
+
+
+def test_stream_path_on_2000_balls_under_200_trial_seeds():
+    # The benchmark's instance under the README's first 200 trial seeds:
+    # after the stream's first run, decide sees about a third of it,
+    # exactly the arrivals that pass axes 2..d (checked by the reference
+    # rounding on the first 20 seeds).
+    stream = random_balls_gen(2000, 3, 30.0, seed=5)
+    reached = 0
+    for i in range(200):
+        seed = derive_seed(42, i)
+        seen = assert_stream_path_is_decide(P3, stream, seed=seed)
+        if i < 20:
+            shift = LatticeFilter(P3, seed=seed).shift
+            assert seen == [
+                ev.id for ev in stream.events
+                if _passes_cross_axes(P3, ev.payload.center, shift)
+            ]
+        reached += len(seen)
+    assert reached == 132915
+
+
+@given(data=st.data(), dim=st.integers(2, 5), delta=st.sampled_from([0.01, 0.5, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_stream_path_matches_decide_on_drawn_streams(data, dim, delta):
+    params = LatticeParams(dim, delta)
+    scale = data.draw(st.sampled_from([10.0, 1e6, 1e12]))
+    uniform = st.lists(st.floats(-scale, scale), min_size=dim, max_size=dim)
+    centres = data.draw(st.lists(st.one_of(uniform, lattice_queries(params)), max_size=30))
+    shift = [data.draw(st.floats(0.0, e, exclude_max=True)) for e in params.shift_extents()]
+    # Every centre arrives twice, so occupied cells are hit again.
+    assert_stream_path_is_decide(params, _unlinked_stream(centres + centres), shift=shift)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_stream_path_at_the_band_edges(dim):
+    # Centers exactly 1 and one ulp beyond 1 from a line of even
+    # multiples of sqrt(3) on one axis 2..d, all other axes on the
+    # lattice point: at a zero shift and a = 0 the first is accepted and
+    # the second rejected; under drawn shifts both sit where the residue
+    # band's slack must let them through to decide.
+    params = LatticeParams(dim, 0.01)
+    rng = random.Random(dim)
+    shifts = [(0.0,) * dim] + [
+        tuple(rng.uniform(0.0, e) for e in params.shift_extents()) for _ in range(30)
+    ]
+    for shift in shifts:
+        centres = []
+        for axis in range(1, dim):
+            for a in (-3, 0, 2):
+                for sign in (1.0, -1.0):
+                    centre = [-b for b in shift]
+                    centre[axis] = TWO_SQRT3 * a + sign - shift[axis]
+                    centres.append(list(centre))
+                    centre[axis] = math.nextafter(centre[axis], sign * math.inf)
+                    centres.append(centre)
+        assert_stream_path_is_decide(params, _unlinked_stream(centres), shift=shift)
+        for centre in centres:
+            assert_stream_path_is_decide(params, _unlinked_stream([centre]), shift=shift)
+    # At a zero shift and a = 0: accepted at exactly 1, rejected beyond.
+    for axis in range(1, dim):
+        for sign in (1.0, -1.0):
+            centre = [0.0] * dim
+            centre[axis] = sign
+            exact = run_online(LatticeFilter(params, shift=(0.0,) * dim), _unlinked_stream([centre]))
+            centre[axis] = math.nextafter(sign, sign * math.inf)
+            beyond = run_online(LatticeFilter(params, shift=(0.0,) * dim), _unlinked_stream([centre]))
+            assert (exact.accepted, beyond.accepted) == ((0,), ())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("tiny", [-1e-300, -5e-324])
+def test_stream_path_at_a_residue_that_rounds_up_to_the_period(dim, tiny):
+    # tiny % TWO_SQRT3 rounds to TWO_SQRT3 itself, the far end of the
+    # period, while decide sees tiny + (TWO_SQRT3 - 1) as TWO_SQRT3 - 1,
+    # exactly 1 from the lattice point it accepts the arrival at.  The
+    # largest coordinate gives no slack here; the band's constant keeps
+    # the arrival a candidate.
+    params = LatticeParams(dim, 0.01)
+    shift = (0.0, TWO_SQRT3 - 1.0) + (0.0,) * (dim - 2)
+    centre = (params.axis1_period - params.axis1_unit, tiny) + (0.0,) * (dim - 2)
+    stream = _unlinked_stream([centre])
+    assert assert_stream_path_is_decide(params, stream, shift=shift) == [0]
+    assert run_online(LatticeFilter(params, shift=shift), stream).accepted == (0,)
+
+
+def test_stream_path_admits_every_arrival_at_huge_coordinates():
+    # Near 1e15 a float step is 0.125, and the band's slack spans the
+    # whole period: every arrival reaches decide, which still accepts some.
+    rng = random.Random(15)
+    centres = [
+        [rng.choice([1e15, -1e15]) + rng.randrange(-400, 400) * 0.125 for _ in range(3)]
+        for _ in range(300)
+    ]
+    stream = _unlinked_stream(centres)
+    for seed in range(10):
+        seen = assert_stream_path_is_decide(P3, stream, seed=seed)
+        assert seen == list(range(len(centres)))
+    assert run_online(LatticeFilter(P3, seed=0), stream).size > 0
+
+
+def test_stream_path_refuses_as_decide_does(k3_stream):
+    # Arrival 0 is off every band at a zero shift (1.9 is more than 1
+    # from 0 and from 2*sqrt(3)), so a refusal at arrival 0 shows that
+    # decide saw every arrival; arrival 1 is on the lattice point.
+    zero = {"shift": (0.0, 0.0, 0.0)}
+    box_stream = ArrivalSequence.from_objects([
+        HyperRectangle((0.0, 1.5, 0.0), (0.5, 2.0, 0.5)),
+        HyperRectangle((3.0, 3.0, 3.0), (4.0, 4.0, 4.0)),
+    ])
+    cases = [
+        (box_stream, "LatticeFilter requires unit-ball payloads"),
+        (_unlinked_stream([(0.0, 1.9, 0.0), (0.0, 0.0, 0.0)], radius=2.0),
+         "LatticeFilter requires unit balls, got radius 2.0"),
+        (_unlinked_stream([(0.0, 1.9), (0.0, 0.0)]), "ball dim 2 does not match lattice dim 3"),
+        (_unlinked_stream([(0.0, 1.9, 0.0, 1.9), (0.0, 0.0, 0.0, 0.0)]),
+         "ball dim 4 does not match lattice dim 3"),
+        (k3_stream, "LatticeFilter requires unit-ball payloads"),
+    ]
+    for stream, message in cases:
+        for _ in range(3):
+            filt = _SeenFilter(P3, **zero)
+            with pytest.raises(UsageError) as err:
+                run_online(filt, stream)
+            assert str(err.value) == message
+            assert filt.seen == [0]
+        assert_stream_path_is_decide(P3, stream, **zero)
+    # A unit ball off every band, then a ball of radius 2: decide rejects
+    # the first and refuses the second, on every run.
+    mixed = ArrivalSequence((
+        ArrivalEvent(0, frozenset(), Ball((0.0, 1.9, 0.0), 1.0)),
+        ArrivalEvent(1, frozenset(), Ball((0.0, 0.0, 0.0), 2.0)),
+    ))
+    assert assert_stream_path_is_decide(P3, mixed, **zero) == [0, 1]
+    assert mixed.cross_residues.candidates(3, (0.0, 0.0)) is None
+
+
+def test_stream_path_on_empty_and_abstract_streams(k3_stream):
+    for stream in (ArrivalSequence(events=(), dim=3), ArrivalSequence(events=())):
+        for _ in range(2):
+            assert run_online(LatticeFilter(P3, seed=1), stream).decisions == ()
+        assert assert_stream_path_is_decide(P3, stream, seed=1) == []
+    assert_stream_path_is_decide(P3, k3_stream, seed=1)
+    assert k3_stream.cross_residues.candidates(3, (0.0, 0.0)) is None
+
+
+def test_cross_residues_sorted_once_from_the_second_run(monkeypatch):
+    # A stream run once is never sorted; the first run that finds the
+    # stream passed sorts it, and every later run of that dim reuses it,
+    # whatever its delta or shift.
+    sorts = []
+    real_sort = CrossResidues._sort
+    monkeypatch.setattr(
+        CrossResidues, "_sort", lambda self, dim: (sorts.append(dim), real_sort(self, dim))
+    )
+    stream = random_unit_ball_stream(random.Random(4), 50, 12.0)
+    first = _SeenFilter(P3, seed=1)
+    run_online(first, stream)
+    assert (first.seen, sorts) == (list(range(50)), [])
+    index = stream.cross_residues
+    for delta, seed in [(0.01, 2), (0.5, 3), (1.0, 4)]:
+        later = _SeenFilter(LatticeParams(3, delta), seed=seed)
+        run_online(later, stream)
+        assert len(later.seen) < 50
+    assert sorts == [3]
+    # A filter of another dim refuses the stream at its first arrival and
+    # leaves the index as it was.
+    with pytest.raises(UsageError, match="ball dim 3 does not match lattice dim 2"):
+        run_online(LatticeFilter(LatticeParams(2, 0.01), seed=5), stream)
+    run_online(LatticeFilter(P3, seed=6), stream)
+    assert stream.cross_residues is index and sorts == [3]
 
 
 def test_filter_acceptance_probability_closed_forms():

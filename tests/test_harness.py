@@ -5,16 +5,21 @@ from operator import add
 
 import pytest
 
+import geomis.algorithms
 import geomis.harness as harness
-from conftest import reference_experiment_records
+import geomis.online
+from conftest import ReferenceLatticeFilter, reference_experiment_records
 from geomis import (
     AdversaryConfig,
     ArrivalSequence,
     ExperimentConfig,
+    LatticeFilter,
+    LatticeParams,
     TrialRecord,
     UsageError,
     class_count,
     derive_seed,
+    generate_instance,
     level_graph_gen,
     random_balls_gen,
     render_csv,
@@ -470,6 +475,54 @@ def test_pool_ships_the_instance_once_per_worker(tmp_path, monkeypatch):
     records, _ = run_experiment(config)
     assert len(records) == 16
     assert len(pickled) <= 2
+
+
+def test_filter_experiment_fires_the_spans_the_benchmark_requires(monkeypatch):
+    # perfbench traces filter experiments through these module attributes
+    # and refuses a run in which one never fires: run_online and
+    # finalize_run once per trial, parity_rounded_point once per covered
+    # arrival.  A path that goes round one of them fails here.
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    calls = {"run_online": 0, "finalize_run": 0}
+    rounded = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(harness, "run_online")
+    counted(geomis.online, "finalize_run")
+    real_round = geomis.algorithms.parity_rounded_point
+
+    def rounding(params, c):
+        rounded.append(list(c))
+        return real_round(params, c)
+
+    monkeypatch.setattr(geomis.algorithms, "parity_rounded_point", rounding)
+    balls = AdversaryConfig(kind="random_balls", n=80, dim=3, box_side=8.0, seed=5)
+    config = ExperimentConfig(
+        algorithm="filter", trials=6, base_seed=42, generator=balls, oracle=False
+    )
+    records, _ = run_experiment(config)
+    assert calls == {"run_online": 6, "finalize_run": 6}
+    # Covered, as the reference judges it: a filter with no cell taken
+    # yet accepts the arrival.
+    stream, params = generate_instance(balls), LatticeParams(3, config.delta)
+    covered = []
+    for i in range(6):
+        shift = LatticeFilter(params, seed=derive_seed(42, i)).shift
+        covered += [
+            [x + b for x, b in zip(ev.payload.center, shift)]
+            for ev in stream.events
+            if ReferenceLatticeFilter(params, shift=shift).decide(ev)
+        ]
+    assert rounded == covered
+    assert sum(r.alg_size for r in records) < len(covered) < 6 * len(stream)
 
 
 def test_oracle_refusal_recorded_not_raised(monkeypatch, tmp_path):

@@ -89,6 +89,8 @@ def test_missing_magic_line():
     [
         ("", "line 1: second line must be 'dim <d>' or 'dim -'"),
         ("ball 0 0 1\n", "line 2: second line must be 'dim <d>' or 'dim -'"),
+        ("dimension 3\n", "line 2: second line must be 'dim <d>' or 'dim -'"),
+        ("dimwit -\n", "line 2: second line must be 'dim <d>' or 'dim -'"),
         ("dim x\n", "line 2: bad dimension 'x'"),
         ("dim 0\n", "line 2: dimension must be >= 1, got 0"),
         ("dim 3 4\n", "line 2: dim line needs exactly one value"),
