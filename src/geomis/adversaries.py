@@ -32,7 +32,7 @@ from .online import (
     RunResult,
     finalize_run,
 )
-from .oracle import OracleRefusal
+from .oracle import OracleRefusal, refuse_above
 
 # Generated instances keep every intersection predicate at least this
 # far from flipping, so closed-contact ties never occur.
@@ -45,7 +45,31 @@ _REDRAW_LIMIT = 1000
 # so a config past this is refused before anything is built.
 LEVELS_ZETA_LIMIT = 1000
 
+# The largest zeta a star adversary may have.  It reveals zeta + 1
+# vertices, about 55 MB of arrivals at the limit.
+STAR_ZETA_LIMIT = 10**5
+
+# The most axes, and the most coordinates over its n objects, that a
+# generated instance or an instance file's dim line may ask for.  The
+# generators allocate per axis, and the class draws of hr_classify draw
+# per axis, before the first object.  10^5 balls in 3-D fit.
+DIM_LIMIT = 1000
+COORDINATE_LIMIT = 10**6
+
 GENERATOR_KINDS = ("star", "levels", "random_balls", "random_rects")
+
+
+def refuse_oversized(n: int, dim: int) -> None:
+    """Refuse, with OracleRefusal, n objects of dim coordinates each
+    past DIM_LIMIT or COORDINATE_LIMIT, before anything is allocated."""
+    if dim > DIM_LIMIT:
+        raise OracleRefusal(f"dim {dim} exceeds the limit {DIM_LIMIT}")
+    refuse_above(COORDINATE_LIMIT, "instance coordinates", n, dim)
+
+
+def _refuse_zeta(kind: str, zeta: int, limit: int) -> None:
+    if zeta > limit:
+        raise OracleRefusal(f"{kind} zeta {zeta} exceeds the limit {limit}")
 
 
 class StarOutcome(NamedTuple):
@@ -62,10 +86,12 @@ def star_adversary(zeta: int, algorithm: OnlineAlgorithm) -> StarOutcome:
     zeta pairwise-independent neighbors of that vertex arrive, all
     unacceptable to any algorithm that must stay independent, so the
     optimum is zeta against one acceptance.  The revealed graph always
-    has independent kissing number at most zeta.
+    has independent kissing number at most zeta.  A zeta above
+    STAR_ZETA_LIMIT is refused.
     """
     if zeta < 1:
         raise UsageError(f"zeta must be >= 1, got {zeta}")
+    _refuse_zeta("star", zeta, STAR_ZETA_LIMIT)
     events = [ArrivalEvent(id=0, neighbors=frozenset())]
     decisions = [algorithm.decide(events[0])]
     if decisions[0]:
@@ -89,10 +115,12 @@ def level_graph_gen(zeta: int, seed: Optional[int] = None) -> ArrivalSequence:
     to that parent and to everything the parent already connects to.
     The maximum independent set has at least zeta + 1 vertices, the
     independent kissing number is at most zeta, and greedy first-fit
-    accepts exactly the two level-1 vertices.
+    accepts exactly the two level-1 vertices.  A zeta above
+    LEVELS_ZETA_LIMIT is refused.
     """
     if zeta < 1:
         raise UsageError(f"zeta must be >= 1, got {zeta}")
+    _refuse_zeta("levels", zeta, LEVELS_ZETA_LIMIT)
     rng = random.Random(seed)
     neighbors: list[frozenset[int]] = [frozenset(), frozenset()]
     for level in range(2, zeta + 1):
@@ -170,6 +198,7 @@ def _require_region(n: int, dim: int, box_side: float) -> float:
         raise UsageError(f"n must be >= 0, got {n}")
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
+    refuse_oversized(n, dim)
     box_side = require_finite("box_side", box_side)
     if box_side <= 0:
         raise UsageError(f"box_side must be positive, got {box_side}")
@@ -258,8 +287,10 @@ class AdversaryConfig:
     """Declarative instance source, usable from config files.
 
     kind is one of GENERATOR_KINDS.  Unused fields may stay at their
-    defaults.  A levels config with zeta above LEVELS_ZETA_LIMIT raises
-    OracleRefusal, so gen and experiment refuse it with exit 2.
+    defaults.  A config past its kind's size bound raises OracleRefusal,
+    so gen and experiment refuse it with exit 2: a levels or star zeta
+    above LEVELS_ZETA_LIMIT or STAR_ZETA_LIMIT, or random objects past
+    refuse_oversized.
     """
 
     kind: str
@@ -286,10 +317,12 @@ class AdversaryConfig:
         for value in self.radius_range:
             require_type("generator radius_range entry", value, float)
         object.__setattr__(self, "radius_range", tuple(self.radius_range))
-        if self.kind == "levels" and self.zeta > LEVELS_ZETA_LIMIT:
-            raise OracleRefusal(
-                f"levels zeta {self.zeta} exceeds the limit {LEVELS_ZETA_LIMIT}"
-            )
+        if self.kind == "levels":
+            _refuse_zeta("levels", self.zeta, LEVELS_ZETA_LIMIT)
+        elif self.kind == "star":
+            _refuse_zeta("star", self.zeta, STAR_ZETA_LIMIT)
+        else:
+            refuse_oversized(self.n, self.dim)
 
 
 def generate_instance(config: AdversaryConfig) -> ArrivalSequence:

@@ -121,26 +121,35 @@ class LatticeFilter:
             raise UsageError(f"ball dim {len(center)} does not match lattice dim {self._dim}")
         if ball.radius != 1.0:
             raise UsageError(f"LatticeFilter requires unit balls, got radius {ball.radius}")
-        # Axes 2..d snap on their own first; one square above 1 rejects,
-        # as a sum of non-negative floats is never below a term.
-        terms = []
-        k = 0
-        for x in map(add, center[1:], self._cross_shift):
-            a = (floor(x / SQRT3) + 1) // 2
-            if (t := (TWO_SQRT3 * a - x) ** 2) > 1.0:
+        try:
+            # Axes 2..d snap on their own first; one square above 1 rejects,
+            # as a sum of non-negative floats is never below a term.
+            terms = []
+            k = 0
+            for x in map(add, center[1:], self._cross_shift):
+                a = (floor(x / SQRT3) + 1) // 2
+                if (t := (TWO_SQRT3 * a - x) ** 2) > 1.0:
+                    return False
+                terms.append(t)
+                k += a
+            # Then axis 1 rounds under k's parity and the squares fold left
+            # from its term, to the bit parity_rounded_point's distance.  The
+            # rounded point covers whenever any lattice point does, so this
+            # decides.
+            x0 = center[0] + self._shift0
+            z1 = floor(x0 / self._unit)
+            m = z1 if z1 % 2 == k % 2 else z1 + 1
+            x1 = self._period * ((m + k) // 2) - self._unit * k
+            if reduce(add, terms, (x1 - x0) ** 2) > 1.0:
                 return False
-            terms.append(t)
-            k += a
-        # Then axis 1 rounds under k's parity and the squares fold left from
-        # its term, to the bit parity_rounded_point's distance.  The rounded
-        # point covers whenever any lattice point does, so this decides.
-        x0 = center[0] + self._shift0
-        z1 = floor(x0 / self._unit)
-        m = z1 if z1 % 2 == k % 2 else z1 + 1
-        x1 = self._period * ((m + k) // 2) - self._unit * k
-        if reduce(add, terms, (x1 - x0) ** 2) > 1.0:
-            return False
-        _, coeffs = parity_rounded_point(self.params, list(map(add, center, self.shift)))
+            _, coeffs = parity_rounded_point(self.params, list(map(add, center, self.shift)))
+        except OverflowError:
+            # Far out, a center's rounding error can square past float range.
+            # Its arrival is refused here, and no coordinate bound is set, so
+            # every decision that completes stays as it was.
+            raise UsageError(
+                f"arrival {event.id}: ball center overflows the lattice arithmetic"
+            ) from None
         if coeffs in self.occupied:
             return False
         self.occupied[coeffs] = event.id

@@ -16,7 +16,8 @@ A file holds one kind of line only.  Geometric files derive adjacency
 from the closed intersection predicates on load; abstract files carry
 it explicitly.  Floats are written with full round-trip precision, so
 save followed by load reproduces the sequence exactly.  A malformed
-file raises InstanceFormatError, which names the offending line.
+file raises InstanceFormatError, which names the offending line; a
+dim past adversaries.DIM_LIMIT raises OracleRefusal.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
+from .adversaries import refuse_oversized
 from .geometry import Ball, HyperRectangle, Shape, UsageError
 from .online import ArrivalSequence, RunResult
 
@@ -64,7 +66,8 @@ def read_utf8(path: Union[str, Path]) -> str:
 
 
 def _parse_dim(line: str) -> Optional[int]:
-    """The dimension a dim line gives; None for "dim -"."""
+    """The dimension a dim line gives; None for "dim -".  A dimension
+    past adversaries.DIM_LIMIT is refused before any arrival is read."""
     parts = line.split()
     if len(parts) != 2:
         raise UsageError("dim line needs exactly one value")
@@ -76,6 +79,7 @@ def _parse_dim(line: str) -> Optional[int]:
         raise UsageError(f"bad dimension {parts[1]!r}") from None
     if dim < 1:
         raise UsageError(f"dimension must be >= 1, got {dim}")
+    refuse_oversized(0, dim)
     return dim
 
 

@@ -20,8 +20,6 @@ smallest witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import AbstractSet, Optional, Sequence
 
 from .geometry import UsageError
@@ -55,40 +53,11 @@ class RatioReport:
 
 
 def _adjacency_masks(graph: Graph) -> list[int]:
-    """Each vertex's neighbors as a bitmask, after checking that every
-    neighbor is an integer vertex other than itself and that every edge
-    is listed at both ends.
-
-    Each mask is one sum over the neighbor set of bits from a table.  A
-    negative neighbor or one from n to 2n - 1 picks the bit past the
-    graph, and a larger one raises IndexError.  A neighbor listed twice
-    carries, so the mask has fewer bits than the set has members.  The
-    first offence is named by _first_offence."""
-    n = len(graph)
-    bits = [1 << u for u in range(n)] + [1 << n] * n
-    try:
-        sizes = list(map(len, graph))
-        masks = [sum(map(bits.__getitem__, nbrs)) for nbrs in graph]
-    except (IndexError, TypeError):
-        return _first_offence(graph)
-    if (
-        max(masks, default=0) >> n
-        or list(map(int.bit_count, masks)) != sizes
-        or any(map(and_, masks, bits))
-        # Each vertex must lie in the mask of every one of its neighbors.
-        or not all(
-            reduce(and_, map(masks.__getitem__, nbrs), bit) for nbrs, bit in zip(graph, bits)
-        )
-    ):
-        return _first_offence(graph)
-    return masks
-
-
-def _first_offence(graph: Graph) -> list[int]:
-    """Raise UsageError naming the first offence: out-of-range and
-    self-loop neighbors vertex by vertex, then the lowest asymmetric
-    edge.  Neighbor collections without a length pass the fast check
-    only here, so with no offence this returns the masks."""
+    """Each vertex's neighbors as a bitmask, in one pass that raises
+    UsageError at the first offence: vertex by vertex, a neighbor out of
+    range, the vertex itself or a non-integer; then the lowest edge
+    listed at one end only.  A neighbor listed twice is accepted, and
+    neighbor collections need not have a length."""
     n = len(graph)
     masks = [0] * n
     for v, nbrs in enumerate(graph):

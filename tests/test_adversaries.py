@@ -17,7 +17,14 @@ from geomis import (
     run_online,
     star_adversary,
 )
-from geomis.adversaries import LEVELS_ZETA_LIMIT, _require_region
+import geomis.adversaries
+from geomis.adversaries import (
+    COORDINATE_LIMIT,
+    DIM_LIMIT,
+    LEVELS_ZETA_LIMIT,
+    STAR_ZETA_LIMIT,
+    _require_region,
+)
 from geomis.oracle import OracleRefusal
 
 from conftest import (
@@ -252,3 +259,66 @@ def test_levels_config_refuses_zeta_above_the_limit():
         AdversaryConfig(kind="levels", zeta=LEVELS_ZETA_LIMIT + 1)
     # The star adversary's instance grows linearly, so the limit is not its.
     assert AdversaryConfig(kind="star", zeta=LEVELS_ZETA_LIMIT + 1).zeta == 1001
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+def _start_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+class _DecideRaises:
+    def decide(self, event):
+        raise _WorkStarted
+
+
+def test_size_limits_admit_the_sizes_in_use():
+    # dim 30 and n 2000 run in the tests, the README and the benchmark;
+    # 10^5 balls in 3-D are planned.
+    assert DIM_LIMIT >= 30 and COORDINATE_LIMIT >= max(2000 * 30, 10**5 * 3)
+    for kind in ("random_balls", "random_rects"):
+        AdversaryConfig(kind=kind, n=COORDINATE_LIMIT // DIM_LIMIT, dim=DIM_LIMIT)
+        AdversaryConfig(kind=kind, n=10**5, dim=3)
+    assert AdversaryConfig(kind="star", zeta=STAR_ZETA_LIMIT).zeta == STAR_ZETA_LIMIT
+
+
+@pytest.mark.parametrize("kind", ["random_balls", "random_rects"])
+@pytest.mark.parametrize(
+    "n, dim, message",
+    [
+        (0, DIM_LIMIT + 1, "dim 1001 exceeds the limit 1000"),
+        (3, 10**21, "dim 1000000000000000000000 exceeds the limit 1000"),
+        (COORDINATE_LIMIT // DIM_LIMIT + 1, DIM_LIMIT,
+         "instance coordinates: 1001 x 1000 exceeds the limit 1000000"),
+        (10**30, 3,
+         "instance coordinates: 1000000000000000000000000000000 x 3 exceeds the limit 1000000"),
+    ],
+)
+def test_oversized_random_instances_refused_before_any_draw(monkeypatch, kind, n, dim, message):
+    for name in ("_place", "_BallIndex", "_BoxEndpoints"):
+        monkeypatch.setattr(geomis.adversaries, name, _start_work)
+    with pytest.raises(OracleRefusal, match=f"^{message}$"):
+        AdversaryConfig(kind=kind, n=n, dim=dim, m=4.0, box_side=10.0)
+    with pytest.raises(OracleRefusal, match=f"^{message}$"):
+        if kind == "random_balls":
+            random_balls_gen(n, dim, 10.0)
+        else:
+            random_rects_gen(n, dim, 4.0, 10.0)
+
+
+def test_oversized_star_refused_before_any_decision():
+    for zeta in (STAR_ZETA_LIMIT + 1, 10**30):
+        message = f"^star zeta {zeta} exceeds the limit {STAR_ZETA_LIMIT}$"
+        with pytest.raises(OracleRefusal, match=message):
+            AdversaryConfig(kind="star", zeta=zeta)
+        with pytest.raises(OracleRefusal, match=message):
+            star_adversary(zeta, _DecideRaises())
+    with pytest.raises(_WorkStarted):
+        star_adversary(STAR_ZETA_LIMIT, _DecideRaises())
+
+
+def test_oversized_levels_generator_refused():
+    with pytest.raises(OracleRefusal, match="^levels zeta 1001 exceeds the limit 1000$"):
+        level_graph_gen(LEVELS_ZETA_LIMIT + 1)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from geomis import (
     ArrivalSequence,
+    ExperimentConfig,
     Ball,
     Classify,
     FirstFit,
@@ -22,11 +23,14 @@ from geomis import (
     derive_seed,
     empirical_ratio,
     exact_mis,
+    independent_kissing_number,
     filter_acceptance_probability,
     is_covered,
     lattice_point,
     random_balls_gen,
+    run_experiment,
     run_online,
+    save_instance,
     width_class_index,
 )
 import geomis.algorithms
@@ -828,6 +832,53 @@ def test_filter_mean_ratio_on_2000_balls_beats_zeta():
     assert reduce(add, ratios) / len(ratios) < 1.0 / filter_acceptance_probability(P3) < 12.0
 
 
+def _nested_family(kind, m):
+    """One object of size M, then unit objects clear of each other and
+    of tangency inside it: boxes of side 1 on a grid of spacing 1.5, or
+    balls of radius 1 on a grid of spacing 3 within M - 1.5 of the
+    center."""
+    if kind == "boxes":
+        lows = [0.25 + 1.5 * i for i in range(int((m - 1.25) // 1.5) + 1)]
+        small = [HyperRectangle((x, y), (x + 1.0, y + 1.0)) for x in lows for y in lows]
+        return [HyperRectangle((0.0, 0.0), (m, m))] + small
+    grid = [3.0 * i for i in range(-int(m // 3), int(m // 3) + 1)]
+    small = [Ball((x, y), 1.0) for x in grid for y in grid if math.hypot(x, y) <= m - 1.5]
+    return [Ball((0.0, 0.0), m)] + small
+
+
+def test_size_ratio_separates_first_fit_from_the_class_algorithms(tmp_path, monkeypatch):
+    # The paper's separation for sizes in [1, M], d = 2: the deterministic
+    # ratio zeta grows polynomially in M on this family, while drawing a
+    # dyadic class keeps the expected ratio within K^d for K classes.
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    for kind, algorithm, axes in (("boxes", "hr_classify", 2), ("balls", "classify", 1)):
+        separations = []
+        for m in (4.0, 8.0, 16.0, 32.0):
+            stream = ArrivalSequence.from_objects(_nested_family(kind, m))
+            n = len(stream)
+            small = n - 1
+            adjacency = stream.adjacency()
+            assert exact_mis(adjacency, node_limit=n).size == small
+            assert independent_kissing_number(adjacency, node_limit=n).zeta == small
+            first_fit = empirical_ratio(small, run_online(FirstFit(), stream).size)
+            assert first_fit == small
+            path = tmp_path / f"{kind}-{m}.gis"
+            save_instance(stream, path)
+            config = ExperimentConfig(
+                algorithm=algorithm, trials=1, base_seed=1, m=m, mode="enumerate",
+                instance_path=str(path), node_limit=n,
+            )
+            records, summary = run_experiment(config)
+            k = class_count(m)
+            assert len(records) == k**axes
+            assert all(r.opt_size == small for r in records)
+            # Enumerate mode runs every class once, so the mean is exact.
+            mean = summary.mean_alg_size
+            assert mean >= small / k**axes
+            separations.append(first_fit / empirical_ratio(small, mean))
+        assert separations == sorted(separations) and len(set(separations)) == 4
+
+
 def test_first_fit_baseline_on_ball_stream():
     rng = random.Random(3)
     stream = random_unit_ball_stream(rng, 30, 10.0)
@@ -836,3 +887,12 @@ def test_first_fit_baseline_on_ball_stream():
     acc = set(result.accepted)
     for v in acc:
         assert not (adj[v] & acc)
+
+
+def test_filter_refuses_an_arrival_whose_arithmetic_overflows():
+    # Axis 1's rounding error at 1e200 squares past float range.
+    filt = LatticeFilter(LatticeParams(dim=2, delta=0.01), shift=(0.0, 0.0))
+    event = ArrivalEvent(7, frozenset(), Ball((1e200, 1e200), 1.0))
+    with pytest.raises(UsageError, match="^arrival 7: ball center overflows the lattice arithmetic$"):
+        filt.decide(event)
+    assert filt.occupied == {}

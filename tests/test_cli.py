@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import geomis
 
 import geomis.cli as cli
 import geomis.harness as harness
@@ -760,3 +766,57 @@ def test_classify_width_error_names_the_arrival(tmp_path, capsys, shapes, width)
         f"error: arrival 1 has width {width}, outside [1, 8.0]:"
         " classify needs every width in [1, M]\n"
     )
+
+
+def _experiment(generator, algorithm="firstfit"):
+    return json.dumps({
+        "algorithm": algorithm, "trials": 2, "base_seed": 1, "generator": generator,
+    })
+
+
+HUGE = 10**21
+NO_ARRIVALS = "geomis-instance v1\ndim {}\n"
+
+
+# Each case fails fast at the unbounded code: a traceback, or exit 0
+# within a second or two, never a run that fills memory.
+@pytest.mark.parametrize(
+    "argv, files, expected",
+    [
+        ("experiment --config c.json",
+         {"c.json": _experiment({"kind": "random_balls", "n": 5, "dim": 3,
+                                 "box_side": 1e308, "seed": 2}, "filter")},
+         (1, "error: arrival 0: ball center overflows the lattice arithmetic\n")),
+        (f"gen --kind random_balls --dim {HUGE} --out x.gis", {},
+         (2, f"refused: dim {HUGE} exceeds the limit 1000\n")),
+        ("gen --kind random_rects --n 0 --dim 1001 --out x.gis", {},
+         (2, "refused: dim 1001 exceeds the limit 1000\n")),
+        ("experiment --config c.json",
+         {"c.json": _experiment({"kind": "random_balls", "n": 5, "dim": HUGE,
+                                 "box_side": 10.0})},
+         (2, f"refused: dim {HUGE} exceeds the limit 1000\n")),
+        ("run --alg filter --in f.gis", {"f.gis": NO_ARRIVALS.format(HUGE)},
+         (2, f"refused: dim {HUGE} exceeds the limit 1000\n")),
+        ("run --alg hr_classify --in f.gis", {"f.gis": NO_ARRIVALS.format(1001)},
+         (2, "refused: dim 1001 exceeds the limit 1000\n")),
+        ("gen --kind random_balls --n 1001 --dim 1000 --box-side 100 --out x.gis", {},
+         (2, "refused: instance coordinates: 1001 x 1000 exceeds the limit 1000000\n")),
+        ("gen --kind star --zeta 100001 --out x.gis", {},
+         (2, "refused: star zeta 100001 exceeds the limit 100000\n")),
+        ("experiment --config c.json", {"c.json": _experiment({"kind": "star", "zeta": 100001})},
+         (2, "refused: star zeta 100001 exceeds the limit 100000\n")),
+    ],
+)
+def test_oversized_and_overflowing_inputs_end_in_one_line(tmp_path, argv, files, expected):
+    """`python -m geomis` in its own process, under a time limit: each
+    input exits 1 or 2 with one stderr line, no output and no traceback."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(geomis.__file__).resolve().parents[1])
+    env = dict(os.environ, GEOMIS_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "geomis", *argv.split()], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == expected
+    assert done.stdout == ""
+    assert not (tmp_path / "x.gis").exists()

@@ -6,6 +6,7 @@ from geomis import (
     FirstFit,
     HyperRectangle,
     InstanceFormatError,
+    OracleRefusal,
     level_graph_gen,
     load_instance,
     random_balls_gen,
@@ -179,3 +180,13 @@ def test_rect_roundtrip_interleaved_bounds(tmp_path):
     ]
     assert body == ["rect 0.25 3.75 -1.5 2.5"]
     assert load_instance(path) == stream
+
+
+def test_dim_line_past_the_limit_refused(tmp_path):
+    path = tmp_path / "empty.gis"
+    path.write_text("geomis-instance v1\ndim 1000\n")
+    assert load_instance(path).dim == 1000
+    for dim in (1001, 10**21):
+        path.write_text(f"geomis-instance v1\ndim {dim}\nball 0.0 1.0\n")
+        with pytest.raises(OracleRefusal, match=f"^dim {dim} exceeds the limit 1000$"):
+            load_instance(path)
