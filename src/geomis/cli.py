@@ -174,12 +174,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     stream = load_instance(args.infile)
-    graph = stream.adjacency()
     if args.what == "mis":
-        print(exact_mis(graph, args.node_limit).size)
+        print(exact_mis(stream.adjacency(), args.node_limit).size)
         return 0
     if args.what == "ikn":
-        print(independent_kissing_number(graph, args.node_limit).zeta)
+        print(independent_kissing_number(stream.adjacency(), args.node_limit).zeta)
         return 0
     report = verify_ratio(stream, _run_algorithm(args, stream), args.node_limit)
     print(f"opt {report.opt_size}")

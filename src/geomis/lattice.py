@@ -154,7 +154,10 @@ def parity_rounded_point(
     coordinates, computed exactly as lattice_point computes them, and
     its coefficients.
     """
-    x0, *rest = c
+    try:
+        x0, *rest = c
+    except ValueError:  # no coordinate at all
+        raise UsageError(f"query dim 0 does not match lattice dim {params.dim}") from None
     if len(rest) + 1 != params.dim:
         raise UsageError(
             f"query dim {len(rest) + 1} does not match lattice dim {params.dim}"

@@ -5,9 +5,8 @@ Both run on one memoized branching engine per graph, which peels
 simplicial vertices (those whose remaining neighborhood is a clique,
 degree-0 and degree-1 vertices among them), splits what is left into
 connected components solved (and memoized) one by one, and branches on
-a highest-degree vertex of a connected remainder, skipping the take
-branch when a neighbor dominates that vertex.  The kissing number solves every neighborhood as a mask of the graph's
-own adjacency.
+a highest-degree vertex of a connected remainder.  The kissing number
+solves every neighborhood as a mask of the graph's own adjacency.
 Witnesses are built component by component too, and exact_mis builds
 its witness only when it is first read, so a caller that wants the
 size alone never pays for one.  Exponential-time machinery for small
@@ -171,21 +170,9 @@ class _MisEngine:
             if deg > best_deg:
                 best_deg = deg
                 best_v = v
-        # A neighbor of best_v with no neighbor outside N[best_v]
-        # dominates it: swapping best_v for that neighbor keeps any
-        # independent set independent, so some optimum skips best_v.
         # Skipping best_v changes only its neighbors' neighborhoods.
-        nbrs = self.adj[best_v] & m
-        rest = t = m & ~self.closed[best_v]
-        reached = 0
-        while t:
-            w = (t & -t).bit_length() - 1
-            t &= t - 1
-            reached |= self.adj[w]
-        without = self.size(m & ~(1 << best_v), nbrs)
-        if nbrs & ~reached:
-            return without
-        return max(without, 1 + self.size(rest))
+        without = self.size(m & ~(1 << best_v), self.adj[best_v] & m)
+        return max(without, 1 + self.size(m & ~self.closed[best_v]))
 
     def witness(self, mask: int) -> tuple[int, ...]:
         """Lexicographically smallest maximum independent set within mask.

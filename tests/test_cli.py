@@ -139,6 +139,23 @@ def test_oracle_node_limit_flag(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what", ["mis", "ikn", "ratio"])
+def test_oracle_builds_the_graph_once(tmp_path, capsys, monkeypatch, what):
+    path = tmp_path / "balls.txt"
+    config = AdversaryConfig(kind="random_balls", n=30, dim=3, box_side=8.0, seed=1)
+    save_instance(generate_instance(config), path)
+    built = []
+    real = ArrivalSequence.adjacency
+
+    def counting(self):
+        built.append(len(self))
+        return real(self)
+
+    monkeypatch.setattr(ArrivalSequence, "adjacency", counting)
+    assert cli_dispatch(["oracle", "--what", what, "--in", str(path)]) == 0
+    assert built == [30]
+
+
 @pytest.mark.parametrize("command", ["mis", "ikn", "ratio", "experiment"])
 def test_negative_node_limit_exits_one(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("GEOMIS_THREADS", "1")

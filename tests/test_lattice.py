@@ -116,6 +116,13 @@ def test_parity_rounding_rejects_a_dimension_mismatch():
             parity_rounded_point(P3, query)
 
 
+@pytest.mark.parametrize("query", [[], ()])
+def test_lattice_queries_refuse_an_empty_point(query):
+    for ask in (parity_rounded_point, is_covered, closest_lattice_point):
+        with pytest.raises(UsageError, match="^query dim 0 does not match lattice dim 3$"):
+            ask(P3, query)
+
+
 @given(
     data=st.data(),
     params=st.builds(LatticeParams, dim=st.integers(2, 5), delta=st.sampled_from([0.01, 0.3, 1.0])),

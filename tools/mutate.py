@@ -10,8 +10,10 @@ exit status 1.
 
 Every mutant is written into a temporary copy of src/, tests/, README.md
 and pyproject.toml, so the checkout is never edited.  Mutants run one
-after another, each in one pytest process of the whole suite; one that
-runs past TIMEOUT (a flip can make a loop never end) counts as killed.
+after another, each in one pytest process of the whole suite.  The
+unmutated suite runs first and sets the limit: a mutant that runs past
+TIMEOUT_FACTOR times its time, or past TIMEOUT_FLOOR if that is longer
+(a flip can make a loop never end), counts as killed.
 
     python tools/mutate.py
     python tools/mutate.py --modules oracle.py geometry.py
@@ -36,7 +38,8 @@ EQUIVALENT = Path(__file__).resolve().with_name("mutate_equivalent.txt")
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 FUNCTION_FLIPS = {"le": "lt", "lt": "le"}
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
-TIMEOUT = 600.0  # seconds per mutant
+TIMEOUT_FACTOR = 3.0  # a mutant's limit, in unmutated suite runs
+TIMEOUT_FLOOR = 60.0  # seconds: the least limit a mutant gets
 SKIPPED = (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT)
 
 
@@ -92,11 +95,11 @@ def accepted_keys() -> set[str]:
     return {line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")}
 
 
-def run_tests(copy: Path) -> str:
+def run_tests(copy: Path, timeout: float | None) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     # pytest exits 0 when all pass, 1 when a test fails; anything else
@@ -119,9 +122,13 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(src, copy / name)
-        if run_tests(copy) != "survived":
+        start = time.perf_counter()
+        if run_tests(copy, None) != "survived":
             print("error: the tests fail on the unmutated copy", file=sys.stderr)
             return 2
+        elapsed = time.perf_counter() - start
+        timeout = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * elapsed)
+        print(f"unmutated suite {elapsed:.1f}s; limit per mutant {timeout:.1f}s", flush=True)
         total = 0
         for module in args.modules:
             path = copy / "src" / "geomis" / module
@@ -130,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
                 total += 1
                 path.write_text(apply(source, m), encoding="utf-8")
                 start = time.perf_counter()
-                outcome = run_tests(copy)
+                outcome = run_tests(copy, timeout)
                 path.write_text(source, encoding="utf-8")
                 if outcome == "survived":
                     if m.key in accepted:
