@@ -151,7 +151,7 @@ class _BallIndex:
         return True
 
     def add(self, ball: Ball) -> None:
-        self.grid.add(ball.center)
+        self.grid.add(ball.center, len(self.balls))
         self.balls.append(ball)
 
 
@@ -248,7 +248,7 @@ def random_balls_gen(
         return Ball(center=center, radius=radius)
 
     objects = _place(n, draw, _BallIndex(dim, hi, box_side))
-    return ArrivalSequence.from_objects(objects)
+    return ArrivalSequence.from_objects(objects, dim)
 
 
 def random_rects_gen(
@@ -279,7 +279,7 @@ def random_rects_gen(
         return HyperRectangle(lo, list(map(add, lo, sides)))
 
     objects = _place(n, draw, _BoxEndpoints(dim))
-    return ArrivalSequence.from_objects(objects)
+    return ArrivalSequence.from_objects(objects, dim)
 
 
 @dataclass(frozen=True)

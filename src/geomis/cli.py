@@ -4,10 +4,12 @@ Subcommands: gen (write instances), run (one online run), oracle
 (exact offline answers), lattice (self-checks of the lattice layer),
 experiment (seeded trial batches with CSV reports).
 
-Exit status: 0 on success, 1 on usage errors (bad flags, malformed
-files, unsupported combinations), 2 when a requested validation or
-check fails (including oracle refusals, and lattice self-checks refused
-before they start because their work would pass a fixed limit).
+Exit status: 0 on success; 1 on a usage error (bad flags, malformed
+files, unsupported combinations), with one "error:" line on stderr; 2
+on a refusal (work past a fixed limit, refused before it starts), with
+one "refused:" line, or on a failed check (run's valid_independent,
+oracle --what ratio's bound_satisfied, a lattice self-check), whose
+report goes to stdout with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .geometry import UsageError
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .instances import load_instance, read_utf8, save_instance, save_transcript
 from .lattice import (
+    DEFAULT_DELTA,
     LatticeParams,
     _coords,
     closest_lattice_point,
@@ -106,7 +109,7 @@ def _build_parser() -> _Parser:
     lattice.add_argument("--check", required=True,
                          choices=["mindist", "closest", "volume"])
     lattice.add_argument("--dim", type=int, default=3)
-    lattice.add_argument("--delta", type=float, default=0.01)
+    lattice.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     lattice.add_argument("--window", type=int, default=3, help="mindist: coefficients in"
                          " [-w, w]^dim; closest: within w of each query's rounded point")
     lattice.add_argument("--samples", type=int, default=10000)
@@ -130,7 +133,7 @@ def _build_parser() -> _Parser:
 def _add_algorithm_flags(parser: argparse.ArgumentParser) -> None:
     """The flags _run_algorithm builds the --alg strategy from."""
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--delta", type=float, default=0.01)
+    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     parser.add_argument("--M", dest="m", type=float, default=8.0)
 
 

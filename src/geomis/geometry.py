@@ -10,9 +10,9 @@ avoid knife-edge cases keep their inputs away from exact tangency.
 
 intersection_graph joins both shapes over one UniformGrid: int cell
 keys on at most the first three axes, so at most 27 neighbour cells in
-any dimension, and cells sorted once, before the join, on a first
-coordinate that boxes bisect.  The box predicate tests the last axis
-and axis 0 before the rest.
+any dimension, each cell filled in the first-coordinate order that
+boxes bisect.  The box predicate tests the last axis and axis 0 before
+the rest.
 """
 
 from __future__ import annotations
@@ -165,10 +165,8 @@ class UniformGrid:
     and keeps ``floor`` from overflow.  A cell key is one int: the cell's
     coordinates, offset so the lowest is 1, as mixed-radix digits, axis 0
     the most significant, with a spare digit at both ends, so a
-    neighbour's key is the key plus a fixed delta.  Items are numbered
-    0, 1, ... as added, and a cell lists them in that order until
-    ``cell_pairs`` sorts each cell once on their points' first
-    coordinates, ``firsts[item]``, ties in insertion order.
+    neighbour's key is the key plus a fixed delta.  A cell lists its
+    items in the order they were added.
     """
 
     def __init__(self, reach: float, lows: Sequence[float], highs: Sequence[float]) -> None:
@@ -186,17 +184,14 @@ class UniformGrid:
         ]
         self._later = deltas[len(deltas) // 2 + 1:]
         self._cells: dict[int, list[int]] = {}
-        self.firsts: list[float] = []
 
     def _key(self, coords: Sequence[float]) -> int:
         side = self.side
         return self._base + sum([math.floor(x / side) * s for x, s in zip(coords, self._strides)])
 
-    def add(self, coords: Sequence[float]) -> None:
-        """Store the next item, numbered by how many came before it, in the
-        cell of the point coords."""
-        self._cells.setdefault(self._key(coords), []).append(len(self.firsts))
-        self.firsts.append(coords[0])
+    def add(self, coords: Sequence[float], item: int) -> None:
+        """Store item in the cell of the point coords."""
+        self._cells.setdefault(self._key(coords), []).append(item)
 
     def near(self, coords: Sequence[float]) -> Iterator[int]:
         """Items stored in the cells around the point coords, in no set order."""
@@ -207,10 +202,8 @@ class UniformGrid:
     def cell_pairs(self) -> Iterator[tuple[list[int], list[int]]]:
         """Every two occupied cells at most one step apart on every keyed
         axis, each pair once: a cell with itself, then with each of larger
-        key.  Each cell is first sorted on ``firsts``, stably."""
-        cells, first = self._cells, self.firsts.__getitem__
-        for cell in cells.values():
-            cell.sort(key=first)
+        key."""
+        cells = self._cells
         for key, cell in cells.items():
             yield cell, cell
             for delta in self._later:
@@ -226,10 +219,11 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
     kind.  Vertex i is objects[i]; an edge means the closed shapes meet.
     This is a cell-pair join: every object is bucketed once into a
     UniformGrid keyed by ball centers (cell side twice the largest
-    radius) or box lower corners (cell side the largest box side), each
-    cell is sorted once on that point's first coordinate, and each
-    candidate pair from UniformGrid.cell_pairs is decided by _balls_meet
-    or _boxes_meet, which tests a box pair's last axis and axis 0 first.
+    radius) or box lower corners (cell side the largest box side), in
+    order of that point's first coordinate, ties in list order, so each
+    cell is sorted on it; each candidate pair from UniformGrid.cell_pairs
+    is decided by _balls_meet or _boxes_meet, which tests a box pair's
+    last axis and axis 0 first.
     A box i is tested only against the prefix that hi_i[0] bisects off a
     cell (sort and sweep in a grid: Cohen, Lin, Manocha & Ponamgi,
     I-COLLIDE 1995), in its own cell past i.  That is exact: it drops only
@@ -264,10 +258,10 @@ def intersection_graph(objects: Sequence[Shape]) -> list[set[int]]:
         reach = max([max(map(sub, hi, lo)) for lo, hi in zip(keys, extras)])
         meet = _boxes_meet
         bounds = [hi[0] for hi in extras]
+    first = [key[0] for key in keys].__getitem__
     grid = UniformGrid(reach, [min(a) for a in zip(*keys)], [max(a) for a in zip(*keys)])
-    for key in keys:
-        grid.add(key)
-    first = grid.firsts.__getitem__
+    for i in sorted(range(n), key=first):
+        grid.add(keys[i], i)
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for members, others in grid.cell_pairs():
         same = members is others

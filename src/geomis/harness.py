@@ -34,6 +34,7 @@ from .adversaries import AdversaryConfig, generate_instance, star_adversary
 from .algorithms import check_parameters, class_choices, make_algorithm
 from .geometry import UsageError, require_finite, require_type
 from .instances import load_instance
+from .lattice import DEFAULT_DELTA
 from .online import ArrivalSequence, empirical_ratio, run_online
 from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, check_node_limit, exact_mis
 
@@ -105,7 +106,7 @@ class ExperimentConfig:
     base_seed: int
     instance_path: Optional[str] = None
     generator: Optional[AdversaryConfig] = None
-    delta: float = 0.01
+    delta: float = DEFAULT_DELTA
     m: float = 0.0
     mode: str = "sample"
     oracle: bool = True

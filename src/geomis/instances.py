@@ -156,9 +156,7 @@ def load_instance(path: Union[str, Path]) -> ArrivalSequence:
         raise InstanceFormatError(line_no, str(exc)) from None
     if dim is None:
         return ArrivalSequence.from_neighbor_lists(items)
-    if items:
-        return ArrivalSequence.from_objects(items)
-    return ArrivalSequence(events=(), dim=dim)
+    return ArrivalSequence.from_objects(items, dim)
 
 
 def _format_event_line(ev) -> str:

@@ -59,8 +59,9 @@ SQRT3 = math.sqrt(3.0)
 # The step on axes 2..d.  TWO_SQRT3 * a is 2.0 * SQRT3 * a to the bit.
 TWO_SQRT3 = 2.0 * SQRT3
 
-# The largest stretch LatticeParams accepts.  delta is meant to be small;
-# larger values only thin the lattice out, and huge ones overflow floats.
+# LatticeParams' default stretch and the largest it accepts.  Larger
+# values only thin the lattice out, and huge ones overflow floats.
+DEFAULT_DELTA = 0.01
 MAX_DELTA = 1.0
 
 CoeffVector = tuple[int, ...]
@@ -79,7 +80,7 @@ class LatticeParams:
     (0, MAX_DELTA]."""
 
     dim: int
-    delta: float = 0.01
+    delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -346,6 +347,8 @@ def mc_volume_fraction(
 
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     if len(origin) != params.dim:
         raise UsageError("origin dimension mismatch")
     rng = np.random.default_rng(seed)

@@ -65,9 +65,10 @@ class ArrivalSequence:
             raise UsageError("payloads must be present on every event or on none")
 
     @classmethod
-    def from_objects(cls, objects: Sequence[Shape]) -> "ArrivalSequence":
+    def from_objects(cls, objects: Sequence[Shape], dim: Optional[int] = None) -> "ArrivalSequence":
         """Arrival order = list order; each object is its own payload, and
-        edges come from intersection_graph, which rejects non-shapes."""
+        edges come from intersection_graph, which rejects non-shapes.
+        dim, which every object must have, defaults to the first object's."""
         adjacency = intersection_graph(objects)
         events = tuple(
             ArrivalEvent(
@@ -77,7 +78,6 @@ class ArrivalSequence:
             )
             for i, obj in enumerate(objects)
         )
-        dim = objects[0].dim if objects else None
         return cls(events=events, dim=dim)
 
     @classmethod

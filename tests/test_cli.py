@@ -83,6 +83,46 @@ def test_run_firstfit_on_k3(tmp_path, capsys):
     assert "valid_independent true" in out
 
 
+def test_gen_with_no_arrivals_keeps_the_dim(tmp_path, capsys):
+    out = tmp_path / "empty.gis"
+    rc = cli_dispatch(["gen", "--kind", "random_balls", "--n", "0", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == "geomis-instance v1\ndim 3\n"
+    assert load_instance(out).dim == 3
+
+
+@pytest.mark.parametrize("oracle", [True, False])
+@pytest.mark.parametrize("fields", [
+    {"algorithm": "filter",
+     "generator": {"kind": "random_balls", "n": 0, "dim": 3, "box_side": 8.0}},
+    {"algorithm": "hr_classify", "M": 4.0, "mode": "enumerate",
+     "generator": {"kind": "random_rects", "n": 0, "dim": 2, "M": 4.0, "box_side": 8.0}},
+])
+def test_experiment_on_a_generator_placing_nothing(tmp_path, capsys, monkeypatch, fields, oracle):
+    monkeypatch.setenv("GEOMIS_THREADS", "1")
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"trials": 2, "base_seed": 3, "oracle": oracle, **fields}))
+    assert cli_dispatch(["experiment", "--config", str(config)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "trial,seed,alg,n,alg_size,opt_size,ratio,time_ms"
+    assert rows
+    for row in rows:
+        _, _, alg, n, alg_size, opt_size, ratio, _ = row.split(",")
+        assert (alg, n, alg_size) == (fields["algorithm"], "0", "0")
+        assert (opt_size, ratio) == (("0", "1.0") if oracle else ("", ""))
+
+
+def test_failed_check_reports_on_stdout_alone(tmp_path, capsys):
+    path = tmp_path / "one.gis"
+    path.write_text("geomis-instance v1\ndim 3\nball 0.0 0.0 0.0 1.0\n")
+    # Seed 0's shift leaves the ball uncovered, so the filter accepts nothing.
+    argv = ["oracle", "--what", "ratio", "--alg", "filter", "--seed", "0", "--in", str(path)]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith("alg 0\nratio inf\nzeta 0\nbound_satisfied false\n")
+    assert captured.err == ""
+
+
 def test_run_on_empty_instance(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("geomis-instance v1\ndim -\n")

@@ -1,12 +1,14 @@
-"""Fuzz the CLI contract in process: experiment configs and instance
-files, drawn valid and then broken in at most two places.
+"""Fuzz the CLI contract in process: experiment configs, instance
+files and the argv of gen, run, oracle and lattice, drawn valid and
+then broken in at most two places.
 
 Whatever the input, cli_dispatch returns 0, 1 or 2 and lets no
 exception escape, and a non-zero exit prints exactly one stderr line,
 starting with "error:" or "refused:".  The one other non-zero exit is a
-ratio whose bound fails: a report on stdout, with exit 2 and nothing on
-stderr.  No drawn value is valid but large, so each example is refused
-before any instance is built or runs in a few milliseconds.
+failed check, a ratio whose bound fails or a lattice self-check that
+fails: a report on stdout, with exit 2 and nothing on stderr.  No
+drawn value is valid but large, so each example is refused before any
+instance is built or runs in a few milliseconds.
 """
 
 import contextlib
@@ -210,3 +212,114 @@ def test_instance_files_keep_the_contract(tmp_path):
         _assert_contract(*_dispatch([*command, "--in", str(path)]))
 
     check()
+
+
+# CLI argv: each subcommand's flags, each drawn from small valid values
+# (MISSING leaves an optional flag at its default).  A value is split on
+# spaces into tokens; --in and --out name files in the test's directory.
+# --window and --samples are never left out: at their defaults a closest
+# check is valid but scans up to 10^7 window points.
+FLAGS = {
+    "gen": {
+        "--kind": GENERATOR_KINDS,
+        "--zeta": ("1", "3", MISSING),
+        "--n": ("0", "7", "30", MISSING),
+        "--dim": ("1", "2", "4", MISSING),
+        "--M": ("1", "4.5", MISSING),
+        "--box-side": ("5", "10", MISSING),
+        "--radius-range": ("1 1", "1 2", MISSING),
+        "--seed": ("0", "7", MISSING),
+        "--out": ("out.gis",),
+    },
+    "run": {
+        "--alg": ALGORITHMS,
+        "--in": tuple(FILES),
+        "--seed": ("0", "7", MISSING),
+        "--delta": ("0.01", "1", MISSING),
+        "--M": ("4", "8.5", MISSING),
+    },
+    "oracle": {
+        "--what": ("mis", "ikn", "ratio"),
+        "--in": tuple(FILES),
+        "--alg": (*ALGORITHMS, MISSING),
+        "--seed": ("0", "7", MISSING),
+        "--delta": ("0.01", "1", MISSING),
+        "--M": ("4", "8.5", MISSING),
+        "--node-limit": ("0", "40", MISSING),
+    },
+    "lattice": {
+        "--check": ("mindist", "closest", "volume"),
+        "--dim": ("2", "3", "4", MISSING),
+        "--delta": ("0.01", "1", MISSING),
+        "--window": ("1", "2"),
+        "--samples": ("1", "50"),
+        "--seed": ("0", "7", MISSING),
+    },
+}
+# Hostile tokens for any flag.  HUGE parses as every int and float flag;
+# each flag it could make large (zeta, n, dim, window, samples) has a
+# limit that refuses it before anything is allocated.
+ARGV_HOSTILE = ("-1", "0", "nan", "inf", "-inf", "x", "2.5", "", str(HUGE), "1 1",
+                "absent.gis", ".")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's argv from FLAGS, then at most two flags given a
+    hostile value or left out, and sometimes an unknown flag or an
+    unknown subcommand."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    values = {flag: draw(st.sampled_from(pool)) for flag, pool in flags.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        kept = flag in ("--window", "--samples")
+        values[flag] = draw(st.sampled_from((*ARGV_HOSTILE, *(() if kept else (MISSING,)))))
+    argv = [command]
+    for flag, value in values.items():
+        if value is not MISSING:
+            argv += [flag, *value.split(" ")]
+    extra = draw(st.sampled_from((None,) * 8 + ("--bogus", "subcommand")))
+    if extra == "--bogus":
+        argv += ["--bogus", "1"]
+    elif extra == "subcommand":
+        argv[0] = "bogus"
+    return argv
+
+
+def _assert_argv_contract(rc, out, err):
+    if rc == 2 and out.endswith("FAIL\n"):  # a lattice self-check that fails
+        assert err == ""
+    else:
+        _assert_contract(rc, out, err)
+
+
+# The examples are hand probes of the contract, then the one input that
+# ended in a traceback: a negative volume seed, which numpy refused.
+def test_cli_argv_keeps_the_contract(tmp_path):
+    for name, fields in FILES.items():
+        save_instance(generate_instance(AdversaryConfig(**fields)), tmp_path / name)
+
+    @FUZZ
+    @given(argv=argvs())
+    @example(argv=["gen", "--kind", "random_balls", "--n", "0", "--out", "out.gis"])
+    @example(argv=["gen", "--kind", "star", "--zeta", "0", "--out", "out.gis"])
+    @example(argv=["gen", "--kind", "random_balls", "--box-side", "1e308", "--out", "out.gis"])
+    @example(argv=["gen", "--kind", "random_balls", "--radius-range", "1", "1e308",
+                   "--out", "out.gis"])
+    @example(argv=["gen", "--kind", "random_rects", "--M", "2", "--out", "out.gis"])
+    @example(argv=["gen", "--kind", "levels", "--zeta", str(HUGE), "--out", "out.gis"])
+    @example(argv=["oracle", "--what", "mis", "--node-limit", "-1", "--in", "balls.gis"])
+    @example(argv=["oracle", "--what", "ratio", "--alg", "filter", "--in", "balls.gis"])
+    @example(argv=["lattice", "--check", "mindist", "--window", "0"])
+    @example(argv=["lattice", "--check", "closest", "--dim", str(HUGE)])
+    @example(argv=["lattice", "--check", "volume", "--samples", "1"])
+    @example(argv=["lattice", "--check", "volume", "--samples", "1", "--seed", "-1"])
+    def check(argv):
+        argv = list(argv)
+        for at, token in enumerate(argv[:-1]):
+            if token in ("--in", "--out"):
+                argv[at + 1] = str(tmp_path / argv[at + 1])
+        _assert_argv_contract(*_dispatch(argv))
+
+    check()
+

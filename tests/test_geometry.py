@@ -271,6 +271,17 @@ def test_intersection_graph_matches_pairwise_on_workload_shapes(kind, n, dim, bo
     assert sum(map(len, adj)) > n
 
 
+@pytest.mark.parametrize("objects", [
+    [Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), Ball((9.0, 0.0, 0.0), 1.0)],
+    [HyperRectangle((0.0, 0.0), (1.0, 1.0)), HyperRectangle((0.0, 0.0), (1.0, 1.0)),
+     HyperRectangle((5.0, 5.0, 5.0), (6.0, 6.0, 6.0))],
+])
+def test_intersection_graph_refuses_objects_of_two_dims(objects):
+    with pytest.raises(UsageError) as err:
+        intersection_graph(objects)
+    assert str(err.value) == "object 2 has dim 3, expected 2"
+
+
 def test_intersection_graph_rejects_mixed_kinds_far_apart():
     ball = Ball((0.0, 0.0), 1.0)
     rect = HyperRectangle((500.0, 500.0), (501.0, 501.0))

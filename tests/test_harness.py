@@ -215,6 +215,8 @@ RECTS_PER_TRIAL = {"generator": AdversaryConfig(kind="random_rects", n=4, dim=2,
       "generator": STAR}, "enumerate mode needs a fixed instance"),
     ({"algorithm": "hr_classify", "m": 8.0, "mode": "enumerate", "instance_path": None,
       **RECTS_PER_TRIAL}, "enumerate mode needs a fixed instance"),
+    ({"algorithm": "firstfit", "mode": "bogus"},
+     "mode must be 'sample' or 'enumerate', got 'bogus'"),
 ])
 def test_algorithm_parameters_refused_when_the_config_is_built(fields, message):
     with pytest.raises(UsageError) as err:

@@ -7,6 +7,7 @@ from geomis import (
     HyperRectangle,
     InstanceFormatError,
     OracleRefusal,
+    UsageError,
     level_graph_gen,
     load_instance,
     random_balls_gen,
@@ -156,6 +157,25 @@ def test_transcript_is_loadable_and_replayable(tmp_path):
     reloaded = load_instance(path)
     assert reloaded == stream
     assert run_online(FirstFit(), reloaded) == result
+
+
+def test_transcript_refuses_a_result_of_another_length(tmp_path):
+    stream = random_balls_gen(5, dim=2, box_side=10.0, seed=1)
+    result = run_online(FirstFit(), random_balls_gen(4, dim=2, box_side=10.0, seed=1))
+    path = tmp_path / "run.txt"
+    with pytest.raises(UsageError) as err:
+        save_transcript(stream, result, path)
+    assert str(err.value) == "result does not match the stream length"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("stream, dim", [
+    (random_balls_gen(0, dim=3, box_side=10.0, seed=1), 3),
+    (random_rects_gen(0, dim=2, m=4.0, box_side=10.0, seed=1), 2),
+])
+def test_empty_generated_instance_keeps_its_dim(tmp_path, stream, dim):
+    assert stream.dim == dim and len(stream) == 0
+    assert roundtrip(stream, tmp_path) == stream
 
 
 def test_mixed_precision_floats_roundtrip(tmp_path):

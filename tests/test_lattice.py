@@ -380,3 +380,17 @@ def test_unit_ball_volume_closed_forms():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coverage_cells(P3, np.zeros((4, 2))), "expected shape (n, 3), got (4, 2)"),
+    (lambda: coverage_cells(P3, np.zeros(3)), "expected shape (n, 3), got (3,)"),
+    (lambda: min_pairwise_distance(P3, window=0), "window must be >= 1, got 0"),
+    (lambda: unit_ball_volume(0), "dimension must be >= 1, got 0"),
+    (lambda: mc_volume_fraction(P3, (0.0, 0.0, 0.0), samples=1, seed=-1),
+     "seed must be >= 0, got -1"),
+])
+def test_lattice_helpers_refuse_bad_arguments(call, message):
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == message

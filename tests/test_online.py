@@ -50,6 +50,17 @@ def test_payload_dims_must_agree_with_the_first():
     assert ArrivalSequence(events=events[:1]).dim == 2
 
 
+def test_from_objects_takes_its_dim_from_the_caller_or_the_first_object():
+    balls = [Ball((0.0, 0.0), 1.0), Ball((5.0, 0.0), 1.0)]
+    assert ArrivalSequence.from_objects(balls).dim == 2
+    assert ArrivalSequence.from_objects(balls, 2).dim == 2
+    assert ArrivalSequence.from_objects([]).dim is None
+    assert ArrivalSequence.from_objects([], 3).dim == 3
+    with pytest.raises(UsageError) as err:
+        ArrivalSequence.from_objects(balls, dim=3)
+    assert str(err.value) == "event 0 payload dim 2 != sequence dim 3"
+
+
 def test_from_objects_derives_adjacency():
     objs = [
         Ball((0.0, 0.0), 1.0),

@@ -440,6 +440,12 @@ def test_mis_result_built_from_a_witness_keeps_equality_and_repr():
     assert repr(exact_mis(cycle(5))) == repr(built)
 
 
+def test_mis_result_leaves_equality_with_another_type_to_it():
+    result = MisResult(size=2, witness=(0, 2))
+    assert result.__eq__((2, (0, 2))) is NotImplemented
+    assert result != (2, (0, 2)) and (2, (0, 2)) != result
+
+
 def test_independent_kissing_number_examples():
     empty = independent_kissing_number([])
     assert empty.zeta == 0 and empty.witness_center is None
