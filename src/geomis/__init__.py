@@ -2,7 +2,7 @@
 intersection graphs, with exact offline oracles and a seeded
 experiment harness.  The names imported below are the public API."""
 
-from .geometry import Ball, HyperRectangle, UsageError, intersection_graph
+from .geometry import Ball, HyperRectangle, OracleRefusal, UsageError, intersection_graph
 from .lattice import (
     CoeffVector,
     LatticeParams,
@@ -45,7 +45,6 @@ from .oracle import (
     DEFAULT_NODE_LIMIT,
     IknResult,
     MisResult,
-    OracleRefusal,
     RatioReport,
     exact_mis,
     independent_kissing_number,

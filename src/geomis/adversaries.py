@@ -22,6 +22,9 @@ from .geometry import (
     Shape,
     UniformGrid,
     UsageError,
+    refuse_above,
+    refuse_beyond,
+    require_at_least,
     require_finite,
     require_type,
 )
@@ -32,7 +35,6 @@ from .online import (
     RunResult,
     finalize_run,
 )
-from .oracle import OracleRefusal, refuse_above
 
 # Generated instances keep every intersection predicate at least this
 # far from flipping, so closed-contact ties never occur.
@@ -62,14 +64,8 @@ GENERATOR_KINDS = ("star", "levels", "random_balls", "random_rects")
 def refuse_oversized(n: int, dim: int) -> None:
     """Refuse, with OracleRefusal, n objects of dim coordinates each
     past DIM_LIMIT or COORDINATE_LIMIT, before anything is allocated."""
-    if dim > DIM_LIMIT:
-        raise OracleRefusal(f"dim {dim} exceeds the limit {DIM_LIMIT}")
+    refuse_beyond("dim", dim, DIM_LIMIT)
     refuse_above(COORDINATE_LIMIT, "instance coordinates", n, dim)
-
-
-def _refuse_zeta(kind: str, zeta: int, limit: int) -> None:
-    if zeta > limit:
-        raise OracleRefusal(f"{kind} zeta {zeta} exceeds the limit {limit}")
 
 
 class StarOutcome(NamedTuple):
@@ -89,9 +85,8 @@ def star_adversary(zeta: int, algorithm: OnlineAlgorithm) -> StarOutcome:
     has independent kissing number at most zeta.  A zeta above
     STAR_ZETA_LIMIT is refused.
     """
-    if zeta < 1:
-        raise UsageError(f"zeta must be >= 1, got {zeta}")
-    _refuse_zeta("star", zeta, STAR_ZETA_LIMIT)
+    require_at_least("zeta", zeta, 1)
+    refuse_beyond("star zeta", zeta, STAR_ZETA_LIMIT)
     events = [ArrivalEvent(id=0, neighbors=frozenset())]
     decisions = [algorithm.decide(events[0])]
     if decisions[0]:
@@ -118,9 +113,8 @@ def level_graph_gen(zeta: int, seed: Optional[int] = None) -> ArrivalSequence:
     accepts exactly the two level-1 vertices.  A zeta above
     LEVELS_ZETA_LIMIT is refused.
     """
-    if zeta < 1:
-        raise UsageError(f"zeta must be >= 1, got {zeta}")
-    _refuse_zeta("levels", zeta, LEVELS_ZETA_LIMIT)
+    require_at_least("zeta", zeta, 1)
+    refuse_beyond("levels zeta", zeta, LEVELS_ZETA_LIMIT)
     rng = random.Random(seed)
     neighbors: list[frozenset[int]] = [frozenset(), frozenset()]
     for level in range(2, zeta + 1):
@@ -194,10 +188,8 @@ def _endpoint_near(values: list[float], x: float) -> bool:
 
 def _require_region(n: int, dim: int, box_side: float) -> float:
     """Check n, dim and box_side before any draw; box_side as a float."""
-    if n < 0:
-        raise UsageError(f"n must be >= 0, got {n}")
-    if dim < 1:
-        raise UsageError(f"dim must be >= 1, got {dim}")
+    require_at_least("n", n, 0)
+    require_at_least("dim", dim, 1)
     refuse_oversized(n, dim)
     box_side = require_finite("box_side", box_side)
     if box_side <= 0:
@@ -269,8 +261,7 @@ def random_rects_gen(
     """
     box_side = _require_region(n, dim, box_side)
     m = require_finite("M", m)
-    if m < 1:
-        raise UsageError(f"M must be >= 1, got {m}")
+    require_at_least("M", m, 1)
     uniform = random.Random(seed).uniform
 
     def draw() -> HyperRectangle:
@@ -318,9 +309,9 @@ class AdversaryConfig:
             require_type("generator radius_range entry", value, float)
         object.__setattr__(self, "radius_range", tuple(self.radius_range))
         if self.kind == "levels":
-            _refuse_zeta("levels", self.zeta, LEVELS_ZETA_LIMIT)
+            refuse_beyond("levels zeta", self.zeta, LEVELS_ZETA_LIMIT)
         elif self.kind == "star":
-            _refuse_zeta("star", self.zeta, STAR_ZETA_LIMIT)
+            refuse_beyond("star zeta", self.zeta, STAR_ZETA_LIMIT)
         else:
             refuse_oversized(self.n, self.dim)
 

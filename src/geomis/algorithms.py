@@ -45,7 +45,7 @@ from math import floor
 from operator import add, le, lt, sub
 from typing import Optional, Sequence
 
-from .geometry import Ball, HyperRectangle, UsageError
+from .geometry import Ball, HyperRectangle, UsageError, refuse_above, require_at_least
 from .lattice import (
     SQRT3,
     TWO_SQRT3,
@@ -56,7 +56,6 @@ from .lattice import (
     unit_ball_volume,
 )
 from .online import ArrivalEvent, ArrivalSequence, FirstFit, OnlineAlgorithm
-from .oracle import refuse_above
 
 
 def _floor_log2(x: float) -> int:
@@ -253,8 +252,7 @@ class HRClassify(_ClassFirstFit):
         self, m: float, dim: int, seed: Optional[int] = None,
         forced_classes: Optional[Sequence[int]] = None,
     ) -> None:
-        if dim < 1:
-            raise UsageError(f"dim must be >= 1, got {dim}")
+        require_at_least("dim", dim, 1)
         super().__init__(m, dim, seed, forced_classes)
 
     def _sizes(self, event: ArrivalEvent) -> list[float]:

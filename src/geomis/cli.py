@@ -5,9 +5,10 @@ Subcommands: gen (write instances), run (one online run), oracle
 experiment (seeded trial batches with CSV reports).
 
 Exit status: 0 on success; 1 on a usage error (bad flags, malformed
-files, unsupported combinations), with one "error:" line on stderr; 2
-on a refusal (work past a fixed limit, refused before it starts), with
-one "refused:" line, or on a failed check (run's valid_independent,
+files, unsupported combinations: geometry.UsageError or an OSError),
+with one "error:" line on stderr; 2 on a refusal (work past a fixed
+limit, refused before it starts: geometry.OracleRefusal), with one
+"refused:" line, or on a failed check (run's valid_independent,
 oracle --what ratio's bound_satisfied, a lattice self-check), whose
 report goes to stdout with nothing on stderr.
 """
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 
 from .adversaries import GENERATOR_KINDS, AdversaryConfig, generate_instance, star_adversary
 from .algorithms import ALGORITHMS, filter_acceptance_probability, make_algorithm
-from .geometry import UsageError
+from .geometry import OracleRefusal, UsageError, refuse_above, require_at_least
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .instances import load_instance, read_utf8, save_instance, save_transcript
 from .lattice import (
@@ -40,14 +41,7 @@ from .lattice import (
     unit_ball_volume,
 )
 from .online import ArrivalSequence, FirstFit, RunResult, run_online
-from .oracle import (
-    DEFAULT_NODE_LIMIT,
-    OracleRefusal,
-    exact_mis,
-    independent_kissing_number,
-    refuse_above,
-    verify_ratio,
-)
+from .oracle import DEFAULT_NODE_LIMIT, exact_mis, independent_kissing_number, verify_ratio
 
 
 # The most work each lattice self-check may take on, refused before
@@ -204,15 +198,10 @@ def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) 
     return best
 
 
-def _require_positive(name: str, value: int) -> None:
-    if value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
-
-
 def _cmd_lattice(args: argparse.Namespace) -> int:
     params = LatticeParams(dim=args.dim, delta=args.delta)
     if args.check == "mindist":
-        _require_positive("window", args.window)
+        require_at_least("window", args.window, 1)
         side = 4 * args.window + 1
         refuse_above(
             MINDIST_DIFFERENCE_LIMIT, "mindist lattice differences", side, side, params.dim - 1
@@ -222,8 +211,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print(f"required > 4: {'pass' if value > 4.0 else 'FAIL'}")
         return 0 if value > 4.0 else 2
     if args.check == "closest":
-        _require_positive("samples", args.samples)
-        _require_positive("window", args.window)
+        require_at_least("samples", args.samples, 1)
+        require_at_least("window", args.window, 1)
         refuse_above(
             CLOSEST_POINT_LIMIT, "closest window points scanned",
             args.samples, 2 * args.window + 1, params.dim,
@@ -245,14 +234,16 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print(f"coverage_mismatches {cover_mismatches}")
         print("pass" if ok else "FAIL")
         return 0 if ok else 2
-    _require_positive("samples", args.samples)
+    require_at_least("samples", args.samples, 1)
     refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", args.samples, params.dim)
     rng = random.Random(args.seed)
     origin = tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim))
     period_volume = math.prod(params.shift_extents())
     fraction, stderr = mc_volume_fraction(params, origin, args.samples, seed=args.seed)
     expected = filter_acceptance_probability(params)
-    ok = abs(fraction - expected) <= 3.0 * stderr
+    # Three binomial standard errors of the expected fraction: the
+    # sample's own error is 0 when every sample lands on one side.
+    ok = abs(fraction - expected) <= 3.0 * math.sqrt(expected * (1.0 - expected) / args.samples)
     print(f"box_origin {origin}")
     print(f"covered_fraction {fraction!r} (stderr {stderr:.3e})")
     print(f"expected_fraction {expected!r}")
@@ -299,10 +290,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except OracleRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,13 @@ keys on at most the first three axes, so at most 27 neighbour cells in
 any dimension, each cell filled in the first-coordinate order that
 boxes bisect.  The box predicate tests the last axis and axis 0 before
 the rest.
+
+This module also owns the input contract every entry point keeps.  A
+bad input raises UsageError, which the CLI reports as one "error:" line
+and exit 1; work past a fixed bound raises OracleRefusal, one
+"refused:" line and exit 2.  require_type, require_finite and
+require_at_least check an input; refuse_beyond and refuse_above refuse
+one past a bound.
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ _KEYED_AXES = 3
 
 class UsageError(ValueError):
     """Raised for malformed or inconsistent caller input."""
+
+
+class OracleRefusal(RuntimeError):
+    """Raised when requested work exceeds a hard size limit: the
+    oracle's node limit, a lattice self-check's work cap, a generator's
+    size limits or an experiment's trial limit."""
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
@@ -56,6 +69,27 @@ def require_finite(name: str, value: float) -> float:
     if not math.isfinite(x):
         raise UsageError(f"{name} must be finite, got {x}")
     return x
+
+
+def require_at_least(name: str, value: int, low: int) -> None:
+    """Raise UsageError when value is below low."""
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
+
+
+def refuse_beyond(name: str, value: int, limit: int) -> None:
+    """Raise OracleRefusal when value is above limit."""
+    if value > limit:
+        raise OracleRefusal(f"{name} {value} exceeds the limit {limit}")
+
+
+def refuse_above(limit: int, what: str, count: int, base: int, exponent: int = 1) -> None:
+    """Refuse work on count * base**exponent items above limit, for
+    count >= 1 and base >= 2.  The exponent is clipped where the power
+    already passes limit, so that no huge power is ever computed."""
+    if count * base ** min(exponent, limit.bit_length()) > limit:
+        power = f"{base}^{exponent}" if exponent > 1 else str(base)
+        raise OracleRefusal(f"{what}: {count} x {power} exceeds the limit {limit}")
 
 
 def _coordinates(values: Iterable[float]) -> tuple[float, ...]:

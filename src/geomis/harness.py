@@ -32,11 +32,18 @@ from typing import Optional, Sequence, Union
 
 from .adversaries import AdversaryConfig, generate_instance, star_adversary
 from .algorithms import check_parameters, class_choices, make_algorithm
-from .geometry import UsageError, require_finite, require_type
+from .geometry import (
+    OracleRefusal,
+    UsageError,
+    refuse_beyond,
+    require_at_least,
+    require_finite,
+    require_type,
+)
 from .instances import load_instance
 from .lattice import DEFAULT_DELTA
 from .online import ArrivalSequence, empirical_ratio, run_online
-from .oracle import DEFAULT_NODE_LIMIT, OracleRefusal, check_node_limit, exact_mis
+from .oracle import DEFAULT_NODE_LIMIT, exact_mis
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,8 +62,7 @@ def derive_seed(base_seed: int, trial_index: int) -> int:
     arithmetic, identical on every platform.  Distinct trial indices
     under one base seed always produce distinct values.
     """
-    if trial_index < 0:
-        raise UsageError(f"trial_index must be >= 0, got {trial_index}")
+    require_at_least("trial_index", trial_index, 0)
     x = (int(base_seed) + (trial_index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -128,7 +134,7 @@ class ExperimentConfig:
         ):
             require_type(name, value, kind)
         require_finite("M", self.m)
-        check_node_limit(self.node_limit)
+        require_at_least("node_limit", self.node_limit, 0)
         for name, value in (("instance_path", self.instance_path), ("out", self.out)):
             if value is not None:
                 require_type(name, value, str)
@@ -137,10 +143,9 @@ class ExperimentConfig:
             raise UsageError("exactly one of instance_path or generator is required")
         if self.mode not in ("sample", "enumerate"):
             raise UsageError(f"mode must be 'sample' or 'enumerate', got {self.mode!r}")
-        if self.mode == "sample" and self.trials < 1:
-            raise UsageError(f"trials must be >= 1, got {self.trials}")
-        if self.mode == "sample" and self.trials > TRIAL_LIMIT:
-            raise OracleRefusal(f"trials {self.trials} exceeds the limit {TRIAL_LIMIT}")
+        if self.mode == "sample":
+            require_at_least("trials", self.trials, 1)
+            refuse_beyond("trials", self.trials, TRIAL_LIMIT)
         if self.instance_per_trial and self.generator is None:
             raise UsageError("instance_per_trial requires a generator source")
         if self.mode == "enumerate" and (self.instance_per_trial or self.adaptive):
@@ -228,8 +233,7 @@ def _worker_count(trials: int) -> int:
             cap = int(env)
         except ValueError:
             raise UsageError(f"GEOMIS_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise UsageError(f"GEOMIS_THREADS must be >= 1, got {cap}")
+        require_at_least("GEOMIS_THREADS", cap, 1)
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, trials))

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .adversaries import refuse_oversized
-from .geometry import Ball, HyperRectangle, Shape, UsageError
+from .geometry import Ball, HyperRectangle, Shape, UsageError, require_at_least
 from .online import ArrivalSequence, RunResult
 
 MAGIC = "geomis-instance v1"
@@ -77,8 +77,7 @@ def _parse_dim(line: str) -> Optional[int]:
         dim = int(parts[1])
     except ValueError:
         raise UsageError(f"bad dimension {parts[1]!r}") from None
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
+    require_at_least("dimension", dim, 1)
     refuse_oversized(0, dim)
     return dim
 

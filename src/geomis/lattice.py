@@ -53,7 +53,7 @@ from functools import cached_property, reduce
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .geometry import UsageError
+from .geometry import UsageError, require_at_least
 
 SQRT3 = math.sqrt(3.0)
 # The step on axes 2..d.  TWO_SQRT3 * a is 2.0 * SQRT3 * a to the bit.
@@ -83,8 +83,7 @@ class LatticeParams:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise UsageError(f"lattice dimension must be >= 2, got {self.dim}")
+        require_at_least("lattice dimension", self.dim, 2)
         check_delta(self.delta)
         object.__setattr__(self, "delta", float(self.delta))
 
@@ -320,8 +319,7 @@ def min_pairwise_distance(params: LatticeParams, window: int = 3) -> float:
     are products, and axes 2..d add up by a left fold, as a short numpy
     row sums (sum() compensates from Python 3.12 on), before x1*x1.
     """
-    if window < 1:
-        raise UsageError(f"window must be >= 1, got {window}")
+    require_at_least("window", window, 1)
     span = range(-2 * window, 2 * window + 1)
     best = math.inf
     for a1, *rest in itertools.product(span, repeat=params.dim):
@@ -345,10 +343,8 @@ def mc_volume_fraction(
     """
     import numpy as np
 
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    require_at_least("samples", samples, 1)
+    require_at_least("seed", seed, 0)
     if len(origin) != params.dim:
         raise UsageError("origin dimension mismatch")
     rng = np.random.default_rng(seed)
@@ -363,6 +359,5 @@ def mc_volume_fraction(
 
 def unit_ball_volume(dim: int) -> float:
     """Lebesgue volume of the unit ball in R^dim."""
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
+    require_at_least("dimension", dim, 1)
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional, Protocol, Sequence
 
-from .geometry import Shape, UsageError, intersection_graph
+from .geometry import Shape, UsageError, intersection_graph, require_at_least
 from .lattice import CrossResidues
 
 
@@ -179,8 +179,7 @@ def run_online(algorithm: OnlineAlgorithm, stream: ArrivalSequence) -> RunResult
 def empirical_ratio(opt_size: int, alg_size: int) -> float:
     """opt/alg with the conventions: empty vs empty is 1, empty alg vs
     nonempty opt is +inf."""
-    if opt_size < 0:
-        raise UsageError(f"opt_size must be >= 0, got {opt_size}")
+    require_at_least("opt_size", opt_size, 0)
     if alg_size == 0:
         return 1.0 if opt_size == 0 else float("inf")
     return opt_size / alg_size

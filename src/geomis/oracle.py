@@ -12,8 +12,8 @@ its witness only when it is first read, so a caller that wants the
 size alone never pays for one.  Exponential-time machinery for small
 instances only: every entry point validates its graph and refuses
 inputs past a hard node limit, which counts the whole graph, instead of
-silently grinding.  Results are deterministic, with lexicographically
-smallest witnesses.
+silently grinding, with geometry's UsageError and OracleRefusal.
+Results are deterministic, with lexicographically smallest witnesses.
 """
 
 from __future__ import annotations
@@ -21,18 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
 
-from .geometry import UsageError
+from .geometry import OracleRefusal, UsageError, require_at_least
 from .online import ArrivalSequence, RunResult, empirical_ratio
 
 DEFAULT_NODE_LIMIT = 40
 
 Graph = Sequence[AbstractSet[int]]
-
-
-class OracleRefusal(RuntimeError):
-    """Raised when requested work exceeds a hard size limit: the
-    oracle's node limit, a lattice self-check's work cap, the levels
-    generator's zeta limit or an experiment's trial limit."""
 
 
 @dataclass(frozen=True)
@@ -242,25 +236,10 @@ class MisResult:
         return f"MisResult(size={self.size!r}, witness={self.witness!r})"
 
 
-def check_node_limit(node_limit: int) -> None:
-    """Reject a negative node_limit, which no graph could satisfy."""
-    if node_limit < 0:
-        raise UsageError(f"node_limit must be >= 0, got {node_limit}")
-
-
-def refuse_above(limit: int, what: str, count: int, base: int, exponent: int = 1) -> None:
-    """Refuse work on count * base**exponent items above limit, for
-    count >= 1 and base >= 2.  The exponent is clipped where the power
-    already passes limit, so that no huge power is ever computed."""
-    if count * base ** min(exponent, limit.bit_length()) > limit:
-        power = f"{base}^{exponent}" if exponent > 1 else str(base)
-        raise OracleRefusal(f"{what}: {count} x {power} exceeds the limit {limit}")
-
-
 def _whole_graph_engine(graph: Graph, node_limit: int) -> _MisEngine:
     """Refuse a graph above node_limit before any work, then validate it
     and build its engine."""
-    check_node_limit(node_limit)
+    require_at_least("node_limit", node_limit, 0)
     n = len(graph)
     if n > node_limit:
         raise OracleRefusal(
@@ -287,7 +266,7 @@ def independent_kissing_number(
     the whole graph once, then solves every neighborhood on one engine.
     Refuses if any neighborhood exceeds node_limit.
     """
-    check_node_limit(node_limit)
+    require_at_least("node_limit", node_limit, 0)
     engine = _MisEngine(_adjacency_masks(graph))
     zeta, center = _kissing_number(engine, node_limit)
     witness = () if center is None else engine.witness(engine.adj[center])

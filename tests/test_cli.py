@@ -316,6 +316,15 @@ def test_lattice_volume_check(capsys):
     assert out.rstrip().endswith("pass")
 
 
+def test_volume_check_passes_a_correct_lattice_at_few_samples(capsys):
+    # The tolerance comes from the expected fraction: a sample whose
+    # points all land on one side has a standard error of 0.
+    for seed in range(10):
+        argv = ["--check", "volume", "--dim", "3", "--samples", "10", "--seed", str(seed)]
+        assert cli_dispatch(["lattice", *argv]) == 0
+        assert capsys.readouterr().out.endswith("\npass\n")
+
+
 @pytest.mark.parametrize("dim", range(2, 12))
 def test_volume_check_expects_the_filter_acceptance_probability(dim, capsys):
     for delta in (0.001, 0.01, 0.07, 0.1, 0.3, 0.5, 1.0):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -64,3 +65,28 @@ print({NUMPY_MODULES})
     assert done.stdout.count("valid_independent true") == 3
     assert "algorithm filter" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_input_contract_lives_in_geometry():
+    # The strategies and generators refuse through geometry alone, and
+    # one helper writes every lower-bound message.
+    package = Path(geomis.__file__).resolve().parent
+    importers, lines, trees = set(), [], {}
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = trees[path.stem] = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "oracle":
+                importers.add(path.stem)
+        lines += [
+            (path.stem, number)
+            for number, line in enumerate(text.splitlines(), 1)
+            if "must be >=" in line
+        ]
+    assert importers == {"harness", "cli", "__init__"}
+    helper = next(
+        node for node in trees["geometry"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "require_at_least"
+    )
+    [(module, number)] = lines
+    assert module == "geometry" and helper.lineno <= number <= helper.end_lineno
