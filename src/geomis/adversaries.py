@@ -154,16 +154,20 @@ class _BoxEndpoints:
 
     The box margin rule compares a new box with every accepted box, near
     or far, on every axis, so it looks endpoints up by value instead of
-    by neighbourhood.
+    by neighbourhood.  The same per-axis pass also turns away a box whose
+    stored side hi - lo, which is what HyperRectangle.sides reads, has
+    rounded out of [1, m].
     """
 
-    def __init__(self, dim: int) -> None:
+    def __init__(self, dim: int, m: float) -> None:
         self.los: list[list[float]] = [[] for _ in range(dim)]
         self.his: list[list[float]] = [[] for _ in range(dim)]
+        self.m = m
 
     def clear(self, box: HyperRectangle) -> bool:
+        m = self.m
         for al, au, los, his in zip(box.lo, box.hi, self.los, self.his):
-            if _endpoint_near(his, al) or _endpoint_near(los, au):
+            if not 1.0 <= au - al <= m or _endpoint_near(his, al) or _endpoint_near(los, au):
                 return False
         return True
 
@@ -257,7 +261,10 @@ def random_rects_gen(
     endpoint is within DEGENERACY_MARGIN (1e-6) of the upper endpoint of
     any accepted box, near or far, or its upper endpoint is within 1e-6
     of such a box's lower endpoint.  So no two boxes have facing
-    endpoints within 1e-6 on any axis.
+    endpoints within 1e-6 on any axis.  A draw is also redrawn when
+    lo + side rounds to an upper endpoint whose stored side hi - lo
+    leaves [1, M], so every box meets HRClassify's side rule; at M = 1
+    that is a side of exactly 1.
     """
     box_side = _require_region(n, dim, box_side)
     m = require_finite("M", m)
@@ -269,7 +276,7 @@ def random_rects_gen(
         sides = [uniform(1.0, m) for _ in range(dim)]
         return HyperRectangle(lo, list(map(add, lo, sides)))
 
-    objects = _place(n, draw, _BoxEndpoints(dim))
+    objects = _place(n, draw, _BoxEndpoints(dim, m))
     return ArrivalSequence.from_objects(objects, dim)
 
 

@@ -156,23 +156,17 @@ class LatticeFilter:
 
     def decide_stream(self, stream: ArrivalSequence) -> list[bool]:
         """decide on every arrival of the stream, in order, with the
-        decisions and occupied that gives.  The stream's first filter
-        run of this dim calls decide on every arrival, which so checks
-        every payload, and a run without a refusal passes the stream's
-        cross_residues.  From then on only its candidates under this
-        shift reach decide; every other arrival decide would reject on
-        an axis 2..d without touching occupied, so it is False here."""
+        decisions and occupied that gives.  Only the candidates of the
+        stream's cross_residues reach decide; every other arrival decide
+        would reject on an axis 2..d without touching occupied, so it is
+        False here.  A run without a refusal passes the stream."""
         events = stream.events
         index = stream.cross_residues
-        candidates = index.candidates(self._dim, self._cross_shift)
-        if candidates is None:
-            decisions = list(map(self.decide, events))
-            index.passed(self._dim)
-            return decisions
         decisions = [False] * len(events)
         decide = self.decide
-        for i in candidates:
+        for i in index.candidates(self._dim, self._cross_shift):
             decisions[i] = decide(events[i])
+        index.passed(self._dim)
         return decisions
 
 

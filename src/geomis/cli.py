@@ -44,10 +44,9 @@ from .online import ArrivalSequence, FirstFit, RunResult, run_online
 from .oracle import DEFAULT_NODE_LIMIT, exact_mis, independent_kissing_number, verify_ratio
 
 
-# The most work each lattice self-check may take on, refused before
-# anything is allocated.  The README and CI commands need at most 13^3
-# differences, 10000 x 7^3 window points and 200000 x 3 coordinates.
-MINDIST_DIFFERENCE_LIMIT = 10**6
+# The most work the closest and volume self-checks may take on, refused
+# before anything is allocated.  The README and CI commands need at most
+# 10000 x 7^3 window points and 200000 x 3 coordinates.
 CLOSEST_POINT_LIMIT = 10**7
 VOLUME_COORDINATE_LIMIT = 4 * 10**6
 
@@ -201,11 +200,6 @@ def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     params = LatticeParams(dim=args.dim, delta=args.delta)
     if args.check == "mindist":
-        require_at_least("window", args.window, 1)
-        side = 4 * args.window + 1
-        refuse_above(
-            MINDIST_DIFFERENCE_LIMIT, "mindist lattice differences", side, side, params.dim - 1
-        )
         value = min_pairwise_distance(params, window=args.window)
         print(f"min_pairwise_distance {value!r}")
         print(f"required > 4: {'pass' if value > 4.0 else 'FAIL'}")

@@ -53,7 +53,7 @@ from functools import cached_property, reduce
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .geometry import UsageError, require_at_least
+from .geometry import UsageError, refuse_above, refuse_beyond, require_at_least
 
 SQRT3 = math.sqrt(3.0)
 # The step on axes 2..d.  TWO_SQRT3 * a is 2.0 * SQRT3 * a to the bit.
@@ -63,6 +63,11 @@ TWO_SQRT3 = 2.0 * SQRT3
 # values only thin the lattice out, and huge ones overflow floats.
 DEFAULT_DELTA = 0.01
 MAX_DELTA = 1.0
+
+# Work limits of min_pairwise_distance (lattice differences) and of
+# closest_lattice_point (window points), refused before either starts.
+MINDIST_DIFFERENCE_LIMIT = 10**6
+CLOSEST_WINDOW_LIMIT = 10**8
 
 CoeffVector = tuple[int, ...]
 
@@ -193,11 +198,11 @@ class CrossResidues:
     bisects.  The keys hold every residue twice, r and r + TWO_SQRT3, so
     a band that wraps past the period is one slice.
 
-    decide alone checks the payloads.  The index sorts a stream only
-    once a filter of some dim has decided every arrival of it without a
-    refusal (passed), so only unit balls of that dim are sorted, and only
-    from the stream's second filter run on: a stream run once would pay
-    a sort that costs more than one run saves.
+    candidates names every arrival until a filter of some dim has decided
+    every arrival without a refusal (passed), so decide alone checks the
+    payloads and only unit balls of that dim are sorted, on the stream's
+    second filter run: a stream run once would pay a sort that costs
+    more than one run saves.
     """
 
     def __init__(self, events: Sequence) -> None:
@@ -208,15 +213,16 @@ class CrossResidues:
 
     def passed(self, dim: int) -> None:
         """Record that a filter of dim decided every arrival without a refusal."""
-        self._dim, self._keys = dim, None
-
-    def candidates(self, dim: int, cross_shift: Sequence[float]) -> Optional[list[int]]:
-        """Ids, in arrival order, of the arrivals inside the band of
-        every axis 2..d under the shift's axes 2..d: a superset of the
-        arrivals decide does not reject on one of those axes.  None
-        until the stream has passed at dim."""
         if dim != self._dim:
-            return None
+            self._dim, self._keys = dim, None
+
+    def candidates(self, dim: int, cross_shift: Sequence[float]) -> Sequence[int]:
+        """Ids, in arrival order, of the arrivals a filter of dim sends to
+        decide: every id until the stream has passed at dim, then those
+        inside the band of every axis 2..d under the shift's axes 2..d, a
+        superset of the arrivals decide does not reject on one of them."""
+        if dim != self._dim:
+            return range(len(self._events))
         if self._keys is None:
             self._sort(dim)
         windows = []
@@ -251,8 +257,10 @@ def closest_lattice_point(
 
     Starts from the parity-rounded point, whose distance D bounds the
     answer, then scans every lattice point whose per-axis distances can
-    stay within D: a constant-size window for fixed dimension.  Exact
-    up to float rounding; ties keep the first candidate in scan order.
+    stay within D: a constant-size window for fixed dimension, growing
+    about like 4^(dim-1), refused above CLOSEST_WINDOW_LIMIT points and
+    scanned without being stored.  Exact up to float rounding; ties keep
+    the first candidate in scan order.
     """
     if not all(map(math.isfinite, c)):
         raise UsageError(f"non-finite coordinate in {tuple(c)!r}")
@@ -262,11 +270,17 @@ def closest_lattice_point(
         range(math.ceil((x - bound) / TWO_SQRT3), math.floor((x + bound) / TWO_SQRT3) + 1)
         for x in c[1:]
     ]
-    candidates = []
-    for combo in itertools.product(*axis_ranges):
+    points = math.prod(map(len, axis_ranges))
+    refuse_beyond("closest_lattice_point window points", points, CLOSEST_WINDOW_LIMIT)
+
+    def candidate(combo: CoeffVector) -> tuple[tuple[float, ...], CoeffVector]:
         a1 = _axis1_coeff(params, c[0], sum(combo))
-        candidates.append((_coords(params, a1, combo), (a1, *combo)))
-    return min(candidates, key=lambda cand: reduce(add, [(a - b) ** 2 for a, b in zip(cand[0], c)]))
+        return _coords(params, a1, combo), (a1, *combo)
+
+    return min(
+        map(candidate, itertools.product(*axis_ranges)),
+        key=lambda cand: reduce(add, [(a - b) ** 2 for a, b in zip(cand[0], c)]),
+    )
 
 
 def is_covered(params: LatticeParams, c: Sequence[float]) -> bool:
@@ -315,12 +329,15 @@ def min_pairwise_distance(params: LatticeParams, window: int = 3) -> float:
 
     Pairwise differences of such points are exactly the lattice points
     with coefficients in [-2*window, 2*window]^dim, so the minimum over
-    pairs equals the minimum norm over that difference window.  Squares
-    are products, and axes 2..d add up by a left fold, as a short numpy
-    row sums (sum() compensates from Python 3.12 on), before x1*x1.
+    pairs equals the minimum norm over that difference window, refused
+    above MINDIST_DIFFERENCE_LIMIT differences.  Squares are products,
+    and axes 2..d add up by a left fold, as a short numpy row sums
+    (sum() compensates from Python 3.12 on), before x1*x1.
     """
     require_at_least("window", window, 1)
     span = range(-2 * window, 2 * window + 1)
+    side = len(span)
+    refuse_above(MINDIST_DIFFERENCE_LIMIT, "mindist lattice differences", side, side, params.dim - 1)
     best = math.inf
     for a1, *rest in itertools.product(span, repeat=params.dim):
         if a1 == 0 and not any(rest):
@@ -358,6 +375,11 @@ def mc_volume_fraction(
 
 
 def unit_ball_volume(dim: int) -> float:
-    """Lebesgue volume of the unit ball in R^dim."""
+    """Lebesgue volume of the unit ball in R^dim.  Past the float range
+    of gamma (dim 342) or of the power of pi (about dim 1240), the same
+    quotient is taken in logs."""
     require_at_least("dimension", dim, 1)
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    try:
+        return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    except OverflowError:
+        return math.exp(dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0))

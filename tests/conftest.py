@@ -343,12 +343,12 @@ def _margin_ok(a: Shape, others: list[Shape], margin: float) -> bool:
     return True
 
 
-def _draw_until_clear(draw, n: int, margin: float) -> list[Shape]:
+def _draw_until_clear(draw, n: int, margin: float, fits=lambda obj: True) -> list[Shape]:
     accepted: list[Shape] = []
     for _ in range(n):
         for _ in range(1000):
             obj = draw()
-            if _margin_ok(obj, accepted, margin):
+            if fits(obj) and _margin_ok(obj, accepted, margin):
                 accepted.append(obj)
                 break
         else:
@@ -375,7 +375,8 @@ def reference_random_balls(
 def reference_random_rects(
     n: int, dim: int, m: float, box_side: float, seed: int, margin: float = 1e-6
 ) -> list[Shape]:
-    """random_rects_gen's objects, drawn from the same RNG calls."""
+    """random_rects_gen's objects, drawn from the same RNG calls: a box
+    whose stored sides leave [1, m] is redrawn."""
     rng = random.Random(seed)
 
     def draw() -> Shape:
@@ -384,7 +385,10 @@ def reference_random_rects(
         hi = tuple(l + s for l, s in zip(lo, sides))
         return HyperRectangle(lo, hi)
 
-    return _draw_until_clear(draw, n, margin)
+    def fits(box: Shape) -> bool:
+        return all(1.0 <= s <= m for s in box.sides)
+
+    return _draw_until_clear(draw, n, margin, fits)
 
 
 def _reference_algorithm(config, stream, seed, forced):

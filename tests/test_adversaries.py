@@ -149,8 +149,8 @@ def test_generator_input_validation():
 
 
 def test_random_rects_at_m_one_draw_unit_sides():
-    # Every drawn side is exactly 1.0, so hi is lo + 1.0 to the bit;
-    # hi - lo only rounds back to within a few ulps of 1.
+    # Every drawn side is exactly 1.0, so hi is lo + 1.0 to the bit, and
+    # a box whose hi - lo rounds away from 1 is redrawn.
     stream = random_rects_gen(40, dim=3, m=1.0, box_side=20.0, seed=3)
     assert len(stream) == 40
     for ev in stream.events:

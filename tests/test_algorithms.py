@@ -731,7 +731,7 @@ def test_stream_path_refuses_as_decide_does(k3_stream):
         ArrivalEvent(1, frozenset(), Ball((0.0, 0.0, 0.0), 2.0)),
     ))
     assert assert_stream_path_is_decide(P3, mixed, **zero) == [0, 1]
-    assert mixed.cross_residues.candidates(3, (0.0, 0.0)) is None
+    assert list(mixed.cross_residues.candidates(3, (0.0, 0.0))) == [0, 1]
 
 
 def test_stream_path_on_empty_and_abstract_streams(k3_stream):
@@ -740,7 +740,7 @@ def test_stream_path_on_empty_and_abstract_streams(k3_stream):
             assert run_online(LatticeFilter(P3, seed=1), stream).decisions == ()
         assert assert_stream_path_is_decide(P3, stream, seed=1) == []
     assert_stream_path_is_decide(P3, k3_stream, seed=1)
-    assert k3_stream.cross_residues.candidates(3, (0.0, 0.0)) is None
+    assert list(k3_stream.cross_residues.candidates(3, (0.0, 0.0))) == [0, 1, 2]
 
 
 def test_cross_residues_sorted_once_from_the_second_run(monkeypatch):

@@ -10,6 +10,7 @@ import geomis
 
 import geomis.cli as cli
 import geomis.harness as harness
+import geomis.lattice as lattice
 from geomis import (
     AdversaryConfig,
     ArrivalSequence,
@@ -71,6 +72,20 @@ def test_gen_random_balls_with_radius_range(tmp_path):
     stream = load_instance(out)
     radii = {ev.payload.radius for ev in stream.events}
     assert len(stream) == 12 and max(radii) > 1.0
+
+
+def test_gen_random_rects_at_m_one_round_trips_through_hr_classify(tmp_path, capsys):
+    # Every side drawn at M = 1 is 1, and a box whose stored hi - lo
+    # rounds away from 1 is redrawn, so hr_classify accepts the file.
+    out = str(tmp_path / "unit.gis")
+    rc = cli_dispatch(["gen", "--kind", "random_rects", "--M", "1", "--n", "200", "--dim", "3",
+                       "--box-side", "20", "--seed", "0", "--out", out])
+    assert rc == 0
+    capsys.readouterr()
+    assert cli_dispatch(["run", "--alg", "hr_classify", "--in", out]) == 0
+    captured = capsys.readouterr()
+    assert "valid_independent true" in captured.out
+    assert captured.err == ""
 
 
 def test_run_firstfit_on_k3(tmp_path, capsys):
@@ -260,8 +275,11 @@ def _start_work(*args, **kwargs):
 
 @pytest.fixture
 def lattice_work_stubbed(monkeypatch):
-    """Each lattice self-check's first piece of work raises _WorkStarted."""
-    for name in ("min_pairwise_distance", "closest_lattice_point", "mc_volume_fraction"):
+    """Each lattice self-check's first piece of work raises _WorkStarted:
+    the first lattice point min_pairwise_distance builds once it has
+    sized its work, and the closest and volume queries."""
+    monkeypatch.setattr(lattice, "_coords", _start_work)
+    for name in ("closest_lattice_point", "mc_volume_fraction"):
         monkeypatch.setattr(cli, name, _start_work)
 
 

@@ -218,7 +218,9 @@ def test_instance_files_keep_the_contract(tmp_path):
 # (MISSING leaves an optional flag at its default).  A value is split on
 # spaces into tokens; --in and --out name files in the test's directory.
 # --window and --samples are never left out: at their defaults a closest
-# check is valid but scans up to 10^7 window points.
+# check is valid but scans up to 10^7 window points.  A lattice --dim of
+# 1300 is past the float range of the unit-ball volume's gamma and power
+# of pi; mindist and closest refuse it, and volume takes it in logs.
 FLAGS = {
     "gen": {
         "--kind": GENERATOR_KINDS,
@@ -249,7 +251,7 @@ FLAGS = {
     },
     "lattice": {
         "--check": ("mindist", "closest", "volume"),
-        "--dim": ("2", "3", "4", MISSING),
+        "--dim": ("2", "3", "4", "1300", MISSING),
         "--delta": ("0.01", "1", MISSING),
         "--window": ("1", "2"),
         "--samples": ("1", "50"),
@@ -293,8 +295,9 @@ def _assert_argv_contract(rc, out, err):
         _assert_contract(rc, out, err)
 
 
-# The examples are hand probes of the contract, then the one input that
-# ended in a traceback: a negative volume seed, which numpy refused.
+# The examples are hand probes of the contract, then the inputs that
+# ended in a traceback: a negative volume seed, which numpy refused, and
+# volume checks from dim 342 on, where the unit-ball volume overflowed.
 def test_cli_argv_keeps_the_contract(tmp_path):
     for name, fields in FILES.items():
         save_instance(generate_instance(AdversaryConfig(**fields)), tmp_path / name)
@@ -314,6 +317,10 @@ def test_cli_argv_keeps_the_contract(tmp_path):
     @example(argv=["lattice", "--check", "closest", "--dim", str(HUGE)])
     @example(argv=["lattice", "--check", "volume", "--samples", "1"])
     @example(argv=["lattice", "--check", "volume", "--samples", "1", "--seed", "-1"])
+    @example(argv=["lattice", "--check", "volume", "--dim", "342", "--samples", "1"])
+    @example(argv=["lattice", "--check", "volume", "--dim", "400", "--samples", "1"])
+    @example(argv=["lattice", "--check", "volume", "--dim", "1300", "--samples", "1"])
+    @example(argv=["lattice", "--check", "volume", "--dim", "4000", "--samples", "1"])
     def check(argv):
         argv = list(argv)
         for at, token in enumerate(argv[:-1]):

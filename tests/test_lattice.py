@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from functools import reduce
 from operator import add
 
@@ -13,6 +14,7 @@ from geomis import (
     Ball,
     LatticeFilter,
     LatticeParams,
+    OracleRefusal,
     UsageError,
     closest_lattice_point,
     coverage_cells,
@@ -23,7 +25,7 @@ from geomis import (
     parity_rounded_point,
     unit_ball_volume,
 )
-from geomis.lattice import MAX_DELTA
+from geomis.lattice import CLOSEST_WINDOW_LIMIT, MAX_DELTA, TWO_SQRT3
 from geomis.online import ArrivalEvent
 
 from conftest import (
@@ -380,6 +382,41 @@ def test_unit_ball_volume_closed_forms():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0)
+
+
+def test_unit_ball_volume_past_the_float_range_of_gamma():
+    # The direct quotient through dim 341; logs from 342 on, where gamma
+    # overflows, and past about 1240, where the power of pi does too.
+    assert unit_ball_volume(341) == math.pi ** 170.5 / math.gamma(171.5)
+    for dim in (342, 343, 400):
+        recurrence = unit_ball_volume(dim - 2) * 2.0 * math.pi / dim
+        assert unit_ball_volume(dim) == pytest.approx(recurrence, rel=1e-12)
+    assert unit_ball_volume(1300) == unit_ball_volume(4000) == 0.0
+
+
+def test_min_pairwise_distance_refuses_past_its_limit():
+    # 13^12 differences, about 2 x 10^13 iterations, refused before any.
+    with pytest.raises(OracleRefusal) as err:
+        min_pairwise_distance(LatticeParams(dim=12), 3)
+    assert str(err.value) == "mindist lattice differences: 13 x 13^11 exceeds the limit 1000000"
+
+
+def test_closest_lattice_point_refuses_a_window_past_its_limit():
+    # At dim 30 the window holds about 10^15 points: refused at once.
+    params = LatticeParams(dim=30)
+    rng = random.Random(0)
+    q = tuple(rng.uniform(0.0, e) for e in params.shift_extents())
+    start = time.perf_counter()
+    with pytest.raises(OracleRefusal, match=r"^closest_lattice_point window points \d+ "
+                       r"exceeds the limit 100000000$"):
+        closest_lattice_point(params, q)
+    assert time.perf_counter() - start < 1.0
+    # Through dim 14, the most the closest check admits, the rounded
+    # distance is at most sqrt((2 + delta/2)^2 + 3 (dim - 1)), so each
+    # axis 2..d spans at most 4 coefficients: 4^13 points, under the limit.
+    bound = math.sqrt((2.0 + MAX_DELTA / 2.0) ** 2 + 3.0 * 13) + 1e-9
+    assert math.floor(2.0 * bound / TWO_SQRT3) + 1 == 4
+    assert 4**13 <= CLOSEST_WINDOW_LIMIT < 4**14
 
 
 @pytest.mark.parametrize("call, message", [
