@@ -16,14 +16,17 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Optional
 
+# The generators' size limits are read from here too.
 from .geometry import (
+    COORDINATE_LIMIT,  # noqa: F401
+    DIM_LIMIT,  # noqa: F401
     Ball,
     HyperRectangle,
     Shape,
     UniformGrid,
     UsageError,
-    refuse_above,
     refuse_beyond,
+    refuse_oversized,
     require_at_least,
     require_finite,
     require_type,
@@ -51,21 +54,7 @@ LEVELS_ZETA_LIMIT = 1000
 # vertices, about 55 MB of arrivals at the limit.
 STAR_ZETA_LIMIT = 10**5
 
-# The most axes, and the most coordinates over its n objects, that a
-# generated instance or an instance file's dim line may ask for.  The
-# generators allocate per axis, and the class draws of hr_classify draw
-# per axis, before the first object.  10^5 balls in 3-D fit.
-DIM_LIMIT = 1000
-COORDINATE_LIMIT = 10**6
-
 GENERATOR_KINDS = ("star", "levels", "random_balls", "random_rects")
-
-
-def refuse_oversized(n: int, dim: int) -> None:
-    """Refuse, with OracleRefusal, n objects of dim coordinates each
-    past DIM_LIMIT or COORDINATE_LIMIT, before anything is allocated."""
-    refuse_beyond("dim", dim, DIM_LIMIT)
-    refuse_above(COORDINATE_LIMIT, "instance coordinates", n, dim)
 
 
 class StarOutcome(NamedTuple):
@@ -131,6 +120,8 @@ class _BallIndex:
     with that reach finds every pair the rule could reject.
     """
 
+    rule = "clear of tangency; the box is too crowded"
+
     def __init__(self, dim: int, max_radius: float, box_side: float) -> None:
         reach = 2.0 * max_radius + DEGENERACY_MARGIN
         self.grid = UniformGrid(reach, (0.0,) * dim, (box_side,) * dim)
@@ -163,6 +154,10 @@ class _BoxEndpoints:
         self.los: list[list[float]] = [[] for _ in range(dim)]
         self.his: list[list[float]] = [[] for _ in range(dim)]
         self.m = m
+        self.rule = (
+            f"clear of tangency with sides in [1, {m!r}]; the box is too crowded"
+            " or the sides round out of that range"
+        )
 
     def clear(self, box: HyperRectangle) -> bool:
         m = self.m
@@ -202,7 +197,8 @@ def _require_region(n: int, dim: int, box_side: float) -> float:
 
 
 def _place(n: int, draw, index) -> list[Shape]:
-    """Draw n objects in order, redrawing each until index finds it clear."""
+    """Draw n objects in order, redrawing each until index finds it clear;
+    past _REDRAW_LIMIT draws, refuse with the rule the index enforces."""
     objects: list[Shape] = []
     for _ in range(n):
         for _ in range(_REDRAW_LIMIT):
@@ -210,9 +206,7 @@ def _place(n: int, draw, index) -> list[Shape]:
             if index.clear(obj):
                 break
         else:
-            raise UsageError(
-                "could not place an object clear of tangency; the box is too crowded"
-            )
+            raise UsageError(f"could not place an object {index.rule}")
         index.add(obj)
         objects.append(obj)
     return objects

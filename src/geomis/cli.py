@@ -1,8 +1,9 @@
 """Command-line workbench.
 
 Subcommands: gen (write instances), run (one online run), oracle
-(exact offline answers), lattice (self-checks of the lattice layer),
-experiment (seeded trial batches with CSV reports).
+(exact offline answers), lattice (the lattice module's self-checks,
+which size and refuse their own work there and are judged and printed
+here), experiment (seeded trial batches with CSV reports).
 
 Exit status: 0 on success; 1 on a usage error (bad flags, malformed
 files, unsupported combinations: geometry.UsageError or an OSError),
@@ -18,37 +19,21 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import random
 import sys
 from dataclasses import replace
-from itertools import product
 from typing import Optional, Sequence
 
 from .adversaries import GENERATOR_KINDS, AdversaryConfig, generate_instance, star_adversary
 from .algorithms import ALGORITHMS, filter_acceptance_probability, make_algorithm
-from .geometry import OracleRefusal, UsageError, refuse_above, require_at_least
+from .geometry import OracleRefusal, UsageError
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .instances import load_instance, read_utf8, save_instance, save_transcript
 from .lattice import (
-    DEFAULT_DELTA,
-    LatticeParams,
-    _coords,
-    closest_lattice_point,
-    is_covered,
-    min_pairwise_distance,
-    mc_volume_fraction,
-    parity_rounded_point,
-    unit_ball_volume,
+    DEFAULT_DELTA, LatticeParams, closest_check, min_pairwise_distance,
+    unit_ball_volume, volume_check,
 )
 from .online import ArrivalSequence, FirstFit, RunResult, run_online
 from .oracle import DEFAULT_NODE_LIMIT, exact_mis, independent_kissing_number, verify_ratio
-
-
-# The most work the closest and volume self-checks may take on, refused
-# before anything is allocated.  The README and CI commands need at most
-# 10000 x 7^3 window points and 200000 x 3 coordinates.
-CLOSEST_POINT_LIMIT = 10**7
-VOLUME_COORDINATE_LIMIT = 4 * 10**6
 
 
 class _CliUsage(Exception):
@@ -185,18 +170,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if report.bound_satisfied else 2
 
 
-def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) -> float:
-    """Exhaustive nearest-lattice-point distance over the coefficients
-    within window of c's parity-rounded ones on every axis.  The
-    coefficients come from range, so each point is built by _coords,
-    the formula lattice_point ends in, without its integer check."""
-    _, rounded = parity_rounded_point(params, c)
-    best = math.inf
-    for a1, *rest in product(*[range(a - window, a + window + 1) for a in rounded]):
-        best = min(best, math.dist(_coords(params, a1, rest), c))
-    return best
-
-
 def _cmd_lattice(args: argparse.Namespace) -> int:
     params = LatticeParams(dim=args.dim, delta=args.delta)
     if args.check == "mindist":
@@ -205,35 +178,14 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print(f"required > 4: {'pass' if value > 4.0 else 'FAIL'}")
         return 0 if value > 4.0 else 2
     if args.check == "closest":
-        require_at_least("samples", args.samples, 1)
-        require_at_least("window", args.window, 1)
-        refuse_above(
-            CLOSEST_POINT_LIMIT, "closest window points scanned",
-            args.samples, 2 * args.window + 1, params.dim,
-        )
-        rng = random.Random(args.seed)
-        extents = (params.axis1_period,) + (params.cross_period,) * (params.dim - 1)
-        worst = 0.0
-        cover_mismatches = 0
-        for _ in range(args.samples):
-            c = tuple(rng.uniform(0.0, e) for e in extents)
-            p, _ = closest_lattice_point(params, c)
-            ref = _window_reference(params, c, args.window)
-            worst = max(worst, abs(math.dist(p, c) - ref))
-            if is_covered(params, c) != (ref <= 1.0):
-                cover_mismatches += 1
-        ok = worst <= 1e-9 and cover_mismatches == 0
+        worst, mismatches = closest_check(params, args.samples, args.window, args.seed)
+        ok = worst <= 1e-9 and mismatches == 0
         print(f"queries {args.samples}")
         print(f"max_distance_deviation {worst!r}")
-        print(f"coverage_mismatches {cover_mismatches}")
+        print(f"coverage_mismatches {mismatches}")
         print("pass" if ok else "FAIL")
         return 0 if ok else 2
-    require_at_least("samples", args.samples, 1)
-    refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", args.samples, params.dim)
-    rng = random.Random(args.seed)
-    origin = tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim))
-    period_volume = math.prod(params.shift_extents())
-    fraction, stderr = mc_volume_fraction(params, origin, args.samples, seed=args.seed)
+    origin, fraction, stderr = volume_check(params, args.samples, args.seed)
     expected = filter_acceptance_probability(params)
     # Three binomial standard errors of the expected fraction: the
     # sample's own error is 0 when every sample lands on one side.
@@ -241,7 +193,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     print(f"box_origin {origin}")
     print(f"covered_fraction {fraction!r} (stderr {stderr:.3e})")
     print(f"expected_fraction {expected!r}")
-    print(f"volume_estimate {fraction * period_volume!r}")
+    print(f"volume_estimate {fraction * math.prod(params.shift_extents())!r}")
     print(f"expected_volume {unit_ball_volume(params.dim)!r}")
     print("pass" if ok else "FAIL")
     return 0 if ok else 2

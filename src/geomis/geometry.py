@@ -19,7 +19,8 @@ bad input raises UsageError, which the CLI reports as one "error:" line
 and exit 1; work past a fixed bound raises OracleRefusal, one
 "refused:" line and exit 2.  require_type, require_finite and
 require_at_least check an input; refuse_beyond and refuse_above refuse
-one past a bound.
+one past a bound, and refuse_oversized an instance past DIM_LIMIT axes
+or COORDINATE_LIMIT coordinates.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ from typing import Iterable, Iterator, Sequence, Union
 
 
 _KEYED_AXES = 3
+
+# The most axes, and the most coordinates over its n objects, that a
+# generated instance or an instance file's dim line may ask for.  The
+# generators allocate per axis, and the class draws of hr_classify draw
+# per axis, before the first object.  10^5 balls in 3-D fit.
+DIM_LIMIT = 1000
+COORDINATE_LIMIT = 10**6
 
 
 class UsageError(ValueError):
@@ -90,6 +98,13 @@ def refuse_above(limit: int, what: str, count: int, base: int, exponent: int = 1
     if count * base ** min(exponent, limit.bit_length()) > limit:
         power = f"{base}^{exponent}" if exponent > 1 else str(base)
         raise OracleRefusal(f"{what}: {count} x {power} exceeds the limit {limit}")
+
+
+def refuse_oversized(n: int, dim: int) -> None:
+    """Refuse, with OracleRefusal, n objects of dim coordinates each
+    past DIM_LIMIT or COORDINATE_LIMIT, before anything is allocated."""
+    refuse_beyond("dim", dim, DIM_LIMIT)
+    refuse_above(COORDINATE_LIMIT, "instance coordinates", n, dim)
 
 
 def _coordinates(values: Iterable[float]) -> tuple[float, ...]:

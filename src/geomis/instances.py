@@ -17,7 +17,7 @@ from the closed intersection predicates on load; abstract files carry
 it explicitly.  Floats are written with full round-trip precision, so
 save followed by load reproduces the sequence exactly.  A malformed
 file raises InstanceFormatError, which names the offending line; a
-dim past adversaries.DIM_LIMIT raises OracleRefusal.
+dim past geometry.DIM_LIMIT raises OracleRefusal.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from .adversaries import refuse_oversized
-from .geometry import Ball, HyperRectangle, Shape, UsageError, require_at_least
+from .geometry import Ball, HyperRectangle, Shape, UsageError, refuse_oversized, require_at_least
 from .online import ArrivalSequence, RunResult
 
 MAGIC = "geomis-instance v1"
@@ -67,7 +66,7 @@ def read_utf8(path: Union[str, Path]) -> str:
 
 def _parse_dim(line: str) -> Optional[int]:
     """The dimension a dim line gives; None for "dim -".  A dimension
-    past adversaries.DIM_LIMIT is refused before any arrival is read."""
+    past geometry.DIM_LIMIT is refused before any arrival is read."""
     parts = line.split()
     if len(parts) != 2:
         raise UsageError("dim line needs exactly one value")

@@ -25,28 +25,30 @@ constant-size candidate window that the rounded distance bounds.
 
 Queries and lattice points are plain coordinate sequences.  Every
 scalar query rounds with one core, parity_rounded_point, and builds
-points with one formula, _coords: is_covered rounds once, and
-closest_lattice_point and min_pairwise_distance enumerate their windows
-through _coords.  LatticeFilter.decide writes the rounding's arithmetic
-out in its own frame, axes 2..d first, and is checked against
-parity_rounded_point.  (One call into this module per arrival cost the
-filter about 6% of its throughput on 2 vCPUs under CPython 3.11.)
-decide calls parity_rounded_point itself only to name a covered
-arrival's cell.  CrossResidues sorts a stream once on its axes 2..d
-modulo their period, so the filter sends decide only the arrivals whose
-axes 2..d can pass under its shift; it decides nothing itself.  A
-change to the rounding is made in three places: parity_rounded_point,
-decide, and CrossResidues' band, which is the axes 2..d test of both
-written as a residue interval.
+points with one formula, _coords.  LatticeFilter.decide writes the
+rounding's arithmetic out in its own frame, axes 2..d first, and is
+checked against parity_rounded_point.  (One call into this module per
+arrival cost the filter about 6% of its throughput on 2 vCPUs under
+CPython 3.11.)  decide calls parity_rounded_point itself only to name a
+covered arrival's cell, and sees only the arrivals CrossResidues finds
+in its band.  A change to the rounding is made in three places:
+parity_rounded_point, decide, and CrossResidues' band, which is the
+axes 2..d test of both written as a residue interval.
 coverage_cells is the same rounding over a numpy batch, which
 mc_volume_fraction draws over a period_box; only these two use numpy,
 and they import it when called.
+
+The self-checks of geomis lattice live here, each refused past a limit
+of this module before its work starts: min_pairwise_distance,
+closest_check (closest_lattice_point and is_covered against an
+exhaustive window scan) and volume_check (mc_volume_fraction).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -64,10 +66,13 @@ TWO_SQRT3 = 2.0 * SQRT3
 DEFAULT_DELTA = 0.01
 MAX_DELTA = 1.0
 
-# Work limits of min_pairwise_distance (lattice differences) and of
-# closest_lattice_point (window points), refused before either starts.
+# Work limits, each refused before its work starts.  The default and README
+# checks need 13^3 differences, 10000 x 7^3 window points and 200000 x 3
+# coordinates.
 MINDIST_DIFFERENCE_LIMIT = 10**6
 CLOSEST_WINDOW_LIMIT = 10**8
+CLOSEST_POINT_LIMIT = 10**7
+VOLUME_COORDINATE_LIMIT = 4 * 10**6
 
 CoeffVector = tuple[int, ...]
 
@@ -335,11 +340,10 @@ def min_pairwise_distance(params: LatticeParams, window: int = 3) -> float:
     (sum() compensates from Python 3.12 on), before x1*x1.
     """
     require_at_least("window", window, 1)
-    span = range(-2 * window, 2 * window + 1)
-    side = len(span)
+    side = 4 * window + 1
     refuse_above(MINDIST_DIFFERENCE_LIMIT, "mindist lattice differences", side, side, params.dim - 1)
     best = math.inf
-    for a1, *rest in itertools.product(span, repeat=params.dim):
+    for a1, *rest in itertools.product(range(-2 * window, 2 * window + 1), repeat=params.dim):
         if a1 == 0 and not any(rest):
             continue
         x1, *xs = _coords(params, a1, rest)
@@ -356,14 +360,16 @@ def mc_volume_fraction(
     Draws uniform samples, tests coverage, and returns (fraction,
     binomial standard error).  The box is one fundamental cell, which
     makes fraction times its volume an estimate of the unit-ball volume
-    regardless of where the box sits.
+    regardless of where the box sits.  Refused above
+    VOLUME_COORDINATE_LIMIT sample coordinates before numpy is imported.
     """
-    import numpy as np
-
     require_at_least("samples", samples, 1)
+    refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", samples, params.dim)
     require_at_least("seed", seed, 0)
     if len(origin) != params.dim:
         raise UsageError("origin dimension mismatch")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lo = np.asarray(origin, dtype=np.float64)
     hi = lo + np.asarray(params.shift_extents())
@@ -372,6 +378,48 @@ def mc_volume_fraction(
     fraction = float(covered.mean())
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)
     return fraction, stderr
+
+
+def closest_check(params: LatticeParams, samples: int, window: int, seed: int) -> tuple[float, int]:
+    """On samples queries drawn with seed from a box one translation
+    period wide on each axis, the largest deviation of
+    closest_lattice_point's distance from _window_reference's and the
+    count of is_covered answers that disagree with reference <= 1.
+    Refused above CLOSEST_POINT_LIMIT window points before any draw."""
+    require_at_least("samples", samples, 1)
+    require_at_least("window", window, 1)
+    side = 2 * window + 1
+    refuse_above(CLOSEST_POINT_LIMIT, "closest window points scanned", samples, side, params.dim)
+    rng = random.Random(seed)
+    extents = (params.axis1_period,) + (params.cross_period,) * (params.dim - 1)
+    worst, mismatches = 0.0, 0
+    for _ in range(samples):
+        c = tuple(rng.uniform(0.0, e) for e in extents)
+        p, _ = closest_lattice_point(params, c)
+        ref = _window_reference(params, c, window)
+        worst = max(worst, abs(math.dist(p, c) - ref))
+        mismatches += is_covered(params, c) != (ref <= 1.0)
+    return worst, mismatches
+
+
+def _window_reference(params: LatticeParams, c: tuple[float, ...], window: int) -> float:
+    """Exhaustive nearest-lattice-point distance over the coefficients
+    within window of c's parity-rounded ones on every axis."""
+    _, rounded = parity_rounded_point(params, c)
+    windows = [range(a - window, a + window + 1) for a in rounded]
+    return min(math.dist(_coords(params, a1, rest), c) for a1, *rest in itertools.product(*windows))
+
+
+def volume_check(
+    params: LatticeParams, samples: int, seed: int
+) -> tuple[tuple[float, ...], float, float]:
+    """(origin, fraction, stderr) of mc_volume_fraction at an origin drawn
+    from [-10, 10]^dim with seed, refused as it refuses, before the draw."""
+    require_at_least("samples", samples, 1)
+    refuse_above(VOLUME_COORDINATE_LIMIT, "volume sample coordinates", samples, params.dim)
+    rng = random.Random(seed)
+    origin = tuple(rng.uniform(-10.0, 10.0) for _ in range(params.dim))
+    return (origin, *mc_volume_fraction(params, origin, samples, seed=seed))
 
 
 def unit_ball_volume(dim: int) -> float:

@@ -11,8 +11,9 @@ Witnesses are built component by component too, and exact_mis builds
 its witness only when it is first read, so a caller that wants the
 size alone never pays for one.  Exponential-time machinery for small
 instances only: every entry point validates its graph and refuses
-inputs past a hard node limit, which counts the whole graph, instead of
-silently grinding, with geometry's UsageError and OracleRefusal.
+inputs past a hard node limit, which counts the whole graph, or past
+MASK_BIT_LIMIT mask bits, instead of silently grinding, with
+geometry's UsageError and OracleRefusal.
 Results are deterministic, with lexicographically smallest witnesses.
 """
 
@@ -21,10 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
 
-from .geometry import OracleRefusal, UsageError, require_at_least
+from .geometry import OracleRefusal, UsageError, refuse_above, require_at_least
 from .online import ArrivalSequence, RunResult, empirical_ratio
 
 DEFAULT_NODE_LIMIT = 40
+
+# The most n x n bits the adjacency masks of an n-vertex graph may span.
+# A vertex's mask is as wide as its highest neighbour, so they grow
+# quadratically: on unit balls at average degree about 2.4 the kissing
+# number raised peak RSS by 3 MB at 5000 balls and by 68 MB at 20000.
+# 10^4 vertices fit; the tests, the README and the benchmark build at
+# most 2000.
+MASK_BIT_LIMIT = 10**8
 
 Graph = Sequence[AbstractSet[int]]
 
@@ -50,8 +59,10 @@ def _adjacency_masks(graph: Graph) -> list[int]:
     UsageError at the first offence: vertex by vertex, a neighbor out of
     range, the vertex itself or a non-integer; then the lowest edge
     listed at one end only.  A neighbor listed twice is accepted, and
-    neighbor collections need not have a length."""
+    neighbor collections need not have a length.  A graph past
+    MASK_BIT_LIMIT is refused before any mask is built."""
     n = len(graph)
+    refuse_above(MASK_BIT_LIMIT, "adjacency mask bits", n, n)
     masks = [0] * n
     for v, nbrs in enumerate(graph):
         try:

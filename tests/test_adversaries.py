@@ -230,6 +230,21 @@ def test_generators_match_reference_when_redraws_happen(monkeypatch):
         assert _objects(random_rects_gen(60, 2, 5.0, 20.0, seed=seed)) == rects
 
 
+def test_generators_name_the_rule_that_ran_out_their_redraws(monkeypatch):
+    # At M = 1 in 60 dimensions nearly every draw has a stored side that
+    # rounds away from 1, so the side rule, not crowding, refuses it.
+    with pytest.raises(UsageError) as err:
+        random_rects_gen(30, 60, 1.0, 10.0, seed=0)
+    assert str(err.value) == (
+        "could not place an object clear of tangency with sides in [1, 1.0];"
+        " the box is too crowded or the sides round out of that range"
+    )
+    monkeypatch.setattr("geomis.adversaries.DEGENERACY_MARGIN", 50.0)
+    with pytest.raises(UsageError) as err:
+        random_balls_gen(2, 2, 10.0, seed=0)
+    assert str(err.value) == "could not place an object clear of tangency; the box is too crowded"
+
+
 def test_generators_refuse_a_crowded_box(monkeypatch):
     # With a margin wider than the box, every second draw is rejected.
     monkeypatch.setattr("geomis.adversaries.DEGENERACY_MARGIN", 50.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -280,7 +281,7 @@ def lattice_work_stubbed(monkeypatch):
     sized its work, and the closest and volume queries."""
     monkeypatch.setattr(lattice, "_coords", _start_work)
     for name in ("closest_lattice_point", "mc_volume_fraction"):
-        monkeypatch.setattr(cli, name, _start_work)
+        monkeypatch.setattr(lattice, name, _start_work)
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,6 +325,32 @@ def test_lattice_refuses_oversized_work_before_starting(
 def test_lattice_rejects_counts_below_one_before_sizing_work(argv, flag, value, capsys):
     assert cli_dispatch(["lattice", *argv]) == 1
     assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+def _volume_at(fraction):
+    return lambda params, samples, seed: ((0.0,) * params.dim, fraction, 0.0)
+
+
+HALF = {"filter_acceptance_probability": lambda params: 0.5}
+
+
+@pytest.mark.parametrize("stubs, argv, verdict", [
+    ({"min_pairwise_distance": lambda params, window: 4.0}, ["mindist"], "FAIL"),
+    ({"min_pairwise_distance": lambda params, window: math.nextafter(4.0, 5.0)},
+     ["mindist"], "pass"),
+    ({"closest_check": lambda *args: (1e-9, 0)}, ["closest"], "pass"),
+    ({"closest_check": lambda *args: (math.nextafter(1e-9, 1.0), 0)}, ["closest"], "FAIL"),
+    ({"closest_check": lambda *args: (0.0, 1)}, ["closest"], "FAIL"),
+    # At p = 1/2 and 16 samples, three standard errors are 0.375 exactly.
+    ({"volume_check": _volume_at(0.875), **HALF}, ["volume", "--samples", "16"], "pass"),
+    ({"volume_check": _volume_at(math.nextafter(0.875, 1.0)), **HALF},
+     ["volume", "--samples", "16"], "FAIL"),
+])
+def test_lattice_pass_rules_hold_at_their_boundaries(stubs, argv, verdict, monkeypatch, capsys):
+    for name, stub in stubs.items():
+        monkeypatch.setattr(cli, name, stub)
+    assert cli_dispatch(["lattice", "--check", *argv]) == (0 if verdict == "pass" else 2)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(verdict)
 
 
 def test_lattice_volume_check(capsys):

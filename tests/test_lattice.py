@@ -25,7 +25,15 @@ from geomis import (
     parity_rounded_point,
     unit_ball_volume,
 )
-from geomis.lattice import CLOSEST_WINDOW_LIMIT, MAX_DELTA, TWO_SQRT3
+import geomis.lattice as lattice
+from geomis.lattice import (
+    CLOSEST_WINDOW_LIMIT,
+    MAX_DELTA,
+    TWO_SQRT3,
+    VOLUME_COORDINATE_LIMIT,
+    closest_check,
+    volume_check,
+)
 from geomis.online import ArrivalEvent
 
 from conftest import (
@@ -431,3 +439,49 @@ def test_lattice_helpers_refuse_bad_arguments(call, message):
     with pytest.raises(UsageError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_closest_and_volume_checks_measure_what_the_cli_judges():
+    assert closest_check(P3, 200, 3, seed=0) == (0.0, 0)
+    origin, fraction, stderr = volume_check(P3, 5000, seed=2)
+    assert len(origin) == 3 and all(-10.0 <= x <= 10.0 for x in origin)
+    assert (fraction, stderr) == mc_volume_fraction(P3, origin, 5000, seed=2)
+
+
+def test_closest_check_counts_a_reference_distance_of_one_as_covered(monkeypatch):
+    # is_covered tests the closed unit ball, so the reference must too.
+    monkeypatch.setattr(lattice, "_window_reference", lambda params, c, window: 1.0)
+    monkeypatch.setattr(lattice, "is_covered", lambda params, c: True)
+    assert closest_check(P3, 5, 1, seed=0)[1] == 0
+
+
+def _allocate(*args, **kwargs):
+    raise AssertionError("numpy allocated the samples")
+
+
+HUGE_DIM = LatticeParams(dim=10**12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: closest_check(HUGE_DIM, 10000, 3, seed=0),
+     "closest window points scanned: 10000 x 7^1000000000000 exceeds the limit 10000000"),
+    (lambda: volume_check(HUGE_DIM, 10000, seed=0),
+     "volume sample coordinates: 10000 x 1000000000000 exceeds the limit 4000000"),
+    (lambda: mc_volume_fraction(HUGE_DIM, (), samples=1, seed=0),
+     "volume sample coordinates: 1 x 1000000000000 exceeds the limit 4000000"),
+    (lambda: mc_volume_fraction(P3, (0.0,) * 3, samples=VOLUME_COORDINATE_LIMIT // 3 + 1, seed=0),
+     "volume sample coordinates: 1333334 x 3 exceeds the limit 4000000"),
+    (lambda: min_pairwise_distance(LatticeParams(dim=2), 10**30),
+     f"mindist lattice differences: {4 * 10**30 + 1} x {4 * 10**30 + 1} exceeds the limit 1000000"),
+])
+def test_lattice_checks_refuse_oversized_work_before_starting(call, message, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _allocate)
+    with pytest.raises(OracleRefusal) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_mc_volume_fraction_starts_work_at_its_coordinate_limit(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _allocate)
+    with pytest.raises(AssertionError, match="numpy allocated"):
+        mc_volume_fraction(P3, (0.0,) * 3, samples=VOLUME_COORDINATE_LIMIT // 3, seed=0)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -102,6 +103,22 @@ def test_exact_mis_refuses_large_graphs():
     ):
         independent_kissing_number(star(6), node_limit=5)
     assert independent_kissing_number(star(6), node_limit=6).zeta == 6
+
+
+def test_adjacency_masks_are_refused_past_their_bit_limit():
+    # Empty neighbour lists are valid and cheap, so n + 1 of them are
+    # refused by their mask bits alone, before any mask is built.
+    n = math.isqrt(oracle_module.MASK_BIT_LIMIT)
+    assert n >= 2000 and n * n <= oracle_module.MASK_BIT_LIMIT
+    assert independent_kissing_number([()] * n).zeta == 0
+    message = f"adjacency mask bits: {n + 1} x {n + 1} exceeds the limit 100000000"
+    for call in (independent_kissing_number, lambda g: exact_mis(g, node_limit=n + 1)):
+        with pytest.raises(OracleRefusal) as err:
+            call([()] * (n + 1))
+        assert str(err.value) == message
+    # exact_mis refuses on the node limit first, with its own message.
+    with pytest.raises(OracleRefusal, match="^graph has 10001 vertices, above the exact-search"):
+        exact_mis([()] * (n + 1))
 
 
 def test_adjacency_validation():

@@ -90,3 +90,22 @@ def test_input_contract_lives_in_geometry():
     )
     [(module, number)] = lines
     assert module == "geometry" and helper.lineno <= number <= helper.end_lineno
+
+
+def test_modules_keep_their_boundaries():
+    # No module reaches into another's private names, and instance files
+    # load without the generators or the exact oracle.
+    package = Path(geomis.__file__).resolve().parent
+    private, instances_imports = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private += [
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+                if path.stem == "instances":
+                    instances_imports.add(node.module)
+    assert private == []
+    assert instances_imports.isdisjoint({"adversaries", "oracle"})
