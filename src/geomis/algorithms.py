@@ -14,10 +14,10 @@ covered arrival, at most 1 away, is rounded again by
 parity_rounded_point to name its cell; an occupied one rejects.
 run_online takes the filter's stream path, decide_stream.  A stream's
 first filter run calls decide on every arrival.  From its second run
-on, the stream's lattice.CrossResidues, sorted once per stream, names
-the arrivals whose axes 2..d all lie in this shift's bands, and only
+on, the stream's lattice.BoxIndex, sorted once per stream, names the
+arrivals within 1 of this shift's rounded point on every axis, and only
 those reach decide; every other arrival is one decide would reject on
-such an axis, and is rejected without a call.  decide stays the one
+an axis, and is rejected without a call.  decide stays the one
 decision rule and the one check of the payloads.
 
 Classify handles fat objects of bounded width spread: it draws one
@@ -157,14 +157,14 @@ class LatticeFilter:
     def decide_stream(self, stream: ArrivalSequence) -> list[bool]:
         """decide on every arrival of the stream, in order, with the
         decisions and occupied that gives.  Only the candidates of the
-        stream's cross_residues reach decide; every other arrival decide
-        would reject on an axis 2..d without touching occupied, so it is
-        False here.  A run without a refusal passes the stream."""
+        stream's box_index reach decide; every other arrival decide would
+        reject on an axis without touching occupied, so it is False
+        here.  A run without a refusal passes the stream."""
         events = stream.events
-        index = stream.cross_residues
+        index = stream.box_index
         decisions = [False] * len(events)
         decide = self.decide
-        for i in index.candidates(self._dim, self._cross_shift):
+        for i in index.candidates(self.params, self.shift):
             decisions[i] = decide(events[i])
         index.passed(self._dim)
         return decisions

@@ -30,13 +30,14 @@ rounding's arithmetic out in its own frame, axes 2..d first, and is
 checked against parity_rounded_point.  (One call into this module per
 arrival cost the filter about 6% of its throughput on 2 vCPUs under
 CPython 3.11.)  decide calls parity_rounded_point itself only to name a
-covered arrival's cell, and sees only the arrivals CrossResidues finds
-in its band.  A change to the rounding is made in three places:
-parity_rounded_point, decide, and CrossResidues' band, which is the
-axes 2..d test of both written as a residue interval.
+covered arrival's cell, and sees only the arrivals BoxIndex finds in
+its bands.  A change to the rounding is made in three places:
+parity_rounded_point, decide, and BoxIndex's bands, which are the
+per-axis test of both written as residue intervals on every axis, with
+the parity coupling carried from axes 2..d to axis 1.
 coverage_cells is the same rounding over a numpy batch, which
-mc_volume_fraction draws over a period_box; only these two use numpy,
-and they import it when called.
+mc_volume_fraction draws over a period_box in fixed-size chunks; only
+these two use numpy, and they import it when called.
 
 The self-checks of geomis lattice live here, each refused past a limit
 of this module before its work starts: min_pairwise_distance,
@@ -73,6 +74,9 @@ MINDIST_DIFFERENCE_LIMIT = 10**6
 CLOSEST_WINDOW_LIMIT = 10**8
 CLOSEST_POINT_LIMIT = 10**7
 VOLUME_COORDINATE_LIMIT = 4 * 10**6
+# mc_volume_fraction draws and tests its samples this many coordinates at
+# a time (2 MB of floats), so its memory does not grow with samples.
+VOLUME_CHUNK_COORDINATES = 2**18
 
 CoeffVector = tuple[int, ...]
 
@@ -189,70 +193,94 @@ def _axis1_coeff(params: LatticeParams, x0: float, rest_sum: int) -> int:
     return (m + rest_sum) // 2
 
 
-class CrossResidues:
-    """One stream's arrival ids sorted, on each axis 2..d, by their
-    center's residue modulo TWO_SQRT3, the period of that axis's
-    coverage test.
+class BoxIndex:
+    """One stream's arrival ids sorted, on each axis, by their center's
+    residue modulo that axis's period, which holds one even and one odd
+    lattice position: cross_period on axes 2..d, axis1_period on axis 1.
 
-    Under a shift s, an axis-i coordinate c lies within 1 of an even
-    multiple of sqrt(3) exactly when c % TWO_SQRT3 lies in the cyclic
-    band [-s_i - 1, -s_i + 1]; every other arrival LatticeFilter.decide
-    rejects on that axis, before it looks at axis 1 or at a cell.  The
-    period does not depend on delta or on the shift, so one sort serves
-    every filter on the stream, and candidates finds each band with two
-    bisects.  The keys hold every residue twice, r and r + TWO_SQRT3, so
-    a band that wraps past the period is one slice.
+    Under a shift s, an axis-i coordinate lies within 1 of 2*sqrt(3)*a
+    exactly when its residue lies in the cyclic band [-s_i - 1, -s_i + 1]
+    for a even, or in that band moved by TWO_SQRT3 for a odd, 1.46 away.
+    Axis 1's positions are multiples of axis1_period when a2 + ... + ad
+    is even, and are moved by axis1_unit when it is odd.  So candidates
+    carries the ids whose coefficient sum so far is even, and those whose
+    sum is odd, across axes 2..d, and keeps those in the axis-1 band of
+    their parity: the arrivals within 1 of the rounded point on every
+    axis, a superset of those decide does not reject.  Each band is two
+    bisects into keys that hold each residue r twice, as r and r + period,
+    so a band that wraps past the period is one slice.
 
-    candidates names every arrival until a filter of some dim has decided
-    every arrival without a refusal (passed), so decide alone checks the
-    payloads and only unit balls of that dim are sorted, on the stream's
-    second filter run: a stream run once would pay a sort that costs
-    more than one run saves.
+    candidates names every arrival until a filter of that dim has decided
+    every arrival without a refusal (passed): decide alone checks the
+    payloads, and a stream run once pays no sort.  Axes 2..d are sorted
+    once per dim, axis 1 again whenever delta, and so its period, changes.
     """
 
     def __init__(self, events: Sequence) -> None:
         self._events = events
-        # The dim at which decide passed the whole stream, and its sort.
+        # The dim at which decide passed the whole stream, its sorts of
+        # axes 2..d, and axis 1's sort with the period it was made for.
         self._dim: Optional[int] = None
-        self._keys: Optional[list[list[float]]] = None
+        self._cross: Optional[list[tuple[list[float], list[int]]]] = None
+        self._axis1: Optional[tuple[float, list[float], list[int]]] = None
 
     def passed(self, dim: int) -> None:
         """Record that a filter of dim decided every arrival without a refusal."""
         if dim != self._dim:
-            self._dim, self._keys = dim, None
+            self._dim, self._cross, self._axis1 = dim, None, None
 
-    def candidates(self, dim: int, cross_shift: Sequence[float]) -> Sequence[int]:
-        """Ids, in arrival order, of the arrivals a filter of dim sends to
-        decide: every id until the stream has passed at dim, then those
-        inside the band of every axis 2..d under the shift's axes 2..d, a
-        superset of the arrivals decide does not reject on one of them."""
-        if dim != self._dim:
+    def candidates(self, params: LatticeParams, shift: Sequence[float]) -> Sequence[int]:
+        """Ids, in arrival order, of the arrivals a filter of params sends
+        to decide: every id until the stream has passed at its dim, then
+        those within 1 of the shift's rounded point on every axis."""
+        if params.dim != self._dim:
             return range(len(self._events))
-        if self._keys is None:
-            self._sort(dim)
-        windows = []
-        for keys, ids, s in zip(self._keys, self._ids, cross_shift):
-            lo = (-s - self._half) % TWO_SQRT3
-            windows.append(ids[bisect_left(keys, lo):bisect_right(keys, lo + self._width)])
-        return sorted(set(windows[0]).intersection(*windows[1:]))
+        if self._cross is None:
+            centers = [ev.payload.center for ev in self._events]
+            # The bands are widened by slack, far above the few ulps of the
+            # largest coordinate by which the residue arithmetic here and
+            # decide's floor and pow can disagree.  Once a band spans a
+            # period, every arrival is a candidate.
+            largest = max(map(abs, itertools.chain.from_iterable(centers)), default=0.0)
+            self._half = 1.0 + 1e-9 + largest * 2.0 ** -40
+            self._cross = [
+                _sorted_residues([c[i] for c in centers], params.cross_period)
+                for i in range(1, params.dim)
+            ]
+        period = params.axis1_period
+        if self._axis1 is None or self._axis1[0] != period:
+            xs = [ev.payload.center[0] for ev in self._events]
+            self._axis1 = (period, *_sorted_residues(xs, period))
+        (even, odd), *rest = [
+            self._bands(keys, ids, params.cross_period, -s, TWO_SQRT3 - s)
+            for (keys, ids), s in zip(self._cross, shift[1:])
+        ]
+        even, odd = set(even), set(odd)
+        for on_even, on_odd in rest:
+            even, odd = (
+                even.intersection(on_even) | odd.intersection(on_odd),
+                even.intersection(on_odd) | odd.intersection(on_even),
+            )
+        _, keys, ids = self._axis1
+        on_even, on_odd = self._bands(keys, ids, period, -shift[0], params.axis1_unit - shift[0])
+        return sorted(even.intersection(on_even).union(odd.intersection(on_odd)))
 
-    def _sort(self, dim: int) -> None:
-        axes = [[ev.payload.center[i] for ev in self._events] for i in range(1, dim)]
-        # The band is widened by slack, far above the few ulps of the
-        # largest coordinate by which the residue arithmetic here and
-        # decide's floor and pow can disagree.  Once the band spans a
-        # period, every arrival is a candidate.
-        largest = max(map(abs, itertools.chain.from_iterable(axes)), default=0.0)
-        slack = 1e-9 + largest * 2.0 ** -40
-        self._half = 1.0 + slack
-        self._width = 2.0 * self._half
-        self._keys, self._ids = [], []
-        for xs in axes:
-            residues = [x % TWO_SQRT3 for x in xs]
-            order = sorted(range(len(xs)), key=residues.__getitem__)
-            keys = list(map(residues.__getitem__, order))
-            self._keys.append(keys + [r + TWO_SQRT3 for r in keys])
-            self._ids.append(order + order)
+    def _bands(self, keys: list[float], ids: list[int], period: float, *centres: float) -> list:
+        """The ids in the band around each of centres on one axis."""
+        bands = []
+        for centre in centres:
+            lo = (centre - self._half) % period
+            bands.append(ids[bisect_left(keys, lo):bisect_right(keys, lo + 2.0 * self._half)])
+        return bands
+
+
+def _sorted_residues(xs: list[float], period: float) -> tuple[list[float], list[int]]:
+    """xs's residues modulo period, sorted and then repeated plus period,
+    and the positions they came from."""
+    residues = [x % period for x in xs]
+    order = sorted(range(len(xs)), key=residues.__getitem__)
+    keys = list(map(residues.__getitem__, order))
+    return keys + [r + period for r in keys], order + order
 
 
 def closest_lattice_point(
@@ -360,7 +388,9 @@ def mc_volume_fraction(
     Draws uniform samples, tests coverage, and returns (fraction,
     binomial standard error).  The box is one fundamental cell, which
     makes fraction times its volume an estimate of the unit-ball volume
-    regardless of where the box sits.  Refused above
+    regardless of where the box sits.  The samples are drawn and tested
+    VOLUME_CHUNK_COORDINATES coordinates at a time from one generator,
+    which draws the same numbers as one draw of them all.  Refused above
     VOLUME_COORDINATE_LIMIT sample coordinates before numpy is imported.
     """
     require_at_least("samples", samples, 1)
@@ -373,9 +403,12 @@ def mc_volume_fraction(
     rng = np.random.default_rng(seed)
     lo = np.asarray(origin, dtype=np.float64)
     hi = lo + np.asarray(params.shift_extents())
-    pts = rng.uniform(lo, hi, size=(samples, params.dim))
-    covered, _ = coverage_cells(params, pts)
-    fraction = float(covered.mean())
+    rows = max(1, VOLUME_CHUNK_COORDINATES // params.dim)
+    covered = 0
+    for start in range(0, samples, rows):
+        pts = rng.uniform(lo, hi, size=(min(rows, samples - start), params.dim))
+        covered += int(coverage_cells(params, pts)[0].sum())
+    fraction = covered / samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)
     return fraction, stderr
 

@@ -15,7 +15,7 @@ from itertools import compress
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .geometry import Shape, UsageError, intersection_graph, require_at_least
-from .lattice import CrossResidues
+from .lattice import BoxIndex
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,10 @@ class ArrivalSequence:
         return cls(events=events, dim=None)
 
     @cached_property
-    def cross_residues(self) -> CrossResidues:
+    def box_index(self) -> BoxIndex:
         """The lattice filter's index of this stream, kept for every
         later filter run on it."""
-        return CrossResidues(self.events)
+        return BoxIndex(self.events)
 
     def adjacency(self) -> list[set[int]]:
         """Symmetric adjacency lists of the full revealed graph."""

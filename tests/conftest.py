@@ -16,6 +16,7 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from geomis import (
@@ -45,6 +46,14 @@ from geomis import (
 from geomis.geometry import Shape
 
 SQRT3 = math.sqrt(3.0)
+
+# Tier-1 draws the same hypothesis examples on every run, so a failure it
+# shows once it shows again.  CI also runs the fuzz and property tests
+# under "explore" (pytest --hypothesis-profile explore), which draws fresh
+# examples each time.
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("derandomized")
 
 _criterion_lines: list[str] = []
 

@@ -35,10 +35,10 @@ from geomis import (
 )
 import geomis.algorithms
 import geomis.geometry
+import geomis.lattice
 from geomis.algorithms import make_algorithm
 from geomis.lattice import (
     TWO_SQRT3,
-    CrossResidues,
     parity_rounded_point,
     period_box,
     unit_ball_volume,
@@ -567,7 +567,7 @@ def assert_stream_path_is_decide(params, stream, **how):
     so it is checked both on its first run, which sends decide every
     arrival, and on a later one, which sends decide only the index's
     candidates.  Returns the ids the last run sent to decide."""
-    fresh = "cross_residues" not in vars(stream)
+    fresh = "box_index" not in vars(stream)
     for _ in range(2 if fresh else 1):
         fast, ref = _SeenFilter(params, **how), _SeenFilter(params, **how)
         got, got_error = _outcome(lambda: run_online(fast, stream))
@@ -584,12 +584,12 @@ def assert_stream_path_is_decide(params, stream, **how):
     return fast.seen
 
 
-def _passes_cross_axes(params, center, shift):
-    """Whether every axis 2..d of the shifted center lies within 1 of
-    its nearest even multiple of sqrt(3), by the reference rounding."""
+def _in_box(params, center, shift):
+    """Whether every axis of the shifted center lies within 1 of the
+    reference rounding's point."""
     shifted = [x + b for x, b in zip(center, shift)]
     p, _ = reference_parity_rounded_point(params, shifted)
-    return all((a - x) ** 2 <= 1.0 for a, x in zip(p[1:], shifted[1:]))
+    return all((a - x) ** 2 <= 1.0 for a, x in zip(p, shifted))
 
 
 def _unlinked_stream(centers, radius=1.0):
@@ -601,9 +601,9 @@ def _unlinked_stream(centers, radius=1.0):
 
 def test_stream_path_on_2000_balls_under_200_trial_seeds():
     # The benchmark's instance under the README's first 200 trial seeds:
-    # after the stream's first run, decide sees about a third of it,
-    # exactly the arrivals that pass axes 2..d (checked by the reference
-    # rounding on the first 20 seeds).
+    # after the stream's first run, decide sees about a sixth of it,
+    # exactly the arrivals within 1 of the rounded point on every axis
+    # (checked by the reference rounding on the first 20 seeds).
     stream = random_balls_gen(2000, 3, 30.0, seed=5)
     reached = 0
     for i in range(200):
@@ -613,10 +613,10 @@ def test_stream_path_on_2000_balls_under_200_trial_seeds():
             shift = LatticeFilter(P3, seed=seed).shift
             assert seen == [
                 ev.id for ev in stream.events
-                if _passes_cross_axes(P3, ev.payload.center, shift)
+                if _in_box(P3, ev.payload.center, shift)
             ]
         reached += len(seen)
-    assert reached == 132915
+    assert reached == 66362
 
 
 @given(data=st.data(), dim=st.integers(2, 5), delta=st.sampled_from([0.01, 0.5, 1.0]))
@@ -634,10 +634,14 @@ def test_stream_path_matches_decide_on_drawn_streams(data, dim, delta):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_stream_path_at_the_band_edges(dim):
     # Centers exactly 1 and one ulp beyond 1 from a line of even
-    # multiples of sqrt(3) on one axis 2..d, all other axes on the
-    # lattice point: at a zero shift and a = 0 the first is accepted and
-    # the second rejected; under drawn shifts both sit where the residue
-    # band's slack must let them through to decide.
+    # multiples of sqrt(3) on one axis 2..d, or on axis 1 from the
+    # position whose parity matches the other axes' coefficient sum, all
+    # other axes on the lattice point: at a zero shift the first is
+    # accepted and the second rejected; under drawn shifts both sit where
+    # the residue band's slack must let them through to decide.  Centers
+    # on parity boundaries (an odd multiple of sqrt(3) on an axis 2..d,
+    # a multiple of axis1_unit of the other parity on axis 1) and one ulp
+    # to each side of them sit where the band an arrival falls in changes.
     params = LatticeParams(dim, 0.01)
     rng = random.Random(dim)
     shifts = [(0.0,) * dim] + [
@@ -653,16 +657,36 @@ def test_stream_path_at_the_band_edges(dim):
                     centres.append(list(centre))
                     centre[axis] = math.nextafter(centre[axis], sign * math.inf)
                     centres.append(centre)
+        drawn = tuple(rng.choices(range(-3, 4), k=dim - 1))
+        for rest in ((0,) * (dim - 1), (1,) + (0,) * (dim - 2), drawn):
+            for a1 in (-1, 0, 1):
+                point = lattice_point(params, (a1, *rest))
+                for sign in (1.0, -1.0):
+                    centre = [x - b for x, b in zip(point, shift)]
+                    centre[0] = point[0] + sign - shift[0]
+                    centres.append(list(centre))
+                    centre[0] = math.nextafter(centre[0], sign * math.inf)
+                    centres.append(centre)
+        for axis in range(dim):
+            step = params.axis1_unit if axis == 0 else math.sqrt(3.0)
+            for odd in (-1, 1, 3):
+                centre = [-b for b in shift]
+                x = step * odd - shift[axis]
+                for centre[axis] in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+                    centres.append(list(centre))
         assert_stream_path_is_decide(params, _unlinked_stream(centres), shift=shift)
         for centre in centres:
             assert_stream_path_is_decide(params, _unlinked_stream([centre]), shift=shift)
     # At a zero shift and a = 0: accepted at exactly 1, rejected beyond.
-    for axis in range(1, dim):
+    # On axis 1 also at an odd coefficient sum, 1 from -axis1_unit.
+    edges = [([0.0] * dim, axis) for axis in range(dim)]
+    edges.append((list(lattice_point(params, (0, 1) + (0,) * (dim - 2))), 0))
+    for point, axis in edges:
         for sign in (1.0, -1.0):
-            centre = [0.0] * dim
-            centre[axis] = sign
+            centre = list(point)
+            centre[axis] += sign
             exact = run_online(LatticeFilter(params, shift=(0.0,) * dim), _unlinked_stream([centre]))
-            centre[axis] = math.nextafter(sign, sign * math.inf)
+            centre[axis] = math.nextafter(centre[axis], sign * math.inf)
             beyond = run_online(LatticeFilter(params, shift=(0.0,) * dim), _unlinked_stream([centre]))
             assert (exact.accepted, beyond.accepted) == ((0,), ())
 
@@ -670,14 +694,14 @@ def test_stream_path_at_the_band_edges(dim):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("tiny", [-1e-300, -5e-324])
 def test_stream_path_at_a_residue_that_rounds_up_to_the_period(dim, tiny):
-    # tiny % TWO_SQRT3 rounds to TWO_SQRT3 itself, the far end of the
-    # period, while decide sees tiny + (TWO_SQRT3 - 1) as TWO_SQRT3 - 1,
+    # tiny % cross_period rounds to cross_period itself, the far end of
+    # the period, while decide sees tiny + (TWO_SQRT3 - 1) as TWO_SQRT3 - 1,
     # exactly 1 from the lattice point it accepts the arrival at.  The
-    # largest coordinate gives no slack here; the band's constant keeps
-    # the arrival a candidate.
+    # largest coordinate, on any axis, gives no slack here; the band's
+    # constant keeps the arrival a candidate.
     params = LatticeParams(dim, 0.01)
-    shift = (0.0, TWO_SQRT3 - 1.0) + (0.0,) * (dim - 2)
-    centre = (params.axis1_period - params.axis1_unit, tiny) + (0.0,) * (dim - 2)
+    shift = (params.axis1_unit, TWO_SQRT3 - 1.0) + (0.0,) * (dim - 2)
+    centre = (0.0, tiny) + (0.0,) * (dim - 2)
     stream = _unlinked_stream([centre])
     assert assert_stream_path_is_decide(params, stream, shift=shift) == [0]
     assert run_online(LatticeFilter(params, shift=shift), stream).accepted == (0,)
@@ -696,6 +720,34 @@ def test_stream_path_admits_every_arrival_at_huge_coordinates():
         seen = assert_stream_path_is_decide(P3, stream, seed=seed)
         assert seen == list(range(len(centres)))
     assert run_online(LatticeFilter(P3, seed=0), stream).size > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_stream_path_admits_every_arrival_when_axis_1_is_huge(dim):
+    # The slack follows the largest coordinate on any axis: with axis 1
+    # near 1e15 and every other axis small, every arrival still reaches
+    # decide.
+    params = LatticeParams(dim, 0.01)
+    rng = random.Random(dim)
+    centres = [
+        [1e15 + rng.randrange(-400, 400) * 0.125]
+        + [rng.uniform(-20.0, 20.0) for _ in range(dim - 1)]
+        for _ in range(300)
+    ]
+    stream = _unlinked_stream(centres)
+    for seed in range(5):
+        seen = assert_stream_path_is_decide(params, stream, seed=seed)
+        assert seen == list(range(len(centres)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_stream_path_under_three_deltas_on_one_stream(dim):
+    # Axis 1's sort is made for one delta; a filter of another delta on
+    # the same stream must not read it.
+    stream = random_unit_ball_stream(random.Random(dim), 300, 12.0, dim=dim)
+    for delta in (0.01, 0.5, 1.0, 0.01):
+        for seed in range(3):
+            assert_stream_path_is_decide(LatticeParams(dim, delta), stream, seed=seed)
 
 
 def test_stream_path_refuses_as_decide_does(k3_stream):
@@ -731,7 +783,7 @@ def test_stream_path_refuses_as_decide_does(k3_stream):
         ArrivalEvent(1, frozenset(), Ball((0.0, 0.0, 0.0), 2.0)),
     ))
     assert assert_stream_path_is_decide(P3, mixed, **zero) == [0, 1]
-    assert list(mixed.cross_residues.candidates(3, (0.0, 0.0))) == [0, 1]
+    assert list(mixed.box_index.candidates(P3, (0.0, 0.0, 0.0))) == [0, 1]
 
 
 def test_stream_path_on_empty_and_abstract_streams(k3_stream):
@@ -740,34 +792,39 @@ def test_stream_path_on_empty_and_abstract_streams(k3_stream):
             assert run_online(LatticeFilter(P3, seed=1), stream).decisions == ()
         assert assert_stream_path_is_decide(P3, stream, seed=1) == []
     assert_stream_path_is_decide(P3, k3_stream, seed=1)
-    assert list(k3_stream.cross_residues.candidates(3, (0.0, 0.0))) == [0, 1, 2]
+    assert list(k3_stream.box_index.candidates(P3, (0.0, 0.0, 0.0))) == [0, 1, 2]
 
 
-def test_cross_residues_sorted_once_from_the_second_run(monkeypatch):
+def test_box_index_sorted_once_from_the_second_run(monkeypatch):
     # A stream run once is never sorted; the first run that finds the
-    # stream passed sorts it, and every later run of that dim reuses it,
-    # whatever its delta or shift.
+    # stream passed sorts axes 2..d, once for every later run of that dim
+    # whatever its delta or shift, and sorts axis 1 again only when the
+    # delta, and so axis1_period, changes.
     sorts = []
-    real_sort = CrossResidues._sort
-    monkeypatch.setattr(
-        CrossResidues, "_sort", lambda self, dim: (sorts.append(dim), real_sort(self, dim))
-    )
+    real_sort = geomis.lattice._sorted_residues
+
+    def sort(xs, period):
+        sorts.append(period)
+        return real_sort(xs, period)
+
+    monkeypatch.setattr(geomis.lattice, "_sorted_residues", sort)
+    cross = P3.cross_period
     stream = random_unit_ball_stream(random.Random(4), 50, 12.0)
     first = _SeenFilter(P3, seed=1)
     run_online(first, stream)
     assert (first.seen, sorts) == (list(range(50)), [])
-    index = stream.cross_residues
-    for delta, seed in [(0.01, 2), (0.5, 3), (1.0, 4)]:
+    index = stream.box_index
+    for delta, seed in [(0.01, 2), (0.01, 3), (0.5, 4), (1.0, 5), (1.0, 6)]:
         later = _SeenFilter(LatticeParams(3, delta), seed=seed)
         run_online(later, stream)
         assert len(later.seen) < 50
-    assert sorts == [3]
+    assert sorts == [cross, cross, 4.01, 4.5, 5.0]
     # A filter of another dim refuses the stream at its first arrival and
     # leaves the index as it was.
     with pytest.raises(UsageError, match="ball dim 3 does not match lattice dim 2"):
         run_online(LatticeFilter(LatticeParams(2, 0.01), seed=5), stream)
-    run_online(LatticeFilter(P3, seed=6), stream)
-    assert stream.cross_residues is index and sorts == [3]
+    run_online(LatticeFilter(LatticeParams(3, 1.0), seed=7), stream)
+    assert stream.box_index is index and sorts == [cross, cross, 4.01, 4.5, 5.0]
 
 
 def test_filter_acceptance_probability_closed_forms():

@@ -379,6 +379,23 @@ def test_mc_volume_fraction_seeded_and_sane():
     assert abs(frac1 - expected) <= 4 * err1
 
 
+@pytest.mark.parametrize("dim, samples", [(3, 20000), (5, 3001), (4, 1)])
+def test_mc_volume_fraction_in_chunks_equals_one_draw(monkeypatch, dim, samples):
+    # One default chunk, then chunks of 10 and 7 rows, the last one
+    # short: each counts the same covered samples as one draw of every
+    # sample from the same seed.
+    params = LatticeParams(dim)
+    origin = tuple(range(dim))
+    rng = np.random.default_rng(11)
+    lo = np.asarray(origin, dtype=np.float64)
+    pts = rng.uniform(lo, lo + np.asarray(params.shift_extents()), size=(samples, dim))
+    f = int(coverage_cells(params, pts)[0].sum()) / samples
+    want = (f, math.sqrt(f * (1.0 - f) / samples))
+    for chunk in (lattice.VOLUME_CHUNK_COORDINATES, 10 * dim, 7 * dim + 3):
+        monkeypatch.setattr(lattice, "VOLUME_CHUNK_COORDINATES", chunk)
+        assert mc_volume_fraction(params, origin, samples, seed=11) == want
+
+
 def test_mc_volume_fraction_translation_invariant_within_noise():
     fa, ea = mc_volume_fraction(P3, (0.0, 0.0, 0.0), samples=20000, seed=7)
     fb, eb = mc_volume_fraction(P3, (17.3, -4.9, 2.02), samples=20000, seed=8)

@@ -100,7 +100,7 @@ def test_filter_accepts_an_independent_set_on_both_paths(stream, seed):
     params, graph = LatticeParams(stream.dim), shape_graph(stream)
     assert_independent(graph, run_online(LatticeFilter(params, seed=seed), stream))
     # The first run passed the stream, so the second reads its index.
-    assert stream.cross_residues._dim == stream.dim
+    assert stream.box_index._dim == stream.dim
     assert_independent(graph, run_online(LatticeFilter(params, seed=seed + 1), stream))
 
 
